@@ -86,17 +86,10 @@ func (s *System) Engine(opts engine.Options) *engine.Engine {
 	return engine.New(s.Kernel, s.Hier, s.Ctl, s.Core, s.Cfg.Run, opts)
 }
 
-// Run warms the system up, measures the detailed window, and returns the
-// result.
-func (s *System) Run() Result {
-	r, _ := s.RunContext(context.Background())
-	return r
-}
-
-// RunContext is Run with cancellation: the simulation loop polls ctx at
-// checkpoints and aborts with ctx's error when it is cancelled or times
-// out. An uncancelled run is bit-identical to Run. It is a thin wrapper
-// over the engine with no observers attached.
+// RunContext warms the system up, measures the detailed window and
+// returns the result. The simulation loop polls ctx at checkpoints and
+// aborts with ctx's error when it is cancelled or times out. It is a
+// thin wrapper over the engine with no observers attached.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
 	r, _, err := s.RunObserved(ctx, engine.Options{})
 	return r, err
@@ -132,46 +125,15 @@ func (s *System) resultOf(out engine.Outcome) Result {
 	return r
 }
 
-// Run is the one-call entry point: simulate workloadName under spec with
-// cfg and return the result.
-func Run(cfg config.Config, spec policy.Spec, workloadName string) (Result, error) {
-	return RunContext(context.Background(), cfg, spec, workloadName)
-}
-
-// RunObserved is RunContext with engine observation options: it returns
-// the result plus the collected epoch series (nil unless opts.Collect).
-func RunObserved(ctx context.Context, cfg config.Config, spec policy.Spec, workloadName string, opts engine.Options) (Result, []engine.EpochSample, error) {
-	w, err := trace.ByName(workloadName)
-	if err != nil {
-		return Result{}, nil, err
-	}
+// Run is the one-call entry point: build a fresh system for workload w
+// and run it under spec with cfg and the given observation options. It
+// returns the result plus the epoch series (nil unless opts.Collect);
+// the result is bit-identical whatever observers opts attaches.
+// Resolve a builtin name with trace.ByName first.
+func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workload, opts engine.Options) (Result, []engine.EpochSample, error) {
 	sys, err := NewSystem(cfg, spec, w)
 	if err != nil {
 		return Result{}, nil, fmt.Errorf("core: %w", err)
 	}
 	return sys.RunObserved(ctx, opts)
-}
-
-// RunContext is Run with cancellation.
-func RunContext(ctx context.Context, cfg config.Config, spec policy.Spec, workloadName string) (Result, error) {
-	w, err := trace.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunWorkloadContext(ctx, cfg, spec, w)
-}
-
-// RunWorkload simulates an explicit workload (e.g. one replayed from a
-// trace file) under spec with cfg.
-func RunWorkload(cfg config.Config, spec policy.Spec, w trace.Workload) (Result, error) {
-	return RunWorkloadContext(context.Background(), cfg, spec, w)
-}
-
-// RunWorkloadContext is RunWorkload with cancellation.
-func RunWorkloadContext(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workload) (Result, error) {
-	sys, err := NewSystem(cfg, spec, w)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
-	}
-	return sys.RunContext(ctx)
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mellow/internal/config"
+	"mellow/internal/engine"
 	"mellow/internal/policy"
+	"mellow/internal/trace"
 )
 
 // quickCfg shortens runs for integration tests.
@@ -15,9 +18,19 @@ func quickCfg() config.Config {
 	return cfg
 }
 
+// runNamed resolves a builtin workload by name and runs it unobserved.
+func runNamed(cfg config.Config, spec policy.Spec, workload string) (Result, error) {
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return Result{}, err
+	}
+	r, _, err := Run(context.Background(), cfg, spec, w, engine.Options{})
+	return r, err
+}
+
 func mustRun(t *testing.T, cfg config.Config, spec policy.Spec, workload string) Result {
 	t.Helper()
-	r, err := Run(cfg, spec, workload)
+	r, err := runNamed(cfg, spec, workload)
 	if err != nil {
 		t.Fatalf("Run(%s, %s): %v", workload, spec.Name, err)
 	}
@@ -49,7 +62,7 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := Run(quickCfg(), policy.Norm(), "nope"); err == nil {
+	if _, err := runNamed(quickCfg(), policy.Norm(), "nope"); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
 }
@@ -57,7 +70,7 @@ func TestUnknownWorkload(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := quickCfg()
 	cfg.CPU.IssueWidth = 0
-	if _, err := Run(cfg, policy.Norm(), "stream"); err == nil {
+	if _, err := runNamed(cfg, policy.Norm(), "stream"); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

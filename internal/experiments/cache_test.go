@@ -7,6 +7,7 @@ import (
 
 	"mellow/internal/config"
 	"mellow/internal/policy"
+	"mellow/internal/trace"
 )
 
 // tinyConfig keeps hammer tests fast: a few tens of thousands of
@@ -19,10 +20,20 @@ func tinyConfig(seed uint64) config.Config {
 	return cfg
 }
 
-// TestRunCachedConcurrent hammers the memoisation cache from many
+// runNamed resolves a builtin workload by name and runs it through the
+// memo.
+func runNamed(ctx context.Context, cfg config.Config, spec policy.Spec, name string, ob Observation) (Instrumented, error) {
+	w, err := trace.ByName(name)
+	if err != nil {
+		return Instrumented{}, err
+	}
+	return Run(ctx, cfg, spec, w, ob)
+}
+
+// TestRunConcurrent hammers the memoisation cache from many
 // goroutines (run under -race): identical keys must simulate exactly
 // once, and every caller must observe the same result.
-func TestRunCachedConcurrent(t *testing.T) {
+func TestRunConcurrent(t *testing.T) {
 	ResetCache()
 	cfg := tinyConfig(99)
 	spec, err := policy.Parse("Norm")
@@ -37,7 +48,7 @@ func TestRunCachedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := RunCached(context.Background(), cfg, spec, "stream")
+			r, err := runOne(Options{}, cfg, spec, "stream")
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -67,7 +78,7 @@ func TestRunCachedConcurrent(t *testing.T) {
 // goroutines at once, the daemon's usage pattern.
 func TestRunAllConcurrent(t *testing.T) {
 	ResetCache()
-	o := Options{Cfg: tinyConfig(7), Parallel: 4}
+	o := Options{Cfg: tinyConfig(7)}
 	specs := policy.EvaluationSet()[:3]
 	var jobs []job
 	for _, s := range specs {
@@ -105,7 +116,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
-		if _, err := RunCached(context.Background(), tinyConfig(seed), spec, "gups"); err != nil {
+		if _, err := runOne(Options{}, tinyConfig(seed), spec, "gups"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +141,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 	cfg := tinyConfig(3)
 	cfg.Run.DetailedInstructions = 50_000_000 // would take seconds uncancelled
-	if _, err := RunCached(ctx, cfg, spec, "stream"); err != context.Canceled {
+	if _, err := runOne(Options{Ctx: ctx}, cfg, spec, "stream"); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if st := CacheSnapshot(); st.Entries != 0 {

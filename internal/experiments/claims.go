@@ -204,7 +204,7 @@ func claims() []claim {
 // runClaims evaluates every headline claim against the standard sweep
 // and prints a pass/fail table.
 func runClaims(o Options) error {
-	sweep, _, err := evalSweep(o)
+	sweep, _, err := EvalSweep(o)
 	if err != nil {
 		return err
 	}

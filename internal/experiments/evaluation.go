@@ -12,7 +12,7 @@ import (
 // the evaluation set, a row per workload plus a summary row.
 func evalTable(o Options, title, summary string,
 	cell func(r, base core.Result) (value float64, text string)) error {
-	res, specs, err := evalSweep(o)
+	res, specs, err := EvalSweep(o)
 	if err != nil {
 		return err
 	}
@@ -59,7 +59,7 @@ func runFig11(o Options) error {
 	}
 	// The paper plots Figure 11 on a log axis; render the headline
 	// comparison that way for the default suite.
-	res, _, err := evalSweep(o)
+	res, _, err := EvalSweep(o)
 	if err != nil {
 		return err
 	}
@@ -93,7 +93,7 @@ func runFig13(o Options) error {
 // runFig14 shows the LLC-side request mix: demand fetches, ordinary
 // dirty write-backs, and eager write-backs, normalized to Norm's total.
 func runFig14(o Options) error {
-	res, specs, err := evalSweep(o)
+	res, specs, err := EvalSweep(o)
 	if err != nil {
 		return err
 	}

@@ -35,11 +35,6 @@ type Options struct {
 	Out io.Writer
 	// Workloads restricts the benchmark suite (default: all 11).
 	Workloads []string
-	// Parallel, when positive, additionally throttles this sweep's
-	// fan-out. Simulation concurrency itself is governed by the
-	// process-wide sched.Default() budget — every simulation acquires a
-	// scheduler slot before it runs, whatever sweep or job spawned it.
-	Parallel int
 	// Epoch, when positive, runs every simulation observed at this
 	// sampling period and hands each collected series to OnSeries.
 	Epoch sim.Tick
@@ -127,27 +122,37 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
 
-// runKey identifies one simulation for memoisation. Observed runs key
-// on their sampling period and per-bank-damage flag too: the stored
-// epoch series is part of the memoised value, and equal keys must yield
-// equal bytes.
+// runKey identifies one simulation for memoisation. The workload keys
+// on its result label plus the content hash of its trace.Spec, so a
+// builtin and an inline spec with the same name and parameterization
+// share one entry. Observed runs key on their sampling period and
+// per-bank-damage flag too: the stored epoch series is part of the
+// memoised value, and equal keys must yield equal bytes.
 type runKey struct {
 	cfg        string // canonical JSON of the config
 	policy     string
-	workload   string
+	workload   string   // result label
+	spec       string   // content hash of the workload's trace.Spec
 	epoch      sim.Tick // 0 for unobserved runs
 	bankDamage bool
 	metrics    bool // per-run metrics snapshot stored with the value
 	trace      bool // execution timeline stored with the value
 }
 
-func keyFor(cfg config.Config, spec policy.Spec, workload string, epoch sim.Tick, bankDamage, metrics, trace bool) runKey {
+func keyFor(cfg config.Config, spec policy.Spec, w trace.Workload, ob Observation) (runKey, error) {
+	if w.Spec == nil {
+		return runKey{}, fmt.Errorf("experiments: workload %q has no spec", w.Name)
+	}
+	h, err := w.Spec.Hash()
+	if err != nil {
+		return runKey{}, err
+	}
 	b, err := cfg.CanonicalJSON()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: config not serialisable: %v", err))
 	}
-	return runKey{cfg: string(b), policy: spec.Name, workload: workload,
-		epoch: epoch, bankDamage: bankDamage, metrics: metrics, trace: trace}
+	return runKey{cfg: string(b), policy: spec.Name, workload: w.Name, spec: h,
+		epoch: ob.Epoch, bankDamage: ob.BankDamage, metrics: ob.Metrics, trace: ob.Trace}, nil
 }
 
 // DefaultCacheCap bounds the memoisation cache so a long-lived process
@@ -352,21 +357,10 @@ func CacheCollector(prefix string) metrics.Collector {
 	}
 }
 
-// RunCached is the memoised, deduplicated simulation entry point: an
-// identical (config, policy, workload) triple simulates at most once
-// concurrently and its result is reused across callers — the primitive
-// the mellowd service builds on.
-func RunCached(ctx context.Context, cfg config.Config, spec policy.Spec, workload string) (core.Result, error) {
-	c, err := memo.do(ctx, keyFor(cfg, spec, workload, 0, false, false, false), func() (cached, error) {
-		r, err := core.RunContext(ctx, cfg, spec, workload)
-		return cached{res: r}, err
-	})
-	return c.res, err
-}
-
 // Observation configures an observed simulation run.
 type Observation struct {
-	// Epoch is the sampling period in ticks (0: engine.DefaultEpoch).
+	// Epoch, when positive, is the sampling period in ticks at which the
+	// run collects its epoch series (0: an unobserved run).
 	Epoch sim.Tick
 	// BankDamage includes the per-bank damage vector in every sample.
 	BankDamage bool
@@ -395,32 +389,6 @@ type Observation struct {
 	Trace bool
 }
 
-func (ob Observation) epoch() sim.Tick {
-	if ob.Epoch > 0 {
-		return ob.Epoch
-	}
-	return engine.DefaultEpoch
-}
-
-// RunObserved is RunCached for observed runs: the memoised value
-// carries the deterministic epoch series, so equal keys still yield
-// equal bytes. The returned series is shared and must not be modified.
-func RunObserved(ctx context.Context, cfg config.Config, spec policy.Spec, workload string, ob Observation) (core.Result, []engine.EpochSample, error) {
-	ob.Epoch = ob.epoch()
-	r, series, _, err := RunInstrumented(ctx, cfg, spec, workload, ob)
-	return r, series, err
-}
-
-// RunInstrumented is the metrics-aware memoised entry point: epoch
-// observation when ob.Epoch > 0, a per-run metrics snapshot when
-// ob.Metrics. The returned series and snapshot are shared and must not
-// be modified. Callers that also want the execution timeline use
-// RunFull.
-func RunInstrumented(ctx context.Context, cfg config.Config, spec policy.Spec, workload string, ob Observation) (core.Result, []engine.EpochSample, *metrics.Snapshot, error) {
-	ins, err := RunFull(ctx, cfg, spec, workload, ob)
-	return ins.Result, ins.Series, ins.Metrics, err
-}
-
 // Instrumented bundles everything one memoised simulation can produce.
 // Series, Metrics and Trace are shared with the memo cache and must not
 // be modified.
@@ -431,13 +399,21 @@ type Instrumented struct {
 	Trace   *xtrace.SimTrace
 }
 
-// RunFull is the full memoised entry point: epoch observation when
-// ob.Epoch > 0, a per-run metrics snapshot when ob.Metrics, an
-// execution timeline when ob.Trace — all stored with the memoised value
-// (every observer is deterministic or, for the timeline, read-only, so
-// equal keys still yield equal result bytes).
-func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload string, ob Observation) (Instrumented, error) {
-	key := keyFor(cfg, spec, workload, ob.Epoch, ob.BankDamage, ob.Metrics, ob.Trace)
+// Run is the memoised, deduplicated simulation entry point — the
+// primitive the figure sweeps, scenarios and the mellowd service build
+// on. An identical (config, policy, workload, observation) key simulates
+// at most once concurrently and its result is reused across callers.
+// A zero Observation is a plain run. Epoch observation when
+// ob.Epoch > 0, a per-run metrics snapshot when ob.Metrics and an
+// execution timeline when ob.Trace are all stored with the memoised
+// value (every observer is deterministic or, for the timeline,
+// read-only, so equal keys still yield equal result bytes). Resolve a
+// builtin name with trace.ByName first.
+func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workload, ob Observation) (Instrumented, error) {
+	key, err := keyFor(cfg, spec, w, ob)
+	if err != nil {
+		return Instrumented{}, err
+	}
 	c, err := memo.do(ctx, key, func() (cached, error) {
 		opts := engine.Options{
 			Epoch:      ob.Epoch,
@@ -456,7 +432,7 @@ func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload 
 			rec = xtrace.NewRecorder(0)
 			opts.Timeline = rec
 		}
-		r, series, err := core.RunObserved(ctx, cfg, spec, workload, opts)
+		r, series, err := core.Run(ctx, cfg, spec, w, opts)
 		if err != nil {
 			rec.Discard()
 			return cached{}, err
@@ -467,7 +443,7 @@ func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload 
 			ch.met = &snap
 		}
 		if rec != nil {
-			ch.trace = rec.Finalize(workload, spec.Name, cfg.Memory.Banks())
+			ch.trace = rec.Finalize(w.Name, spec.Name, cfg.Memory.Banks())
 		}
 		return ch, err
 	})
@@ -518,17 +494,12 @@ type job struct {
 // budget simulations in total.
 func runAll(o Options, jobs []job) (map[[2]string]core.Result, error) {
 	ctx := o.ctx()
+	ob := Observation{Epoch: o.Epoch, Trace: o.Trace}
 	results := make(map[[2]string]core.Result, len(jobs))
 	var resMu sync.Mutex
 	var cbMu sync.Mutex // serialises OnSeries/OnProgress outside resMu
 	total := len(jobs)
 	done := 0
-	// Optional sweep-local fan-out throttle, in addition to the
-	// process-wide scheduler gate.
-	var sem chan struct{}
-	if o.Parallel > 0 {
-		sem = make(chan struct{}, o.Parallel)
-	}
 	var wg sync.WaitGroup
 	var firstErr error
 	for _, j := range jobs {
@@ -542,32 +513,12 @@ func runAll(o Options, jobs []job) (map[[2]string]core.Result, error) {
 		}
 		j := j
 		wg.Add(1)
-		if sem != nil {
-			sem <- struct{}{}
-		}
 		go func() {
 			defer wg.Done()
-			if sem != nil {
-				defer func() { <-sem }()
-			}
-			var r core.Result
-			var series []engine.EpochSample
-			var tr *xtrace.SimTrace
-			var err error
-			switch {
-			case o.Trace:
-				ob := Observation{Trace: true}
-				if o.Epoch > 0 {
-					ob.Epoch = o.Epoch
-				}
-				var ins Instrumented
-				ins, err = RunFull(ctx, j.cfg, j.spec, j.workload, ob)
-				r, series, tr = ins.Result, ins.Series, ins.Trace
-			case o.Epoch > 0:
-				r, series, err = RunObserved(ctx, j.cfg, j.spec, j.workload,
-					Observation{Epoch: o.Epoch})
-			default:
-				r, err = RunCached(ctx, j.cfg, j.spec, j.workload)
+			w, err := trace.ByName(j.workload)
+			var ins Instrumented
+			if err == nil {
+				ins, err = Run(ctx, j.cfg, j.spec, w, ob)
 			}
 			resMu.Lock()
 			if err != nil {
@@ -575,17 +526,17 @@ func runAll(o Options, jobs []job) (map[[2]string]core.Result, error) {
 					firstErr = err
 				}
 			} else {
-				results[[2]string{j.spec.Name, j.workload}] = r
+				results[[2]string{j.spec.Name, j.workload}] = ins.Result
 			}
 			resMu.Unlock()
 
 			cbMu.Lock()
 			done++
 			if err == nil && o.OnSeries != nil && o.Epoch > 0 {
-				o.OnSeries(SeriesRecord{Workload: j.workload, Policy: j.spec.Name, Series: series})
+				o.OnSeries(SeriesRecord{Workload: j.workload, Policy: j.spec.Name, Series: ins.Series})
 			}
-			if err == nil && o.OnTrace != nil && tr != nil {
-				o.OnTrace(TraceRecord{Workload: j.workload, Policy: j.spec.Name, Trace: tr})
+			if err == nil && o.OnTrace != nil && ins.Trace != nil {
+				o.OnTrace(TraceRecord{Workload: j.workload, Policy: j.spec.Name, Trace: ins.Trace})
 			}
 			if o.OnProgress != nil {
 				o.OnProgress(done, total)
@@ -600,13 +551,20 @@ func runAll(o Options, jobs []job) (map[[2]string]core.Result, error) {
 	return results, nil
 }
 
-// runOne executes (or reuses) a single simulation.
+// runOne executes (or reuses) a single plain simulation of a builtin
+// workload.
 func runOne(o Options, cfg config.Config, spec policy.Spec, workload string) (core.Result, error) {
-	return RunCached(o.ctx(), cfg, spec, workload)
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return core.Result{}, err
+	}
+	ins, err := Run(o.ctx(), cfg, spec, w, Observation{})
+	return ins.Result, err
 }
 
-// evalSweep runs the Figure 10–16 policy line-up over the active suite.
-func evalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
+// EvalSweep runs the Figure 10–16 policy line-up over the active suite:
+// results keyed by (policy name, workload), plus the line-up.
+func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
 	specs := policy.EvaluationSet()
 	var jobs []job
 	for _, w := range o.workloads() {
@@ -616,10 +574,4 @@ func evalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
 	}
 	res, err := runAll(o, jobs)
 	return res, specs, err
-}
-
-// EvalSweep exposes the Figure 10-16 sweep to sibling tools (the SVG
-// plotter): results keyed by (policy name, workload), plus the line-up.
-func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
-	return evalSweep(o)
 }

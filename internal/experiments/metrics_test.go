@@ -10,47 +10,48 @@ import (
 	"mellow/internal/policy"
 )
 
-// runInstrumented is the test shorthand: one metrics-on simulation
+// runMetered is the test shorthand: one metrics-on simulation
 // against a fresh cache.
-func runInstrumented(t *testing.T, seed uint64) *metrics.Snapshot {
+func runMetered(t *testing.T, seed uint64) *metrics.Snapshot {
 	t.Helper()
 	ResetCache()
 	spec, err := policy.Parse("Norm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, snap, err := RunInstrumented(context.Background(), tinyConfig(seed), spec, "stream",
+	ins, err := runNamed(context.Background(), tinyConfig(seed), spec, "stream",
 		Observation{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("RunInstrumented with Metrics returned no snapshot")
+	if ins.Metrics == nil {
+		t.Fatal("Run with Metrics returned no snapshot")
 	}
-	return snap
+	return ins.Metrics
 }
 
-// TestRunInstrumentedPreservesResult pins the per-run collector
+// TestRunMetricsPreservesResult pins the per-run collector
 // contract: attaching a metrics registry must not perturb the
 // simulation. The instrumented result must equal the plain one
 // bit-for-bit.
-func TestRunInstrumentedPreservesResult(t *testing.T) {
+func TestRunMetricsPreservesResult(t *testing.T) {
 	ResetCache()
 	cfg := tinyConfig(7)
 	spec, err := policy.Parse("Norm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunCached(context.Background(), cfg, spec, "stream")
+	plain, err := runOne(Options{}, cfg, spec, "stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, _, snap, err := RunInstrumented(context.Background(), cfg, spec, "stream",
+	instr, err := runNamed(context.Background(), cfg, spec, "stream",
 		Observation{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, instr) {
+	snap := instr.Metrics
+	if !reflect.DeepEqual(plain, instr.Result) {
 		t.Error("instrumented result differs from plain result")
 	}
 	if snap == nil || len(snap.Families) == 0 {
@@ -63,13 +64,13 @@ func TestRunInstrumentedPreservesResult(t *testing.T) {
 	}
 }
 
-// TestRunInstrumentedSnapshotDeterministic re-simulates the same key
+// TestRunMetricsSnapshotDeterministic re-simulates the same key
 // against a cleared cache and requires byte-equal snapshot JSON — the
 // property that lets per-run metrics ride the content-addressed result
 // cache.
-func TestRunInstrumentedSnapshotDeterministic(t *testing.T) {
-	a := runInstrumented(t, 31)
-	b := runInstrumented(t, 31)
+func TestRunMetricsSnapshotDeterministic(t *testing.T) {
+	a := runMetered(t, 31)
+	b := runMetered(t, 31)
 	ja, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)

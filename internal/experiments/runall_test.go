@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -24,7 +23,7 @@ func TestRunAllProgressOnError(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls [][2]int
-	o := Options{Cfg: cfg, Parallel: 1, OnProgress: func(done, total int) {
+	o := Options{Cfg: cfg, OnProgress: func(done, total int) {
 		mu.Lock()
 		calls = append(calls, [2]int{done, total})
 		mu.Unlock()
@@ -45,7 +44,7 @@ func TestRunAllProgressOnError(t *testing.T) {
 }
 
 // TestBudgetBoundsConcurrentSims is the scheduler acceptance check at
-// the harness level: with budget B, hammering RunCached from many
+// the harness level: with budget B, hammering Run from many
 // goroutines never executes more than B simulations at once. Run with
 // -race in CI.
 func TestBudgetBoundsConcurrentSims(t *testing.T) {
@@ -63,7 +62,7 @@ func TestBudgetBoundsConcurrentSims(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := RunCached(context.Background(), cfg, policy.Norm(), w); err != nil {
+			if _, err := runOne(Options{}, cfg, policy.Norm(), w); err != nil {
 				t.Error(err)
 			}
 		}()

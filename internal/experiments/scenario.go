@@ -6,34 +6,10 @@ import (
 	"sync"
 
 	"mellow/internal/config"
-	"mellow/internal/core"
 	"mellow/internal/policy"
 	"mellow/internal/scenario"
 	"mellow/internal/trace"
 )
-
-// RunSpecCached is RunCached for inline declarative workloads: the memo
-// key carries the spec's content hash (plus its result label), so two
-// scenarios declaring the same generator share one simulation while
-// distinct parameterizations never collide. Builtin-name workloads
-// should keep using RunCached — their keys are shared with the figure
-// sweeps.
-func RunSpecCached(ctx context.Context, cfg config.Config, spec policy.Spec, name string, ts trace.Spec) (core.Result, error) {
-	h, err := ts.Hash()
-	if err != nil {
-		return core.Result{}, err
-	}
-	w, err := ts.Workload(name, 0)
-	if err != nil {
-		return core.Result{}, err
-	}
-	key := keyFor(cfg, spec, "spec:"+name+":"+h, 0, false, false, false)
-	c, err := memo.do(ctx, key, func() (cached, error) {
-		r, err := core.RunWorkloadContext(ctx, cfg, spec, w)
-		return cached{res: r}, err
-	})
-	return c.res, err
-}
 
 // RunScenario executes one declarative scenario: the workload × leveler
 // × policy matrix fans out in parallel through the memoised sched-
@@ -77,13 +53,17 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 				ccfg.Memory.WearLeveler = cell.Leveler
 			}
 			pspec, err := policy.Parse(cell.Policy)
-			var r core.Result
+			var w trace.Workload
+			switch {
+			case err != nil: // the policy did not parse
+			case cell.Workload.Spec != nil:
+				w, err = cell.Workload.Spec.Workload(cell.Workload.Name, 0)
+			default:
+				w, err = trace.ByName(cell.Workload.Name)
+			}
+			var ins Instrumented
 			if err == nil {
-				if cell.Workload.Spec != nil {
-					r, err = RunSpecCached(ctx, ccfg, pspec, cell.Workload.Name, *cell.Workload.Spec)
-				} else {
-					r, err = RunCached(ctx, ccfg, pspec, cell.Workload.Name)
-				}
+				ins, err = Run(ctx, ccfg, pspec, w, Observation{})
 			}
 			mu.Lock()
 			if err != nil {
@@ -95,7 +75,7 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 					Workload: cell.Workload.Name,
 					Leveler:  cell.Leveler,
 					Policy:   cell.Policy,
-					Result:   r,
+					Result:   ins.Result,
 				}
 			}
 			done++

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mellow/internal/config"
+	"mellow/internal/core"
 	"mellow/internal/policy"
 	"mellow/internal/scenario"
 	"mellow/internal/trace"
@@ -25,8 +26,8 @@ func scenarioBase() config.Config {
 }
 
 // A scenario cell for a builtin workload must report exactly what the
-// figure sweeps' RunCached reports — one simulation path, one result.
-func TestRunScenarioMatchesRunCached(t *testing.T) {
+// figure sweeps' Run reports — one simulation path, one result.
+func TestRunScenarioMatchesRun(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
 	sc := &scenario.Scenario{
@@ -46,18 +47,35 @@ func TestRunScenarioMatchesRunCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunCached(context.Background(), base, pspec, cell.Workload)
+		want, err := runOne(Options{}, base, pspec, cell.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cell.Result, want) {
-			t.Errorf("%s/%s: scenario result differs from RunCached", cell.Workload, cell.Policy)
+			t.Errorf("%s/%s: scenario result differs from Run", cell.Workload, cell.Policy)
 		}
 	}
 }
 
+// runSpec runs an inline workload spec under the given label through
+// the memo.
+func runSpec(t *testing.T, cfg config.Config, pspec policy.Spec, name string, spec trace.Spec) core.Result {
+	t.Helper()
+	w, err := spec.Workload(name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := Run(context.Background(), cfg, pspec, w, Observation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins.Result
+}
+
 // An inline spec spelling out a builtin's exact parameterization must
-// reproduce the builtin's result bit for bit, through its own memo key.
+// reproduce the builtin's result bit for bit. Under its own label it
+// simulates through its own memo key; under the builtin's name it is
+// the builtin's memo entry.
 func TestInlineSpecMatchesBuiltin(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
@@ -69,11 +87,8 @@ func TestInlineSpecMatchesBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, err := RunSpecCached(context.Background(), base, pspec, "my-gups", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builtin, err := RunCached(context.Background(), base, pspec, "gups")
+	inline := runSpec(t, base, pspec, "my-gups", spec)
+	builtin, err := runOne(Options{}, base, pspec, "gups")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +97,22 @@ func TestInlineSpecMatchesBuiltin(t *testing.T) {
 	if !reflect.DeepEqual(inline, builtin) {
 		t.Fatal("inline gups spec result differs from the builtin workload")
 	}
+
+	before := CacheSnapshot()
+	same := runSpec(t, base, pspec, "gups", spec)
+	after := CacheSnapshot()
+	if after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("inline gups spec named gups: misses %d -> %d, hits %d -> %d; want a hit on the builtin's entry",
+			before.Misses, after.Misses, before.Hits, after.Hits)
+	}
+	if !reflect.DeepEqual(same, builtin) {
+		t.Fatal("inline gups spec named gups differs from the builtin workload")
+	}
 }
 
-// RunSpecCached memoises on the spec's content hash: a second call must
+// Run memoises an inline spec on its content hash: a second call must
 // not simulate again.
-func TestRunSpecCachedMemoises(t *testing.T) {
+func TestRunInlineSpecMemoises(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
 	spec := trace.Spec{Kind: trace.KindStream, GapMean: 6, ReadArrays: 2, WriteArrays: 1, ArrayBytes: 4 << 20}
@@ -94,20 +120,14 @@ func TestRunSpecCachedMemoises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunSpecCached(context.Background(), base, pspec, "w", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runSpec(t, base, pspec, "w", spec)
 	before := CacheSnapshot().Hits
-	r2, err := RunSpecCached(context.Background(), base, pspec, "w", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := runSpec(t, base, pspec, "w", spec)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("memoised result differs")
 	}
 	if CacheSnapshot().Hits <= before {
-		t.Fatal("second RunSpecCached missed the memo cache")
+		t.Fatal("second Run of an inline spec missed the memo cache")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // TestTracedBitIdentical pins the trace-determinism contract at the
 // memoised layer: a run with Trace set yields a result byte-identical
-// to the plain RunCached result for the same (config, policy,
+// to the plain Run result for the same (config, policy,
 // workload), while also producing a finalized timeline.
 func TestTracedBitIdentical(t *testing.T) {
 	ResetCache()
@@ -20,11 +20,11 @@ func TestTracedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunCached(context.Background(), cfg, spec, "gups")
+	plain, err := runOne(Options{}, cfg, spec, "gups")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := RunFull(context.Background(), cfg, spec, "gups", Observation{Trace: true})
+	ins, err := runNamed(context.Background(), cfg, spec, "gups", Observation{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTracedBitIdentical(t *testing.T) {
 	}
 
 	// An identical traced run is a memo hit sharing the same timeline.
-	again, err := RunFull(context.Background(), cfg, spec, "gups", Observation{Trace: true})
+	again, err := runNamed(context.Background(), cfg, spec, "gups", Observation{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTracedCancellationDiscards(t *testing.T) {
 	base := xtrace.ActiveCount()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunFull(ctx, cfg, spec, "stream", Observation{Trace: true}); err != context.Canceled {
+	if _, err := runNamed(ctx, cfg, spec, "stream", Observation{Trace: true}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := xtrace.ActiveCount(); got != base {

@@ -16,6 +16,7 @@ import (
 	"mellow/internal/metrics"
 	"mellow/internal/policy"
 	"mellow/internal/sim"
+	"mellow/internal/trace"
 	"mellow/internal/xtrace"
 )
 
@@ -239,18 +240,22 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	switch canon.Kind {
 	case KindSim, KindCompare:
 		type cell struct {
-			workload string
-			policy   string
-			spec     policy.Spec
+			w      trace.Workload
+			policy string
+			spec   policy.Spec
 		}
 		cells := make([]cell, 0, len(canon.Workloads)*len(canon.Policies))
-		for _, w := range canon.Workloads {
+		for _, name := range canon.Workloads {
+			w, err := trace.ByName(name)
+			if err != nil {
+				return nil, err
+			}
 			for _, p := range canon.Policies {
 				spec, err := policy.Parse(p)
 				if err != nil {
 					return nil, err
 				}
-				cells = append(cells, cell{workload: w, policy: p, spec: spec})
+				cells = append(cells, cell{w: w, policy: p, spec: spec})
 			}
 		}
 		js.progress.setTotal(len(cells))
@@ -283,56 +288,31 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var err error
-				if epoch > 0 || canon.Metrics || canon.Trace {
-					var tr *engine.Tracker
-					if epoch > 0 {
-						tr = &engine.Tracker{}
-					}
-					js.progress.beginSim(tr)
-					cellStart := time.Now()
-					ob := experiments.Observation{Epoch: epoch, Tracker: tr,
-						Metrics: canon.Metrics, Trace: canon.Trace}
-					// streamed counts this cell's live epoch events. OnEpoch
-					// only fires when this goroutine executes the simulation
-					// itself; a memo hit or a joined in-flight run streams
-					// nothing live and flushes the whole memoised series
-					// below — either way the cell's epoch-event subsequence
-					// is exactly the series the result embeds.
-					streamed := 0
-					if epoch > 0 && js.stream != nil {
-						ob.OnEpoch = func(s engine.EpochSample) {
-							streamed++
-							js.stream.epoch(i, cl.workload, cl.policy, s)
-						}
-					}
-					var ins experiments.Instrumented
-					ins, err = experiments.RunFull(runCtx, canon.Config, cl.spec, cl.workload, ob)
-					js.spans.Span("sim "+cl.workload+"/"+cl.policy, "cell",
-						cellStart, time.Now(), "workload", cl.workload, "policy", cl.policy)
-					js.progress.endSim(tr)
-					if err == nil {
-						results[i] = ins.Result
-						if epoch > 0 {
-							series[i] = experiments.SeriesRecord{
-								Workload: cl.workload, Policy: cl.policy, Series: ins.Series}
-							js.stream.flushSeries(i, cl.workload, cl.policy, ins.Series, streamed)
-						}
-						if canon.Metrics {
-							snaps[i] = ins.Metrics
-						}
-						if canon.Trace {
-							traces[i] = ins.Trace
-						}
-					}
-				} else {
-					var r core.Result
-					r, err = experiments.RunCached(runCtx, canon.Config, cl.spec, cl.workload)
-					js.progress.endSim(nil)
-					if err == nil {
-						results[i] = r
+				var tr *engine.Tracker
+				if epoch > 0 {
+					tr = &engine.Tracker{}
+				}
+				js.progress.beginSim(tr)
+				cellStart := time.Now()
+				ob := experiments.Observation{Epoch: epoch, Tracker: tr,
+					Metrics: canon.Metrics, Trace: canon.Trace}
+				// streamed counts this cell's live epoch events. OnEpoch
+				// only fires when this goroutine executes the simulation
+				// itself; a memo hit or a joined in-flight run streams
+				// nothing live and flushes the whole memoised series
+				// below — either way the cell's epoch-event subsequence
+				// is exactly the series the result embeds.
+				streamed := 0
+				if epoch > 0 && js.stream != nil {
+					ob.OnEpoch = func(s engine.EpochSample) {
+						streamed++
+						js.stream.epoch(i, cl.w.Name, cl.policy, s)
 					}
 				}
+				ins, err := experiments.Run(runCtx, canon.Config, cl.spec, cl.w, ob)
+				js.spans.Span("sim "+cl.w.Name+"/"+cl.policy, "cell",
+					cellStart, time.Now(), "workload", cl.w.Name, "policy", cl.policy)
+				js.progress.endSim(tr)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -340,6 +320,19 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 					}
 					mu.Unlock()
 					cancel()
+					return
+				}
+				results[i] = ins.Result
+				if epoch > 0 {
+					series[i] = experiments.SeriesRecord{
+						Workload: cl.w.Name, Policy: cl.policy, Series: ins.Series}
+					js.stream.flushSeries(i, cl.w.Name, cl.policy, ins.Series, streamed)
+				}
+				if canon.Metrics {
+					snaps[i] = ins.Metrics
+				}
+				if canon.Trace {
+					traces[i] = ins.Trace
 				}
 			}()
 		}

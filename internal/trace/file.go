@@ -20,37 +20,28 @@ import (
 
 // WriteOps exports trace records in the textual format.
 func WriteOps(w io.Writer, ops []Op) error {
-	bw := bufio.NewWriter(w)
-	for _, op := range ops {
-		kind := "R"
-		if op.Write {
-			kind = "W"
-		}
-		dep := ""
-		if op.Dep && !op.Write {
-			dep = "!"
-		}
-		if _, err := fmt.Fprintf(bw, "%d %x %s%s\n", op.Gap, op.Addr, kind, dep); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return encode(w, len(ops), func(i int) Op { return ops[i] })
 }
 
 // Record exports the next n records of a generator.
 func Record(w io.Writer, g Generator, n int) error {
+	return encode(w, n, func(int) Op { return g.Next() })
+}
+
+// encode writes n records, the i-th drawn from op(i), one per line.
+func encode(w io.Writer, n int, op func(i int) Op) error {
 	bw := bufio.NewWriter(w)
 	for i := 0; i < n; i++ {
-		op := g.Next()
+		o := op(i)
 		kind := "R"
-		if op.Write {
+		if o.Write {
 			kind = "W"
 		}
 		dep := ""
-		if op.Dep && !op.Write {
+		if o.Dep && !o.Write {
 			dep = "!"
 		}
-		if _, err := fmt.Fprintf(bw, "%d %x %s%s\n", op.Gap, op.Addr, kind, dep); err != nil {
+		if _, err := fmt.Fprintf(bw, "%d %x %s%s\n", o.Gap, o.Addr, kind, dep); err != nil {
 			return err
 		}
 	}
@@ -118,19 +109,14 @@ func ParseOps(r io.Reader) ([]Op, error) {
 	return ops, nil
 }
 
-// FromReader builds a Workload that cyclically replays a textual trace.
-// name labels results; targetMPKI may be zero if unknown.
+// FromReader builds a Workload that cyclically replays a textual trace,
+// through the same replay Spec path scenario files use, so the workload
+// carries its content-addressed Spec. name labels results; targetMPKI
+// may be zero if unknown.
 func FromReader(name string, r io.Reader, targetMPKI float64) (Workload, error) {
-	ops, err := ParseOps(r)
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return Workload{}, err
+		return Workload{}, fmt.Errorf("trace: %v", err)
 	}
-	return Workload{
-		Name:       name,
-		TargetMPKI: targetMPKI,
-		New: func(uint64) Generator {
-			// The replayed trace is deterministic; the seed is unused.
-			return &fileGen{ops: ops}
-		},
-	}, nil
+	return Spec{Kind: KindReplay, Data: string(b)}.Workload(name, targetMPKI)
 }

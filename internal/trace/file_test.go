@@ -116,6 +116,13 @@ func TestFromReaderRejectsEmpty(t *testing.T) {
 	}
 }
 
+func TestFromReaderErrorNamesLine(t *testing.T) {
+	_, err := FromReader("x", strings.NewReader("1 1000 R\n# comment\nx 2000 W\n"), 0)
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("err = %v, want it to name line 3", err)
+	}
+}
+
 func TestGoldenTraceFile(t *testing.T) {
 	f, err := os.Open("testdata/milc64.trace")
 	if err != nil {

@@ -164,11 +164,8 @@ func (sp Spec) Validate() error {
 			"hot_theta", sp.HotTheta != 0, "hot_write_prob", sp.HotWriteProb != 0); err != nil {
 			return err
 		}
-		if sp.Data == "" {
-			if sp.Path != "" {
-				return fmt.Errorf("trace: spec: replay path %q not resolved (call Resolve)", sp.Path)
-			}
-			return fmt.Errorf("trace: spec: replay needs data or path")
+		if sp.Data == "" && sp.Path != "" {
+			return fmt.Errorf("trace: spec: replay path %q not resolved (call Resolve)", sp.Path)
 		}
 		if _, err := ParseOps(strings.NewReader(sp.Data)); err != nil {
 			return fmt.Errorf("trace: spec: replay data: %v", err)

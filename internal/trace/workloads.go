@@ -16,8 +16,7 @@ type Workload struct {
 	// New builds a fresh generator seeded deterministically.
 	New func(seed uint64) Generator
 	// Spec is the declarative parameterization this workload was built
-	// from (normalized), nil for workloads constructed directly from a
-	// reader. Shared: callers must not modify it.
+	// from (normalized). Shared: callers must not modify it.
 	Spec *Spec
 }
 

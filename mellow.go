@@ -39,14 +39,13 @@ func Policies() []Policy { return policy.EvaluationSet() }
 type Result = core.Result
 
 // Run simulates the named workload under the policy and configuration.
+// Every call simulates afresh: nothing is memoised.
 func Run(cfg Config, p Policy, workload string) (Result, error) {
-	return core.Run(cfg, p, workload)
-}
-
-// RunContext is Run with cancellation: the simulation aborts at its
-// next checkpoint once ctx is cancelled or times out.
-func RunContext(ctx context.Context, cfg Config, p Policy, workload string) (Result, error) {
-	return core.RunContext(ctx, cfg, p, workload)
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return Result{}, err
+	}
+	return RunWorkload(cfg, p, w)
 }
 
 // Tick is the simulation time unit: 0.5 ns of simulated time.
@@ -59,20 +58,6 @@ func NS(ns uint64) Tick { return sim.NS(ns) }
 // interval deltas of the core, LLC and memory counters, plus queue and
 // wear state at the epoch boundary.
 type EpochSample = engine.EpochSample
-
-// Tracker publishes an observed run's live progress and latest epoch
-// through atomics; safe to read from any goroutine while the run
-// executes.
-type Tracker = engine.Tracker
-
-// Observation configures an observed run: the sampling period (0:
-// DefaultEpoch, the paper's 500 µs T_sample), whether samples carry the
-// per-bank damage vector, and an optional live Tracker.
-type Observation = experiments.Observation
-
-// DefaultEpoch is the default sampling period: 500 µs of simulated
-// time, one profiler-rotation/Wear-Quota interval.
-const DefaultEpoch = engine.DefaultEpoch
 
 // SeriesRecord labels one simulation's epoch series for export.
 type SeriesRecord = experiments.SeriesRecord
@@ -88,14 +73,6 @@ type SimTrace = xtrace.SimTrace
 // Chrome Trace Event Format document (WriteChrome), loadable in
 // Perfetto or chrome://tracing.
 type TraceDoc = xtrace.Doc
-
-// RunObserved simulates like RunContext but samples an epoch time
-// series on the side. Results are bit-identical to an unobserved run
-// and the series is deterministic: same (config, policy, workload,
-// observation) → same samples. Runs are memoised like RunExperiment's.
-func RunObserved(ctx context.Context, cfg Config, p Policy, workload string, ob Observation) (Result, []EpochSample, error) {
-	return experiments.RunObserved(ctx, cfg, p, workload, ob)
-}
 
 // WriteSeries encodes an epoch series as deterministic JSON.
 func WriteSeries(w io.Writer, samples []EpochSample) error { return engine.WriteSeries(w, samples) }
@@ -119,7 +96,8 @@ func WorkloadFromReader(name string, r io.Reader) (Workload, error) {
 
 // RunWorkload simulates an explicit Workload (e.g. from a trace file).
 func RunWorkload(cfg Config, p Policy, w Workload) (Result, error) {
-	return core.RunWorkload(cfg, p, w)
+	r, _, err := core.Run(context.Background(), cfg, p, w, engine.Options{})
+	return r, err
 }
 
 // MixResult is the outcome of a multiprogrammed simulation: several

@@ -105,6 +105,20 @@ func TestFacadeTraceReplay(t *testing.T) {
 	if res.Workload != "toy" || res.IPC <= 0 {
 		t.Errorf("replay result: %+v", res)
 	}
+	// The replayed workload is content-addressed like any other: a
+	// second read of the same trace hashes the same.
+	if w.Spec == nil {
+		t.Fatal("replayed workload has no spec")
+	}
+	again, err := mellow.WorkloadFromReader("toy", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err1 := w.Spec.Hash()
+	h2, err2 := again.Spec.Hash()
+	if err1 != nil || err2 != nil || h1 != h2 {
+		t.Errorf("replay spec hashes differ: %q (%v) vs %q (%v)", h1, err1, h2, err2)
+	}
 }
 
 func TestFacadeRunMix(t *testing.T) {
