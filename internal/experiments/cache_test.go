@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -148,4 +149,39 @@ func TestRunCancellation(t *testing.T) {
 		t.Errorf("cancelled run cached %d entries, want 0", st.Entries)
 	}
 	ResetCache()
+}
+
+// TestCacheEvictionOrder pins oldest-first eviction as the insertion
+// ring wraps many times, and after the cap shrinks.
+func TestCacheEvictionOrder(t *testing.T) {
+	key := func(i int) runKey { return runKey{policy: fmt.Sprint(i)} }
+	c := newSimCache(3)
+	const inserts = 100 // the ring's buffer is far smaller: it wraps
+	for i := 0; i < inserts; i++ {
+		c.insert(key(i), cached{})
+		for j := i - 4; j <= i; j++ {
+			_, held := c.entries[key(j)]
+			if want := j >= 0 && j > i-3; held != want {
+				t.Fatalf("after insert %d: key %d held = %v, want %v", i, j, held, want)
+			}
+		}
+	}
+	if st := c.stats(); st.Evictions != inserts-3 || st.Entries != 3 {
+		t.Fatalf("evictions=%d entries=%d, want %d/3", st.Evictions, st.Entries, inserts-3)
+	}
+	if len(c.order.buf) > 16 {
+		t.Errorf("ring grew to %d slots at cap 3", len(c.order.buf))
+	}
+	// Re-inserting a held key neither reorders nor evicts.
+	c.insert(key(inserts-3), cached{})
+	c.cap = 2
+	c.insert(key(inserts), cached{})
+	for _, j := range []int{inserts - 1, inserts} {
+		if _, ok := c.entries[key(j)]; !ok {
+			t.Errorf("after shrinking to cap 2: newest key %d evicted", j)
+		}
+	}
+	if st := c.stats(); st.Evictions != inserts-1 || st.Entries != 2 {
+		t.Fatalf("after shrink: evictions=%d entries=%d, want %d/2", st.Evictions, st.Entries, inserts-1)
+	}
 }

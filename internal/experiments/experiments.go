@@ -198,7 +198,7 @@ type simCache struct {
 	mu       sync.Mutex
 	cap      int
 	entries  map[runKey]cached
-	order    []runKey // insertion order, for eviction
+	order    keyRing // insertion order, for eviction
 	inflight map[runKey]*flight
 	hits     uint64
 	misses   uint64
@@ -291,13 +291,41 @@ func (c *simCache) insert(key runKey, r cached) {
 		return
 	}
 	for c.cap > 0 && len(c.entries) >= c.cap {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, old)
+		delete(c.entries, c.order.pop())
 		c.evicted++
 	}
 	c.entries[key] = r
-	c.order = append(c.order, key)
+	c.order.push(key)
+}
+
+// keyRing is a FIFO of memo keys in a circular buffer. It grows only
+// while it holds more keys than ever before, so a cache at its cap
+// evicts and inserts without allocating or retaining evicted keys.
+type keyRing struct {
+	buf  []runKey
+	head int // index of the oldest key
+	n    int
+}
+
+func (r *keyRing) push(k runKey) {
+	if r.n == len(r.buf) {
+		buf := make([]runKey, max(2*len(r.buf), 16))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = k
+	r.n++
+}
+
+// pop removes and returns the oldest key; the ring must not be empty.
+func (r *keyRing) pop() runKey {
+	k := r.buf[r.head]
+	r.buf[r.head] = runKey{}
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return k
 }
 
 func (c *simCache) stats() CacheStats {
@@ -315,7 +343,7 @@ func (c *simCache) reset(cap int) {
 	defer c.mu.Unlock()
 	c.cap = cap
 	c.entries = map[runKey]cached{}
-	c.order = nil
+	c.order = keyRing{}
 	c.hits, c.misses, c.evicted = 0, 0, 0
 	c.peakRun = c.running
 	// in-flight simulations publish into the fresh maps when they land.

@@ -93,32 +93,92 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent
-// theta in (0, 1). It implements the classic Knuth/Gray approximate
-// inverse-CDF used by YCSB-style generators: item 0 is the hottest.
-type Zipf struct {
-	src   *Source
+// ZipfShape is the seed-independent part of a Zipf-like distribution
+// over [0, n) with exponent theta in (0, 1): the normalisation constants
+// of the classic Knuth/Gray approximate inverse CDF used by YCSB-style
+// generators (item 0 is the hottest), plus a bucketed lookup table that
+// answers most draws without evaluating the formula. A shape is
+// immutable once built, so any number of samplers, on any number of
+// goroutines, may share one.
+type ZipfShape struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	head  float64 // 1 + 0.5^theta: u*zetan below it draws item 1
+	// table maps the top tableBits bits of a draw's 53-bit mantissa to
+	// the index every mantissa in that bucket yields, or tableMiss when
+	// the bucket straddles an index boundary. nil when n >= tableMiss.
+	table *[1 << tableBits]uint16
 }
 
-// NewZipf constructs a Zipf generator over [0, n) with skew theta
+const (
+	tableBits  = 16
+	tableShift = 53 - tableBits // mantissa bits below the bucket index
+	tableMiss  = math.MaxUint16
+	// tableMargin is how far inside its integer cell the scaled pow
+	// value must sit, relatively, at both ends of a bucket. math.Pow is
+	// accurate to a few ulps (~1e-15 relative), far below this margin,
+	// so every mantissa between the ends truncates to the same index.
+	tableMargin = 1e-9
+)
+
+// NewZipfShape precomputes the distribution over [0, n) with skew theta
 // (0 < theta < 1; larger is more skewed).
-func NewZipf(src *Source, n uint64, theta float64) *Zipf {
+func NewZipfShape(n uint64, theta float64) *ZipfShape {
 	if n == 0 {
-		panic("rng: NewZipf with n == 0")
+		panic("rng: Zipf shape with n == 0")
 	}
 	if theta <= 0 || theta >= 1 {
-		panic("rng: NewZipf theta must be in (0,1)")
+		panic("rng: Zipf shape theta must be in (0,1)")
 	}
-	z := &Zipf{src: src, n: n, theta: theta}
+	z := &ZipfShape{n: n, head: 1.0 + powF(0.5, theta)}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	if n < tableMiss {
+		z.table = z.buildTable()
+	}
 	return z
+}
+
+// buildTable fills the bucket table. Bucket b holds the mantissas
+// [b<<tableShift, (b+1)<<tableShift); it gets an index only when the
+// exact formula, evaluated at the bucket's first mantissa and at the
+// next bucket's first (the last mantissa for the final bucket), takes
+// the same branch to the same index — with the pow branch's scaled
+// value tableMargin inside its cell at both ends. That is exact for
+// every mantissa in between: u*zetan and eta*u-eta+1 are monotone in u
+// (each rounded operation is), x^alpha is monotone, and math.Pow's
+// error is far below the margin.
+func (z *ZipfShape) buildTable() *[1 << tableBits]uint16 {
+	var t [1 << tableBits]uint16
+	const buckets = 1 << tableBits
+	at := func(edge uint64) (branch int, lo, hi uint64) {
+		m := edge << tableShift
+		if edge == buckets {
+			m--
+		}
+		branch, s := z.formula(m)
+		if branch < powBranch {
+			return branch, uint64(branch), uint64(branch)
+		}
+		if s != s { // NaN: leave the bucket to the formula
+			return -1, 0, 0
+		}
+		return branch, z.clamp(s * (1 - tableMargin)), z.clamp(s * (1 + tableMargin))
+	}
+	prevBranch, prevLo, _ := at(0)
+	for b := uint64(0); b < buckets; b++ {
+		branch, lo, hi := at(b + 1)
+		if branch >= 0 && branch == prevBranch && prevLo == hi {
+			t[b] = uint16(lo)
+		} else {
+			t[b] = tableMiss
+		}
+		prevBranch, prevLo = branch, lo
+	}
+	return &t
 }
 
 func zeta(n uint64, theta float64) float64 {
@@ -142,19 +202,71 @@ func zeta(n uint64, theta float64) float64 {
 
 func powF(base, exp float64) float64 { return math.Pow(base, exp) }
 
-// Next returns the next Zipf-distributed value in [0, n).
-func (z *Zipf) Next() uint64 {
-	u := z.src.Float64()
+// powBranch is formula's branch for draws past the two head items;
+// branches 0 and 1 draw those items.
+const powBranch = 2
+
+// formula evaluates the inverse CDF for the draw whose Float64 mantissa
+// is m: the branch taken and, for powBranch, the scaled value before
+// truncation to an index.
+func (z *ZipfShape) formula(m uint64) (branch int, s float64) {
+	u := float64(m) / (1 << 53)
 	uz := u * z.zetan
 	if uz < 1.0 {
-		return 0
+		return 0, 0
 	}
-	if uz < 1.0+powF(0.5, z.theta) {
-		return 1
+	if uz < z.head {
+		return 1, 0
 	}
-	v := uint64(float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha))
+	return powBranch, float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha)
+}
+
+// clamp truncates a scaled value to an index in [0, n).
+func (z *ZipfShape) clamp(s float64) uint64 {
+	v := uint64(s)
 	if v >= z.n {
 		v = z.n - 1
 	}
 	return v
+}
+
+// index is the formula's draw for mantissa m.
+func (z *ZipfShape) index(m uint64) uint64 {
+	branch, s := z.formula(m)
+	if branch < powBranch {
+		return uint64(branch)
+	}
+	return z.clamp(s)
+}
+
+// New returns a sampler of this shape drawing from src.
+func (z *ZipfShape) New(src *Source) *Zipf { return &Zipf{src: src, shape: z} }
+
+// Zipf draws from a ZipfShape with its own random stream.
+type Zipf struct {
+	src   *Source
+	shape *ZipfShape
+}
+
+// NewZipf constructs a Zipf generator over [0, n) with skew theta
+// (0 < theta < 1; larger is more skewed). Callers drawing many samplers
+// of one distribution should build its ZipfShape once and share it.
+func NewZipf(src *Source, n uint64, theta float64) *Zipf {
+	return NewZipfShape(n, theta).New(src)
+}
+
+// Next returns the next Zipf-distributed value in [0, n). It consumes
+// exactly one Uint64 and returns exactly what the formula gives for
+// Float64's value of it; the table only skips the arithmetic.
+func (z *Zipf) Next() uint64 { return z.shape.draw(z.src.Uint64() >> 11) }
+
+// draw maps a 53-bit mantissa, the one Float64 scales into [0, 1), to
+// its index: through the table when the bucket has an entry.
+func (z *ZipfShape) draw(m uint64) uint64 {
+	if t := z.table; t != nil {
+		if v := t[m>>tableShift]; v != tableMiss {
+			return uint64(v)
+		}
+	}
+	return z.index(m)
 }

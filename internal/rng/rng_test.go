@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,139 @@ func BenchmarkUint64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += s.Uint64()
+	}
+	_ = sink
+}
+
+// refZipf is the sampler as it stood before the bucket table and the
+// shared shape: the plain Knuth/Gray formula, both pows per draw. The
+// table-driven Zipf must return exactly what it returns for every
+// mantissa.
+type refZipf struct {
+	n                        uint64
+	theta, alpha, zetan, eta float64
+}
+
+func newRefZipf(n uint64, theta float64) refZipf {
+	z := refZipf{n: n, theta: theta}
+	z.zetan = zeta(n, theta)
+	z.alpha = 1.0 / (1.0 - theta)
+	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	return z
+}
+
+// next is the old Next for the draw whose Float64 mantissa is m.
+func (z refZipf) next(m uint64) uint64 {
+	u := float64(m) / (1 << 53)
+	uz := u * z.zetan
+	if uz < 1.0 {
+		return 0
+	}
+	if uz < 1.0+powF(0.5, z.theta) {
+		return 1
+	}
+	v := uint64(float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
+// zipfShapes are the builtin workloads' hot-set shapes (16,384 lines at
+// theta 0.7 and 0.8) plus edge shapes: degenerate domains, the largest
+// domain with a table, the smallest without, and a huge one.
+var zipfShapes = []struct {
+	n     uint64
+	theta float64
+}{
+	{16384, 0.7}, {16384, 0.8},
+	{1, 0.5}, {2, 0.7}, {3, 0.8}, {1000, 0.9},
+	{65534, 0.7}, {65535, 0.7}, {1 << 30, 0.6},
+	{16384, 0.01}, {16384, 0.99}, {4096, 0.5},
+}
+
+// TestZipfTableExact checks every bucket's first and last mantissa
+// against the reference formula, for every shape.
+func TestZipfTableExact(t *testing.T) {
+	for _, sh := range zipfShapes {
+		z, ref := NewZipfShape(sh.n, sh.theta), newRefZipf(sh.n, sh.theta)
+		if (z.table != nil) != (sh.n < tableMiss) {
+			t.Errorf("n=%d: table built = %v, want %v", sh.n, z.table != nil, sh.n < tableMiss)
+		}
+		filled := 0
+		for b := uint64(0); b < 1<<tableBits; b++ {
+			if z.table != nil && z.table[b] != tableMiss {
+				filled++
+			}
+			for _, m := range []uint64{b << tableShift, (b+1)<<tableShift - 1} {
+				if got, want := z.draw(m), ref.next(m); got != want {
+					t.Fatalf("n=%d theta=%v mantissa %#x (bucket %d): got %d, reference %d",
+						sh.n, sh.theta, m, b, got, want)
+				}
+			}
+		}
+		if sh.n == 16384 && sh.theta >= 0.7 && filled < (1<<tableBits)*2/3 {
+			t.Errorf("n=%d theta=%v: only %d of %d buckets resolved", sh.n, sh.theta, filled, 1<<tableBits)
+		}
+	}
+}
+
+// TestZipfMatchesReference draws seeded streams through Next and the
+// reference side by side: same values, one Uint64 per draw.
+func TestZipfMatchesReference(t *testing.T) {
+	draws := 1 << 20
+	if testing.Short() {
+		draws = 1 << 16
+	}
+	for i, sh := range zipfShapes {
+		ref := newRefZipf(sh.n, sh.theta)
+		src, twin := New(uint64(100+i)), New(uint64(100+i))
+		z := NewZipf(src, sh.n, sh.theta)
+		for d := 0; d < draws; d++ {
+			got, want := z.Next(), ref.next(twin.Uint64()>>11)
+			if got != want {
+				t.Fatalf("n=%d theta=%v draw %d: got %d, reference %d", sh.n, sh.theta, d, got, want)
+			}
+		}
+		if src.Uint64() != twin.Uint64() {
+			t.Fatalf("n=%d theta=%v: Next consumed other than one Uint64 per draw", sh.n, sh.theta)
+		}
+	}
+}
+
+// TestZipfShapeShared: samplers of one shape on separate streams, run
+// concurrently (under -race), each match a sampler with its own shape.
+func TestZipfShapeShared(t *testing.T) {
+	shape := NewZipfShape(16384, 0.8)
+	done := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(seed uint64) {
+			a, b := shape.New(New(seed)), NewZipf(New(seed), 16384, 0.8)
+			for i := 0; i < 20000; i++ {
+				if x, y := a.Next(), b.Next(); x != y {
+					done <- fmt.Errorf("seed %d draw %d: shared shape %d, own shape %d", seed, i, x, y)
+					return
+				}
+			}
+			done <- nil
+		}(uint64(g))
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// BenchmarkZipfNext draws from hmmer's hot-set shape (16,384 lines,
+// theta 0.8).
+func BenchmarkZipfNext(b *testing.B) {
+	z := NewZipf(New(1), 16384, 0.8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += z.Next()
 	}
 	_ = sink
 }

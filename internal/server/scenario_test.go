@@ -100,6 +100,7 @@ func TestScenarioSubmitValidation(t *testing.T) {
 		{"bad policy", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"gups"}],"policies":["Turbo"]}}`, "Turbo"},
 		{"bad override", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"gups"}],"policies":["Norm"],"overrides":{"banks":7}}}`, "bank count 7"},
 		{"replay path not inlined", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"r","spec":{"kind":"replay","path":"x.trace"}}],"policies":["Norm"]}}`, "not resolved"},
+		{"layout over 4 GB", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"big","spec":{"kind":"hotonly","gap_mean":2,"hot_bytes":8589934592,"hot_theta":0.8}}],"policies":["Norm"]}}`, "needs 8320 MB"},
 		{"unknown kind", `{"kind":"frobnicate"}`, "want sim, compare, experiment or scenario"},
 	}
 	for _, tc := range cases {

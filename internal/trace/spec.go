@@ -5,9 +5,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"mellow/internal/rng"
 )
@@ -124,7 +127,9 @@ func (sp Spec) Validate() error {
 		if sp.ArrayBytes == 0 {
 			return fmt.Errorf("trace: spec: stream array_bytes must be positive")
 		}
-		return sp.validateHot(false)
+		if err := sp.validateHot(false); err != nil {
+			return err
+		}
 	case KindRandom:
 		if err := sp.requireZero("read_arrays", sp.ReadArrays != 0,
 			"write_arrays", sp.WriteArrays != 0, "array_bytes", sp.ArrayBytes != 0,
@@ -140,7 +145,9 @@ func (sp Spec) Validate() error {
 		if sp.WriteProb < 0 || sp.WriteProb > 1 {
 			return fmt.Errorf("trace: spec: write_prob %v out of [0,1]", sp.WriteProb)
 		}
-		return sp.validateHot(false)
+		if err := sp.validateHot(false); err != nil {
+			return err
+		}
 	case KindHotOnly:
 		if err := sp.requireZero("read_arrays", sp.ReadArrays != 0,
 			"write_arrays", sp.WriteArrays != 0, "array_bytes", sp.ArrayBytes != 0,
@@ -154,7 +161,9 @@ func (sp Spec) Validate() error {
 		if sp.RegionBytes == 0 {
 			return fmt.Errorf("trace: spec: hotonly region_bytes must be positive")
 		}
-		return sp.validateHot(true)
+		if err := sp.validateHot(true); err != nil {
+			return err
+		}
 	case KindReplay:
 		if err := sp.requireZero("gap_mean", sp.GapMean != 0,
 			"read_arrays", sp.ReadArrays != 0, "write_arrays", sp.WriteArrays != 0,
@@ -176,6 +185,41 @@ func (sp Spec) Validate() error {
 	default:
 		return fmt.Errorf("trace: spec: unknown kind %q (want %v)", sp.Kind, Kinds())
 	}
+	if mb := sp.layoutMB(); mb > layoutLimitMB {
+		return fmt.Errorf("trace: spec: workload layout needs %s (64 MB reserved + regions, 1 MB-aligned), over the 4096 MB physical space",
+			layoutSize(mb))
+	}
+	return nil
+}
+
+// layoutMB is the end of the synthetic kind's layout in 1 MB units: the
+// reserved prefix plus every region generator allocates, each aligned.
+// The sum saturates at math.MaxUint64 instead of overflowing.
+func (sp Spec) layoutMB() uint64 {
+	total := uint64(layoutBaseMB)
+	add := func(count, bytes uint64) {
+		hi, lo := bits.Mul64(count, alignedMB(bytes))
+		sum, carry := bits.Add64(total, lo, 0)
+		if hi != 0 || carry != 0 {
+			sum = math.MaxUint64
+		}
+		total = sum
+	}
+	if sp.Kind == KindStream {
+		add(uint64(sp.ReadArrays)+uint64(sp.WriteArrays), sp.ArrayBytes)
+	} else {
+		add(1, sp.RegionBytes)
+	}
+	add(1, sp.HotBytes)
+	return total
+}
+
+// layoutSize renders a layoutMB total for an error message.
+func layoutSize(mb uint64) string {
+	if mb == math.MaxUint64 {
+		return "more than 2^64 MB"
+	}
+	return fmt.Sprintf("%d MB", mb)
 }
 
 // requireZero reports the first field in (name, set) pairs that is set
@@ -278,16 +322,35 @@ func (sp Spec) Workload(name string, targetMPKI float64) (Workload, error) {
 		}
 		return w, nil
 	}
-	w.New = n.generator
+	// Every generator of this workload shares one read-only Zipf shape,
+	// built on the first New: nothing is computed at package init, and
+	// the shape lives exactly as long as the workload.
+	shape := sync.OnceValue(func() *rng.ZipfShape { return newZipfShape(n.hotLines(), n.HotTheta) })
+	w.New = func(seed uint64) Generator { return n.generator(seed, shape) }
 	return w, nil
+}
+
+// newZipfShape builds a hot set's popularity distribution; tests swap it
+// to observe when shapes are built.
+var newZipfShape = rng.NewZipfShape
+
+// hotLines is the Zipf domain of a synthetic spec's hot set: the lines
+// of its 1 MB-aligned region for stream and random, but HotBytes/64 for
+// hotonly, exactly as the legacy closures sized them.
+func (sp Spec) hotLines() uint64 {
+	if sp.Kind == KindHotOnly {
+		return sp.HotBytes / 64
+	}
+	return alignedMB(sp.HotBytes) * layoutAlign / 64
 }
 
 // generator builds the synthetic generator for a validated, normalized
 // spec. The construction order of rng branches and layout allocations
 // reproduces the legacy closures exactly — Branch advances the parent
 // stream and alloc the layout cursor, so sequence is part of the
-// contract (pinned by the equivalence tests).
-func (sp Spec) generator(seed uint64) Generator {
+// contract (pinned by the equivalence tests). shape yields the hot set's
+// Zipf shape over hotLines(); it is called only for specs with one.
+func (sp Spec) generator(seed uint64, shape func() *rng.ZipfShape) Generator {
 	src := rng.New(seed)
 	lay := newLayout()
 	switch sp.Kind {
@@ -300,7 +363,7 @@ func (sp Spec) generator(seed uint64) Generator {
 			s.writes = append(s.writes, lay.alloc(sp.ArrayBytes))
 		}
 		if sp.HotBytes > 0 {
-			s.hot = newHotSet(src.Branch(2), lay.alloc(sp.HotBytes), sp.HotTheta, sp.HotWriteProb)
+			s.hot = newHotSet(src.Branch(2), lay.alloc(sp.HotBytes), shape(), sp.HotWriteProb)
 			s.pHot = sp.HotProb
 		}
 		return s
@@ -310,7 +373,7 @@ func (sp Spec) generator(seed uint64) Generator {
 			reg: lay.alloc(sp.RegionBytes), dep: sp.Dep, rmw: sp.RMW, wProb: sp.WriteProb,
 		}
 		if sp.HotBytes > 0 {
-			r.hot = newHotSet(src.Branch(2), lay.alloc(sp.HotBytes), sp.HotTheta, sp.HotWriteProb)
+			r.hot = newHotSet(src.Branch(2), lay.alloc(sp.HotBytes), shape(), sp.HotWriteProb)
 			r.pHot = sp.HotProb
 		}
 		return r
@@ -322,7 +385,7 @@ func (sp Spec) generator(seed uint64) Generator {
 			hot: &hotSet{
 				src:       src.Branch(2),
 				reg:       lay.alloc(sp.HotBytes),
-				zipf:      rng.NewZipf(src.Branch(3), sp.HotBytes/64, sp.HotTheta),
+				zipf:      shape().New(src.Branch(3)),
 				writeProb: sp.HotWriteProb,
 			},
 		}

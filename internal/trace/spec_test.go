@@ -17,6 +17,17 @@ import (
 // refactor cannot drift the instruction streams (and therefore any
 // simulation result) by even one op.
 
+// legacyHotSet is the hot-set constructor of the same era: one Zipf
+// built per generator over the region's lines.
+func legacyHotSet(src *rng.Source, reg region, theta, writeProb float64) *hotSet {
+	return &hotSet{
+		src:       src,
+		reg:       reg,
+		zipf:      rng.NewZipf(src.Branch(0x407), reg.lines(), theta),
+		writeProb: writeProb,
+	}
+}
+
 func legacyStream(gapMean float64, nRead, nWrite int, arrayBytes uint64,
 	hotBytes uint64, pHot, hotWriteProb float64) func(uint64) Generator {
 	return func(seed uint64) Generator {
@@ -30,7 +41,7 @@ func legacyStream(gapMean float64, nRead, nWrite int, arrayBytes uint64,
 			s.writes = append(s.writes, lay.alloc(arrayBytes))
 		}
 		if hotBytes > 0 {
-			s.hot = newHotSet(src.Branch(2), lay.alloc(hotBytes), 0.7, hotWriteProb)
+			s.hot = legacyHotSet(src.Branch(2), lay.alloc(hotBytes), 0.7, hotWriteProb)
 			s.pHot = pHot
 		}
 		return s
@@ -47,7 +58,7 @@ func legacyRandom(gapMean float64, regionBytes uint64, dep, rmw bool, wProb floa
 			reg: lay.alloc(regionBytes), dep: dep, rmw: rmw, wProb: wProb,
 		}
 		if hotBytes > 0 {
-			r.hot = newHotSet(src.Branch(2), lay.alloc(hotBytes), 0.7, hotWriteProb)
+			r.hot = legacyHotSet(src.Branch(2), lay.alloc(hotBytes), 0.7, hotWriteProb)
 			r.pHot = pHot
 		}
 		return r
@@ -202,6 +213,41 @@ func TestSpecValidate(t *testing.T) {
 		if err := w.Spec.Validate(); err != nil {
 			t.Errorf("builtin %s: %v", w.Name, err)
 		}
+	}
+}
+
+// TestSpecValidateLayout: a synthetic spec whose regions do not fit the
+// 4 GB layout fails validation with the aligned total, instead of
+// passing and panicking in New.
+func TestSpecValidateLayout(t *testing.T) {
+	bad := []struct {
+		sp   Spec
+		want string
+	}{
+		{Spec{Kind: KindHotOnly, GapMean: 1, HotBytes: 8 << 30, HotTheta: 0.8}, "needs 8320 MB"},
+		{Spec{Kind: KindStream, GapMean: 1, ReadArrays: 1, ArrayBytes: 5 << 30}, "needs 5184 MB"},
+		{Spec{Kind: KindRandom, GapMean: 1, RegionBytes: 4032*MB + 1}, "needs 4097 MB"},
+		{Spec{Kind: KindRandom, GapMean: 1, RegionBytes: 4000 * MB, HotBytes: 33 * MB, HotProb: 0.5}, "needs 4097 MB"},
+		{Spec{Kind: KindStream, GapMean: 1, ReadArrays: 3, WriteArrays: 1, ArrayBytes: 1<<64 - 1}, "needs 70368744177728 MB"},
+		{Spec{Kind: KindStream, GapMean: 1, ReadArrays: 1 << 40, WriteArrays: 1, ArrayBytes: 1 << 63}, "more than 2^64 MB"},
+	}
+	for i, tc := range bad {
+		err := tc.sp.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d (%+v): got %v, want an error naming %q", i, tc.sp, err, tc.want)
+		}
+	}
+	// Exactly full is fine, and New must then build without panicking.
+	for _, sp := range []Spec{
+		{Kind: KindRandom, GapMean: 1, RegionBytes: 4032 * MB},
+		{Kind: KindStream, GapMean: 1, ReadArrays: 2, WriteArrays: 1, ArrayBytes: 1344 * MB},
+		{Kind: KindHotOnly, GapMean: 1, RegionBytes: 1, HotBytes: 4030*MB + 1, HotTheta: 0.5},
+	} {
+		w, err := sp.Workload("full", 0)
+		if err != nil {
+			t.Fatalf("%+v: %v", sp, err)
+		}
+		w.New(1).Next()
 	}
 }
 

@@ -69,14 +69,32 @@ func (r region) lines() uint64            { return r.bytes / 64 }
 // space, leaving the first 64 MB unused and aligning to 1 MB.
 type layout struct{ cursor uint64 }
 
-func newLayout() *layout { return &layout{cursor: 64 << 20} }
+// Layout geometry: regions align to layoutAlign bytes (1 MB); the
+// unused prefix and the physical space every workload's regions must
+// fit in (Spec.Validate checks it) are counted in those units.
+const (
+	layoutAlign   = 1 << 20
+	layoutBaseMB  = 64
+	layoutLimitMB = 4 << 10
+)
+
+func newLayout() *layout { return &layout{cursor: layoutBaseMB * layoutAlign} }
+
+// alignedMB is a region's size in 1 MB units after alignment; it cannot
+// overflow, unlike rounding the byte count up.
+func alignedMB(bytes uint64) uint64 {
+	mb := bytes / layoutAlign
+	if bytes%layoutAlign != 0 {
+		mb++
+	}
+	return mb
+}
 
 func (a *layout) alloc(bytes uint64) region {
-	const align = 1 << 20
-	bytes = (bytes + align - 1) &^ uint64(align-1)
+	bytes = alignedMB(bytes) * layoutAlign
 	r := region{base: a.cursor, bytes: bytes}
 	a.cursor += bytes
-	if a.cursor > 4<<30 {
+	if a.cursor > layoutLimitMB*layoutAlign {
 		panic("trace: workload layout exceeds 4 GB physical memory")
 	}
 	return r
@@ -92,11 +110,13 @@ type hotSet struct {
 	writeProb float64
 }
 
-func newHotSet(src *rng.Source, reg region, theta, writeProb float64) *hotSet {
+// newHotSet draws the region's line popularity from shape, whose
+// domain must be reg.lines().
+func newHotSet(src *rng.Source, reg region, shape *rng.ZipfShape, writeProb float64) *hotSet {
 	return &hotSet{
 		src:       src,
 		reg:       reg,
-		zipf:      rng.NewZipf(src.Branch(0x407), reg.lines(), theta),
+		zipf:      shape.New(src.Branch(0x407)),
 		writeProb: writeProb,
 	}
 }

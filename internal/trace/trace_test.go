@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"mellow/internal/cache"
@@ -226,4 +227,106 @@ func TestMPKICalibration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWorkloadSharesShapeConcurrently runs many generators of one
+// workload at once (under -race): they share its Zipf shape read-only,
+// and each still emits the stream a generator of a fresh, unshared
+// workload emits for its seed.
+func TestWorkloadSharesShapeConcurrently(t *testing.T) {
+	for _, name := range []string{"hmmer", "zeusmp"} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const gens, ops = 8, 20_000
+		want := make([][]Op, gens)
+		for g := range want {
+			fresh, err := w.Spec.Workload(name, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := fresh.New(uint64(g))
+			for i := 0; i < ops; i++ {
+				want[g] = append(want[g], gen.Next())
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < gens; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				gen := w.New(uint64(g))
+				for i := 0; i < ops; i++ {
+					if op := gen.Next(); op != want[g][i] {
+						t.Errorf("%s seed %d: op %d = %+v, want %+v", name, g, i, op, want[g][i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestWorkloadBuildsShapeOnFirstNew: Spec.Workload computes no Zipf
+// shape; the first New builds it once and later generators reuse it.
+func TestWorkloadBuildsShapeOnFirstNew(t *testing.T) {
+	var mu sync.Mutex
+	var built []uint64
+	orig := newZipfShape
+	newZipfShape = func(n uint64, theta float64) *rng.ZipfShape {
+		mu.Lock()
+		built = append(built, n)
+		mu.Unlock()
+		return orig(n, theta)
+	}
+	defer func() { newZipfShape = orig }()
+
+	sp, err := SpecByName("hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sp.Workload("hmmer", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 0 {
+		t.Fatalf("Spec.Workload built %d shapes before any New", len(built))
+	}
+	w.New(1)
+	w.New(2)
+	if len(built) != 1 || built[0] != sp.HotBytes/64 {
+		t.Fatalf("shapes built after two New calls: %v, want one over %d lines", built, sp.HotBytes/64)
+	}
+	// A workload without a hot set never builds one.
+	gups, err := SpecByName("gups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err = gups.Workload("gups", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.New(1)
+	if len(built) != 1 {
+		t.Fatalf("gups built a Zipf shape: %v", built)
+	}
+}
+
+// BenchmarkHotSetNext draws hmmer's instruction stream, 99.5% of whose
+// accesses go to its Zipf hot set.
+func BenchmarkHotSetNext(b *testing.B) {
+	w, err := ByName("hmmer")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := w.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += g.Next().Addr
+	}
+	_ = sink
 }

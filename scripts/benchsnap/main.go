@@ -79,7 +79,7 @@ func main() {
 		bench       = flag.String("bench", "BenchmarkSimulation$", "benchmark regexp passed to go test -bench")
 		count       = flag.Int("count", 3, "repetitions per benchmark; the minimum ns/op run is kept")
 		benchtime   = flag.String("benchtime", "2x", "go test -benchtime per run")
-		pkg         = flag.String("pkg", "mellow", "package holding the benchmarks")
+		pkg         = flag.String("pkg", "mellow", "package(s) holding the benchmarks, space-separated")
 		out         = flag.String("o", "", "write the snapshot JSON here (default stdout)")
 		compare     = flag.String("compare", "", "baseline snapshot to compare against; exit 2 on regression")
 		threshold   = flag.Float64("threshold", 0.10, "relative allocs/op regression tolerated before exit 2")
@@ -145,7 +145,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func capture(bench string, count int, benchtime, pkg string) (Snapshot, error) {
 	args := []string{"test", "-run", "^$", "-bench", bench, "-benchmem",
-		"-benchtime", benchtime, "-count", strconv.Itoa(count), pkg}
+		"-benchtime", benchtime, "-count", strconv.Itoa(count)}
+	args = append(args, strings.Fields(pkg)...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	outBytes, err := cmd.Output()
@@ -265,7 +266,8 @@ type ManifestEntry struct {
 	// Label names the trajectory point in the README table.
 	Label string `json:"label"`
 	// Bench, Pkg, Benchtime and Count reproduce the capture; entries
-	// with identical settings share one benchmark run.
+	// with identical settings share one benchmark run. Pkg may list
+	// several space-separated packages.
 	Bench     string `json:"bench"`
 	Pkg       string `json:"pkg"`
 	Benchtime string `json:"benchtime"`
