@@ -130,17 +130,7 @@ func TestFig18Runs(t *testing.T) {
 		t.Skip("simulation is slow")
 	}
 	ResetCache()
-	var buf bytes.Buffer
-	o := quickOpts(&buf)
-	if err := runFig18(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"16", "8", "4", "BE-Mellow+SC"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Figure 18 output missing %q:\n%s", want, out)
-		}
-	}
+	runGolden(t, quickOpts(nil), "fig18")
 }
 
 func TestRunCacheMemoises(t *testing.T) {
@@ -172,24 +162,10 @@ func TestExtensionExperimentsRun(t *testing.T) {
 		t.Skip("simulation is slow")
 	}
 	ResetCache()
-	var buf bytes.Buffer
-	o := quickOpts(&buf)
+	o := quickOpts(nil)
 	o.Workloads = []string{"stream", "gups"}
 	for _, id := range []string{"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "claims"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(o); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-	}
-	out := buf.String()
-	for _, want := range []string{"BE-Mellow+SC+ML", "decay", "Start-Gap psi 10",
-		"wolfram", "softwear"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("extension output missing %q", want)
-		}
+		runGolden(t, o, id)
 	}
 }
 
@@ -198,23 +174,10 @@ func TestFig2AndFig19Run(t *testing.T) {
 		t.Skip("simulation sweep is slow")
 	}
 	ResetCache()
-	var buf bytes.Buffer
-	o := quickOpts(&buf)
+	o := quickOpts(nil)
 	o.Workloads = []string{"lbm", "gups"}
-	for _, id := range []string{"fig2", "fig19"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(o); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-	}
-	out := buf.String()
-	for _, want := range []string{"Slow@1.5x", "best static", "wins:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
+	for _, id := range []string{"fig2", "fig17", "fig19"} {
+		runGolden(t, o, id)
 	}
 }
 

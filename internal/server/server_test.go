@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -373,46 +375,77 @@ func TestHardStopCancelsJobs(t *testing.T) {
 
 // TestDeterministicResults is the byte-identity acceptance check: two
 // fresh servers given the same submission serve byte-identical result
-// payloads — series included — for the same key, even though the 2×2
-// matrix fans out in parallel and its cells finish in arbitrary order.
+// payloads — series and per-run metrics included — for the same key,
+// even though the 2×2 matrix fans out in parallel and its cells finish
+// in arbitrary order. The content address and result bytes of a sim and
+// a compare job are also pinned against testdata/<name>.golden (first
+// line the key, then the payload); regenerate with -update.
 func TestDeterministicResults(t *testing.T) {
-	body := `{"kind":"compare","workloads":["gups","stream"],"policies":["Norm","BE-Mellow+SC"],"interval_ns":2000,"seed":57}`
-	fetch := func() (string, []byte) {
-		experiments.ResetCache() // force a real re-simulation
-		_, ts := newTestServer(t, Config{Workers: 2, SimBudget: 4, BaseConfig: tinyBase(57)})
-		st, code := postJob(t, ts, body)
-		if code != http.StatusAccepted {
-			t.Fatalf("code = %d", code)
-		}
-		if fin := waitDone(t, ts, st.ID); fin.State != StateDone {
-			t.Fatalf("state = %s (%s)", fin.State, fin.Error)
-		}
-		resp, err := http.Get(ts.URL + "/v1/results/" + st.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jr JobResult
-		if err := json.Unmarshal(b, &jr); err != nil {
-			t.Fatal(err)
-		}
-		if len(jr.Results) != 4 || len(jr.Series) != 4 {
-			t.Fatalf("matrix payload has %d results, %d series, want 4 and 4",
-				len(jr.Results), len(jr.Series))
-		}
-		return st.Key, b
+	jobs := []struct {
+		name, body string
+		cells      int
+		series     bool
+	}{
+		{"sim_job", `{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ","seed":57}`, 1, false},
+		{"compare_job", `{"kind":"compare","workloads":["gups","stream"],"policies":["Norm","BE-Mellow+SC"],"interval_ns":2000,"metrics":true,"seed":57}`, 4, true},
 	}
-	k1, b1 := fetch()
-	k2, b2 := fetch()
-	if k1 != k2 {
-		t.Fatalf("equal submissions got different keys: %s vs %s", k1, k2)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Errorf("results for key %s differ:\n%s\nvs\n%s", k1, b1, b2)
+	for _, j := range jobs {
+		fetch := func() (string, []byte) {
+			experiments.ResetCache() // force a real re-simulation
+			_, ts := newTestServer(t, Config{Workers: 2, SimBudget: 4, BaseConfig: tinyBase(57)})
+			st, code := postJob(t, ts, j.body)
+			if code != http.StatusAccepted {
+				t.Fatalf("%s: code = %d", j.name, code)
+			}
+			if fin := waitDone(t, ts, st.ID); fin.State != StateDone {
+				t.Fatalf("%s: state = %s (%s)", j.name, fin.State, fin.Error)
+			}
+			resp, err := http.Get(ts.URL + "/v1/results/" + st.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jr JobResult
+			if err := json.Unmarshal(b, &jr); err != nil {
+				t.Fatal(err)
+			}
+			wantSeries := 0
+			if j.series {
+				wantSeries = j.cells
+			}
+			if len(jr.Results) != j.cells || len(jr.Series) != wantSeries {
+				t.Fatalf("%s: payload has %d results, %d series, want %d and %d",
+					j.name, len(jr.Results), len(jr.Series), j.cells, wantSeries)
+			}
+			return st.Key, b
+		}
+		k1, b1 := fetch()
+		k2, b2 := fetch()
+		if k1 != k2 {
+			t.Fatalf("%s: equal submissions got different keys: %s vs %s", j.name, k1, k2)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("%s: results for key %s differ:\n%s\nvs\n%s", j.name, k1, b1, b2)
+		}
+		got := append([]byte(k1+"\n"), b1...)
+		path := filepath.Join("testdata", j.name+".golden")
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden (regenerate with -update): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: key and result bytes drifted from %s:\ngot:\n%s\nwant:\n%s", j.name, path, got, want)
+		}
 	}
 }
 
