@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mellow/internal/config"
+	"mellow/internal/core"
 	"mellow/internal/policy"
 	"mellow/internal/trace"
 )
@@ -31,6 +32,12 @@ func runNamed(ctx context.Context, cfg config.Config, spec policy.Spec, name str
 	return Run(ctx, cfg, spec, w, ob)
 }
 
+// runPlain runs a builtin workload unobserved and returns its result.
+func runPlain(ctx context.Context, cfg config.Config, spec policy.Spec, name string) (core.Result, error) {
+	ins, err := runNamed(ctx, cfg, spec, name, Observation{})
+	return ins.Result, err
+}
+
 // TestRunConcurrent hammers the memoisation cache from many
 // goroutines (run under -race): identical keys must simulate exactly
 // once, and every caller must observe the same result.
@@ -49,7 +56,7 @@ func TestRunConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := runOne(Options{}, cfg, spec, "stream")
+			r, err := runPlain(context.Background(), cfg, spec, "stream")
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -80,29 +87,28 @@ func TestRunConcurrent(t *testing.T) {
 func TestRunAllConcurrent(t *testing.T) {
 	ResetCache()
 	o := Options{Cfg: tinyConfig(7)}
-	specs := policy.EvaluationSet()[:3]
-	var jobs []job
-	for _, s := range specs {
-		jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: "gups"})
+	cells, err := grid(o.Cfg, []string{"gups"}, policy.EvaluationSet()[:3])
+	if err != nil {
+		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := runAll(o, jobs)
+			res, err := runAll(o, cells)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(res) != len(jobs) {
-				t.Errorf("got %d results, want %d", len(res), len(jobs))
+			if len(res) != len(cells) {
+				t.Errorf("got %d results, want %d", len(res), len(cells))
 			}
 		}()
 	}
 	wg.Wait()
-	if st := CacheSnapshot(); st.Misses != uint64(len(jobs)) {
-		t.Errorf("misses = %d, want %d distinct simulations", st.Misses, len(jobs))
+	if st := CacheSnapshot(); st.Misses != uint64(len(cells)) {
+		t.Errorf("misses = %d, want %d distinct simulations", st.Misses, len(cells))
 	}
 }
 
@@ -117,7 +123,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
-		if _, err := runOne(Options{}, tinyConfig(seed), spec, "gups"); err != nil {
+		if _, err := runPlain(context.Background(), tinyConfig(seed), spec, "gups"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +148,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 	cfg := tinyConfig(3)
 	cfg.Run.DetailedInstructions = 50_000_000 // would take seconds uncancelled
-	if _, err := runOne(Options{Ctx: ctx}, cfg, spec, "stream"); err != context.Canceled {
+	if _, err := runPlain(ctx, cfg, spec, "stream"); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if st := CacheSnapshot(); st.Entries != 0 {

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -39,8 +40,7 @@ type Options struct {
 	// sampling period and hands each collected series to OnSeries.
 	Epoch sim.Tick
 	// OnSeries receives one record per simulated (workload, policy) when
-	// Epoch is set. Calls are serialised but may come from any worker
-	// goroutine, in completion order.
+	// Epoch is set. Calls are serialised, in completion order.
 	OnSeries func(SeriesRecord)
 	// OnProgress, when set, is called after every simulation a sweep
 	// completes, with the done count and the sweep total. Calls are
@@ -220,27 +220,38 @@ var memo = newSimCache(DefaultCacheCap)
 // do returns the memoised result for key, joins an identical simulation
 // already in flight, or runs fn itself and publishes the result. A
 // caller waiting on someone else's flight aborts with ctx's error when
-// cancelled; the flight itself keeps running for the others.
+// cancelled; the flight itself keeps running for the others. A flight
+// that failed only because its runner's context ended is not the
+// joiner's failure: a joiner whose own ctx is still live retries, and
+// either joins a newer flight or runs the simulation itself.
 //
 // The executing caller acquires one slot from the process-wide
 // scheduler before fn runs, so total concurrent simulations never
 // exceed the sched budget regardless of how many sweeps or jobs fan out
 // at once. Cache hits and singleflight joins never consume a slot. If
 // the executing caller's context ends while it is queued for a slot,
-// the flight fails with that error for every joiner too — the same
-// outcome as the runner being cancelled mid-simulation.
+// the flight fails with that error (and joiners retry as above). A
+// panic in fn fails the flight with a stable error: it is not memoised
+// and every joiner sees it.
 func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)) (cached, error) {
-	c.mu.Lock()
-	if r, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return r, nil
-	}
-	if f, ok := c.inflight[key]; ok {
+	for {
+		c.mu.Lock()
+		if r, ok := c.entries[key]; ok {
+			c.hits++
+			c.mu.Unlock()
+			return r, nil
+		}
+		f, ok := c.inflight[key]
+		if !ok {
+			break // c.mu stays held: this caller runs the flight
+		}
 		c.hits++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
+			if isCtxErr(f.err) && ctx.Err() == nil {
+				continue
+			}
 			return f.res, f.err
 		case <-ctx.Done():
 			return cached{}, ctx.Err()
@@ -251,15 +262,7 @@ func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	release, err := sched.Default().Acquire(ctx, 1)
-	if err != nil {
-		f.err = err
-	} else {
-		c.noteRunning(+1)
-		f.res, f.err = fn()
-		c.noteRunning(-1)
-		release()
-	}
+	f.res, f.err = c.run(ctx, fn)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -269,6 +272,28 @@ func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)
 	c.mu.Unlock()
 	close(f.done)
 	return f.res, f.err
+}
+
+// run executes fn under one scheduler slot, turning a panic into an
+// error; the slot and the running count are released on every path.
+func (c *simCache) run(ctx context.Context, fn func() (cached, error)) (res cached, err error) {
+	release, err := sched.Default().Acquire(ctx, 1)
+	if err != nil {
+		return cached{}, err
+	}
+	c.noteRunning(+1)
+	defer func() {
+		c.noteRunning(-1)
+		release()
+		if p := recover(); p != nil {
+			res, err = cached{}, fmt.Errorf("experiments: simulation panicked: %v", p)
+		}
+	}()
+	return fn()
+}
+
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // noteRunning tracks how many flights hold a scheduler slot, and the
@@ -459,10 +484,10 @@ func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workl
 		if ob.Trace {
 			rec = xtrace.NewRecorder(0)
 			opts.Timeline = rec
+			defer rec.Discard() // a no-op once finalized
 		}
 		r, series, err := core.Run(ctx, cfg, spec, w, opts)
 		if err != nil {
-			rec.Discard()
 			return cached{}, err
 		}
 		ch := cached{res: r, series: series}
@@ -502,104 +527,139 @@ type TraceRecord struct {
 	Trace    *xtrace.SimTrace
 }
 
-// job is one simulation to perform.
-type job struct {
-	cfg      config.Config
-	spec     policy.Spec
-	workload string
+// Cell is one simulation of a matrix: a configuration, a policy and a
+// resolved workload.
+type Cell struct {
+	Cfg      config.Config
+	Spec     policy.Spec
+	Workload trace.Workload
 }
 
-// runAll executes the jobs (memoised, parallel) and returns results
-// keyed by (policy, workload). With Options.Epoch set, runs are
-// observed and each series goes to OnSeries; OnProgress fires after
-// every attempted job either way — including failed ones, so a sweep
-// that errors still accounts for every simulation it attempted and a
-// caller's progress figure never freezes at an arbitrary value.
-//
-// Concurrency is bounded by the process-wide sched.Default() budget
-// (acquired per simulation at the memo-cache miss), not by a sweep-
-// local semaphore: many sweeps fanning out at once still run at most
-// budget simulations in total.
-func runAll(o Options, jobs []job) (map[[2]string]core.Result, error) {
-	ctx := o.ctx()
-	ob := Observation{Epoch: o.Epoch, Trace: o.Trace}
-	results := make(map[[2]string]core.Result, len(jobs))
-	var resMu sync.Mutex
-	var cbMu sync.Mutex // serialises OnSeries/OnProgress outside resMu
-	total := len(jobs)
-	done := 0
-	var wg sync.WaitGroup
-	var firstErr error
-	for _, j := range jobs {
-		if err := ctx.Err(); err != nil {
-			resMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			resMu.Unlock()
-			break
-		}
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := trace.ByName(j.workload)
-			var ins Instrumented
-			if err == nil {
-				ins, err = Run(ctx, j.cfg, j.spec, w, ob)
-			}
-			resMu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				results[[2]string{j.spec.Name, j.workload}] = ins.Result
-			}
-			resMu.Unlock()
+// Hooks observe a RunCells matrix cell by cell; both are optional.
+type Hooks struct {
+	// Start runs in cell i's goroutine just before its simulation and
+	// returns the cell's Observation (zero: a plain run).
+	Start func(i int) Observation
+	// Done fires exactly once for every cell: after its simulation for a
+	// started cell, or with the context's error for a cell that never
+	// started because the matrix was already cancelled. Calls come from
+	// RunCells' own goroutine, one at a time, in completion order.
+	Done func(i int, ins Instrumented, err error)
+}
 
-			cbMu.Lock()
-			done++
-			if err == nil && o.OnSeries != nil && o.Epoch > 0 {
-				o.OnSeries(SeriesRecord{Workload: j.workload, Policy: j.spec.Name, Series: ins.Series})
-			}
-			if err == nil && o.OnTrace != nil && ins.Trace != nil {
-				o.OnTrace(TraceRecord{Workload: j.workload, Policy: j.spec.Name, Trace: ins.Trace})
-			}
-			if o.OnProgress != nil {
-				o.OnProgress(done, total)
-			}
-			cbMu.Unlock()
-		}()
+// RunCells is the one matrix runner behind the figure sweeps, scenarios
+// and the mellowd service. Every cell runs through Run in its own
+// goroutine, so the memo, singleflight and the process-wide scheduler
+// budget (not the fan-out) govern what simulates when. Results land in
+// cell order however the cells finish. The first error is the one
+// returned and cancels the sibling cells; once ctx is done no further
+// cell starts.
+func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type outcome struct {
+		i   int
+		ins Instrumented
+		err error
 	}
-	wg.Wait()
+	// Sized to the number of sends, so no cell goroutine ever blocks.
+	done := make(chan outcome, len(cells))
+	for i, c := range cells {
+		go func(i int, c Cell) {
+			if err := ctx.Err(); err != nil {
+				done <- outcome{i: i, err: err}
+				return
+			}
+			var ob Observation
+			if h.Start != nil {
+				ob = h.Start(i)
+			}
+			ins, err := Run(ctx, c.Cfg, c.Spec, c.Workload, ob)
+			done <- outcome{i, ins, err}
+		}(i, c)
+	}
+	out := make([]Instrumented, len(cells))
+	var firstErr error
+	for range cells {
+		o := <-done
+		if o.err != nil && firstErr == nil {
+			firstErr = o.err
+			cancel()
+		}
+		out[o.i] = o.ins
+		if h.Done != nil {
+			h.Done(o.i, o.ins, o.err)
+		}
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return results, nil
+	return out, nil
 }
 
-// runOne executes (or reuses) a single plain simulation of a builtin
-// workload.
-func runOne(o Options, cfg config.Config, spec policy.Spec, workload string) (core.Result, error) {
-	w, err := trace.ByName(workload)
-	if err != nil {
-		return core.Result{}, err
+// runAll runs cells under o's context and observers and returns their
+// results in cell order. With Options.Epoch set, runs are observed and
+// each series goes to OnSeries; with Options.Trace each timeline goes
+// to OnTrace; OnProgress counts every cell, failed ones included.
+func runAll(o Options, cells []Cell) ([]Instrumented, error) {
+	ob := Observation{Epoch: o.Epoch, Trace: o.Trace}
+	done := 0
+	return RunCells(o.ctx(), cells, Hooks{
+		Start: func(int) Observation { return ob },
+		Done: func(i int, in Instrumented, err error) {
+			done++
+			w, p := cells[i].Workload.Name, cells[i].Spec.Name
+			if err == nil && o.OnSeries != nil && o.Epoch > 0 {
+				o.OnSeries(SeriesRecord{Workload: w, Policy: p, Series: in.Series})
+			}
+			if err == nil && o.OnTrace != nil && in.Trace != nil {
+				o.OnTrace(TraceRecord{Workload: w, Policy: p, Trace: in.Trace})
+			}
+			if o.OnProgress != nil {
+				o.OnProgress(done, len(cells))
+			}
+		},
+	})
+}
+
+// grid is the workload-major, policy-minor matrix of builtin workloads
+// under one configuration.
+func grid(cfg config.Config, workloads []string, specs []policy.Spec) ([]Cell, error) {
+	cells := make([]Cell, 0, len(workloads)*len(specs))
+	for _, name := range workloads {
+		w, err := trace.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range specs {
+			cells = append(cells, Cell{Cfg: cfg, Spec: s, Workload: w})
+		}
 	}
-	ins, err := Run(o.ctx(), cfg, spec, w, Observation{})
-	return ins.Result, err
+	return cells, nil
+}
+
+// runGrid runs grid(cfg, workloads, specs) through runAll and keys the
+// results by (policy, workload) for the figure renderers.
+func runGrid(o Options, cfg config.Config, workloads []string, specs []policy.Spec) (map[[2]string]core.Result, error) {
+	cells, err := grid(cfg, workloads, specs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runAll(o, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[[2]string]core.Result, len(res))
+	for i, r := range res {
+		out[[2]string{cells[i].Spec.Name, cells[i].Workload.Name}] = r.Result
+	}
+	return out, nil
 }
 
 // EvalSweep runs the Figure 10–16 policy line-up over the active suite:
 // results keyed by (policy name, workload), plus the line-up.
 func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
 	specs := policy.EvaluationSet()
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runAll(o, jobs)
+	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
 	return res, specs, err
 }

@@ -12,6 +12,7 @@ import (
 	"mellow/internal/rng"
 	"mellow/internal/sched"
 	"mellow/internal/stats"
+	"mellow/internal/trace"
 	"mellow/internal/wear"
 )
 
@@ -43,13 +44,7 @@ func runExt1(o Options) error {
 		policy.BEMellow().WithSC().WithWQ(),
 		policy.BEMellow().WithSC().WithML().WithWQ(),
 	}
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runAll(o, jobs)
+	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
 	if err != nil {
 		return err
 	}
@@ -81,39 +76,37 @@ func runExt2(o Options) error {
 		{"lru-profile (paper)", cache.PredictorLRUProfile},
 		{"decay (dead-block)", cache.PredictorDecay},
 	}
-	var jobs []job
-	cfgs := map[string]Options{}
-	for _, v := range variants {
-		cfg := o.Cfg
-		cfg.Caches.EagerPredictor = v.predictor
-		cfgs[v.predictor] = Options{Cfg: cfg}
-		for _, w := range o.workloads() {
-			jobs = append(jobs, job{cfg: cfg, spec: spec, workload: w})
+	// Per workload: the Norm baseline on the default config, then one
+	// cell per predictor variant.
+	ws := o.workloads()
+	var cells []Cell
+	for _, name := range ws {
+		w, err := trace.ByName(name)
+		if err != nil {
+			return err
+		}
+		cells = append(cells, Cell{Cfg: o.Cfg, Spec: policy.Norm(), Workload: w})
+		for _, v := range variants {
+			cfg := o.Cfg
+			cfg.Caches.EagerPredictor = v.predictor
+			cells = append(cells, Cell{Cfg: cfg, Spec: spec, Workload: w})
 		}
 	}
-	// Also a Norm baseline on the default config.
-	for _, w := range o.workloads() {
-		jobs = append(jobs, job{cfg: o.Cfg, spec: policy.Norm(), workload: w})
-	}
-	res, err := runAll(o, jobs)
+	res, err := runAll(o, cells)
 	if err != nil {
 		return err
 	}
-	// runAll keys by (policy, workload); the two variants share a policy
-	// name, so rerun per variant to keep results separate.
 	t := stats.Table{
 		Title: "Extension 2: eager-candidate predictor " +
 			"(IPC vs Norm / lifetime years / wasted eager writes)",
 		Header: []string{"workload", variants[0].label, variants[1].label},
 	}
-	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
-		row := []string{w}
-		for _, v := range variants {
-			r, err := runOne(o, cfgs[v.predictor].Cfg, spec, w)
-			if err != nil {
-				return err
-			}
+	stride := 1 + len(variants)
+	for j, name := range ws {
+		base := res[j*stride].Result
+		row := []string{name}
+		for k := range variants {
+			r := res[j*stride+1+k].Result
 			row = append(row, fmt.Sprintf("%.2f/%s/%d",
 				r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Cache.WastedEager))
 		}
@@ -131,21 +124,9 @@ func runExt3(o Options) error {
 	if ws := o.workloads(); len(ws) > 0 {
 		workload = ws[0]
 	}
-	t := stats.Table{
-		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", workload),
-		Header: []string{"variant", "IPC", "lifetime (y)", "eager done", "drain time", "gap moves"},
-	}
-	addRow := func(label string, cfg cfgMutator) error {
-		c := o.Cfg
-		cfg(&c)
-		r, err := runOne(o, c, spec, workload)
-		if err != nil {
-			return err
-		}
-		t.AddRow(label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
-			fmt.Sprintf("%d", r.Mem.EagerDone), stats.Pct(r.Mem.DrainFraction),
-			fmt.Sprintf("%d", r.Mem.GapMoves))
-		return nil
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return err
 	}
 	cases := []struct {
 		label string
@@ -163,10 +144,25 @@ func runExt3(o Options) error {
 		{"profile period 100us", func(c *configT) { c.Caches.ProfilePeriod /= 5 }},
 		{"useless threshold 1/8", func(c *configT) { c.Caches.UselessHitRatio = 1.0 / 8.0 }},
 	}
-	for _, cse := range cases {
-		if err := addRow(cse.label, cse.mut); err != nil {
-			return err
-		}
+	cells := make([]Cell, len(cases))
+	for i, cse := range cases {
+		cells[i] = Cell{Cfg: o.Cfg, Spec: spec, Workload: w}
+		cse.mut(&cells[i].Cfg)
+	}
+	// The ablation rows are plain runs: Options' observers do not apply.
+	res, err := RunCells(o.ctx(), cells, Hooks{})
+	if err != nil {
+		return err
+	}
+	t := stats.Table{
+		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", workload),
+		Header: []string{"variant", "IPC", "lifetime (y)", "eager done", "drain time", "gap moves"},
+	}
+	for i, cse := range cases {
+		r := res[i].Result
+		t.AddRow(cse.label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
+			fmt.Sprintf("%d", r.Mem.EagerDone), stats.Pct(r.Mem.DrainFraction),
+			fmt.Sprintf("%d", r.Mem.GapMoves))
 	}
 	return t.Fprint(o.Out)
 }
@@ -184,13 +180,7 @@ func runExt4(o Options) error {
 		policy.BEMellow().WithSC(),
 		policy.BEMellow().WithWP(),
 	}
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runAll(o, jobs)
+	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
 	if err != nil {
 		return err
 	}
@@ -320,13 +310,7 @@ func runExt7(o Options) error {
 	for _, p := range nvm.Presets() {
 		cfg := o.Cfg
 		cfg.Memory.Device = p.Device
-		var jobs []job
-		for _, w := range suite {
-			for _, s := range specs {
-				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
-			}
-		}
-		res, err := runAll(o, jobs)
+		res, err := runGrid(o, cfg, suite, specs)
 		if err != nil {
 			return err
 		}
@@ -364,11 +348,7 @@ func runExt8(o Options) error {
 		for _, backend := range wear.Backends() {
 			cfg := o.Cfg
 			cfg.Memory.WearLeveler = backend
-			var jobs []job
-			for _, s := range specs {
-				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
-			}
-			res, err := runAll(o, jobs)
+			res, err := runGrid(o, cfg, []string{w}, specs)
 			if err != nil {
 				return err
 			}

@@ -41,7 +41,7 @@ func TestRunMetricsPreservesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := runOne(Options{}, cfg, spec, "stream")
+	plain, err := runPlain(context.Background(), cfg, spec, "stream")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,13 +112,7 @@ func fig2Specs() []policy.Spec {
 // write latencies, with and without write cancellation.
 func runFig2(o Options) error {
 	specs := fig2Specs()
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runAll(o, jobs)
+	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
 	if err != nil {
 		return err
 	}
@@ -151,11 +145,7 @@ func runFig2(o Options) error {
 // runFig3 regenerates Figure 3: average bank utilization under normal
 // writes.
 func runFig3(o Options) error {
-	var jobs []job
-	for _, w := range o.workloads() {
-		jobs = append(jobs, job{cfg: o.Cfg, spec: policy.Norm(), workload: w})
-	}
-	res, err := runAll(o, jobs)
+	res, err := runGrid(o, o.Cfg, o.workloads(), []policy.Spec{policy.Norm()})
 	if err != nil {
 		return err
 	}

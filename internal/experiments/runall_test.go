@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"mellow/internal/policy"
 	"mellow/internal/sched"
+	"mellow/internal/trace"
 )
 
 // TestRunAllProgressOnError: a failing simulation must still advance
@@ -15,12 +17,12 @@ import (
 func TestRunAllProgressOnError(t *testing.T) {
 	ResetCache()
 	cfg := tinyConfig(301)
-	spec := policy.Norm()
-	jobs := []job{
-		{cfg: cfg, spec: spec, workload: "stream"},
-		{cfg: cfg, spec: spec, workload: "no-such-workload"}, // fails fast
-		{cfg: cfg, spec: spec, workload: "gups"},
+	ok, err := grid(cfg, []string{"stream", "gups"}, []policy.Spec{policy.Norm()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	// A workload without a spec has no memo key: it fails fast.
+	cells := []Cell{ok[0], {Cfg: cfg, Spec: policy.Norm(), Workload: trace.Workload{Name: "no-spec"}}, ok[1]}
 	var mu sync.Mutex
 	var calls [][2]int
 	o := Options{Cfg: cfg, OnProgress: func(done, total int) {
@@ -28,17 +30,17 @@ func TestRunAllProgressOnError(t *testing.T) {
 		calls = append(calls, [2]int{done, total})
 		mu.Unlock()
 	}}
-	_, err := runAll(o, jobs)
+	_, err = runAll(o, cells)
 	if err == nil {
 		t.Fatal("sweep with an invalid workload succeeded")
 	}
-	if len(calls) != len(jobs) {
+	if len(calls) != len(cells) {
 		t.Fatalf("OnProgress fired %d times, want %d (every attempt, failures included): %v",
-			len(calls), len(jobs), calls)
+			len(calls), len(cells), calls)
 	}
 	for i, c := range calls {
-		if c[0] != i+1 || c[1] != len(jobs) {
-			t.Fatalf("call %d reported %d/%d, want %d/%d", i, c[0], c[1], i+1, len(jobs))
+		if c[0] != i+1 || c[1] != len(cells) {
+			t.Fatalf("call %d reported %d/%d, want %d/%d", i, c[0], c[1], i+1, len(cells))
 		}
 	}
 }
@@ -62,7 +64,7 @@ func TestBudgetBoundsConcurrentSims(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := runOne(Options{}, cfg, policy.Norm(), w); err != nil {
+			if _, err := runPlain(context.Background(), cfg, policy.Norm(), w); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"mellow/internal/config"
 	"mellow/internal/policy"
@@ -12,10 +11,11 @@ import (
 )
 
 // RunScenario executes one declarative scenario: the workload × leveler
-// × policy matrix fans out in parallel through the memoised sched-
-// governed simulation path, and the cells land in matrix order so the
-// result document is deterministic. onProgress (optional) fires after
-// every completed cell.
+// × policy matrix runs through RunCells, and the cells land in matrix
+// order so the result document is deterministic. Each distinct workload
+// is resolved once, so its cells share one generator factory (and one
+// lazily built hot-set shape). onProgress (optional) fires after every
+// completed cell.
 func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, onProgress func(done, total int)) (*scenario.Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -28,68 +28,55 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 	if err != nil {
 		return nil, err
 	}
-	cells := sc.Cells()
-	out := &scenario.Result{Scenario: sc.Name, Key: key, Cells: make([]scenario.CellResult, len(cells))}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	for i, cell := range cells {
-		if err := ctx.Err(); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			break
+	workloads := make(map[string]trace.Workload, len(sc.Workloads)) // names are unique
+	for _, ref := range sc.Workloads {
+		w, err := resolve(ref)
+		if err != nil {
+			return nil, err
 		}
-		wg.Add(1)
-		go func(i int, cell scenario.Cell) {
-			defer wg.Done()
-			ccfg := cfg
-			if cell.Leveler != "" {
-				ccfg.Memory.WearLeveler = cell.Leveler
-			}
-			pspec, err := policy.Parse(cell.Policy)
-			var w trace.Workload
-			switch {
-			case err != nil: // the policy did not parse
-			case cell.Workload.Spec != nil:
-				w, err = cell.Workload.Spec.Workload(cell.Workload.Name, 0)
-			default:
-				w, err = trace.ByName(cell.Workload.Name)
-			}
-			var ins Instrumented
-			if err == nil {
-				ins, err = Run(ctx, ccfg, pspec, w, Observation{})
-			}
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				out.Cells[i] = scenario.CellResult{
-					Workload: cell.Workload.Name,
-					Leveler:  cell.Leveler,
-					Policy:   cell.Policy,
-					Result:   ins.Result,
-				}
-			}
-			done++
-			if onProgress != nil {
-				onProgress(done, len(cells))
-			}
-			mu.Unlock()
-		}(i, cell)
+		workloads[ref.Name] = w
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	refs := sc.Cells()
+	cells := make([]Cell, len(refs))
+	for i, ref := range refs {
+		pspec, err := policy.Parse(ref.Policy)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = Cell{Cfg: cfg, Spec: pspec, Workload: workloads[ref.Workload.Name]}
+		if ref.Leveler != "" {
+			cells[i].Cfg.Memory.WearLeveler = ref.Leveler
+		}
+	}
+	done := 0
+	res, err := RunCells(ctx, cells, Hooks{Done: func(int, Instrumented, error) {
+		done++
+		if onProgress != nil {
+			onProgress(done, len(cells))
+		}
+	}})
+	if err != nil {
+		return nil, err
+	}
+	out := &scenario.Result{Scenario: sc.Name, Key: key, Cells: make([]scenario.CellResult, len(refs))}
+	for i, ref := range refs {
+		out.Cells[i] = scenario.CellResult{
+			Workload: ref.Workload.Name,
+			Leveler:  ref.Leveler,
+			Policy:   ref.Policy,
+			Result:   res[i].Result,
+		}
 	}
 	return out, nil
+}
+
+// resolve turns a scenario workload reference into a runnable workload:
+// its inline spec, or the builtin of that name.
+func resolve(ref scenario.WorkloadRef) (trace.Workload, error) {
+	if ref.Spec != nil {
+		return ref.Spec.Workload(ref.Name, 0)
+	}
+	return trace.ByName(ref.Name)
 }
 
 // ScenarioOutcome reports one corpus scenario's run.

@@ -47,7 +47,7 @@ func TestRunScenarioMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := runOne(Options{}, base, pspec, cell.Workload)
+		want, err := runPlain(context.Background(), base, pspec, cell.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestInlineSpecMatchesBuiltin(t *testing.T) {
 		t.Fatal(err)
 	}
 	inline := runSpec(t, base, pspec, "my-gups", spec)
-	builtin, err := runOne(Options{}, base, pspec, "gups")
+	builtin, err := runPlain(context.Background(), base, pspec, "gups")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,7 @@ func runFig17(o Options) error {
 	for _, e := range expos {
 		cfg := o.Cfg
 		cfg.Memory.Device.ExpoFactor = e
-		var jobs []job
-		for _, w := range o.workloads() {
-			for _, s := range specs {
-				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
-			}
-		}
-		res, err := runAll(o, jobs)
+		res, err := runGrid(o, cfg, o.workloads(), specs)
 		if err != nil {
 			return err
 		}
@@ -64,11 +58,7 @@ func runFig18(o Options) error {
 		if err != nil {
 			return err
 		}
-		var jobs []job
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: cfg, spec: s, workload: workload})
-		}
-		res, err := runAll(o, jobs)
+		res, err := runGrid(o, cfg, []string{workload}, specs)
 		if err != nil {
 			return err
 		}
@@ -104,13 +94,7 @@ func fig19Statics() []policy.Spec {
 func runFig19(o Options) error {
 	statics := fig19Statics()
 	ours := policy.BEMellow().WithSC().WithWQ()
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range append(statics, ours, policy.Norm()) {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runAll(o, jobs)
+	res, err := runGrid(o, o.Cfg, o.workloads(), append(statics, ours, policy.Norm()))
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ func TestTracedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := runOne(Options{}, cfg, spec, "gups")
+	plain, err := runPlain(context.Background(), cfg, spec, "gups")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"mellow/internal/experiments"
 	"mellow/internal/joblog"
+	"mellow/internal/trace"
 )
 
 func postBatch(t *testing.T, ts *httptest.Server, body string) (BatchResponse, int, string) {
@@ -352,5 +353,67 @@ func TestJobLogShedNotRecorded(t *testing.T) {
 	defer l2.Close()
 	if got := l2.Stats().Pending; got != admitted {
 		t.Errorf("replay finds %d pending jobs, want %d (shed submissions must not be recorded)", got, admitted)
+	}
+}
+
+// TestPanickingSimulationFailsJob: a simulation that panics fails its
+// job with the contained error and a joblog fail record, instead of
+// killing the process; the server keeps serving.
+func TestPanickingSimulationFailsJob(t *testing.T) {
+	experiments.ResetCache()
+	orig := lookupWorkload
+	defer func() { lookupWorkload = orig }()
+	lookupWorkload = func(name string) (trace.Workload, error) {
+		w, err := orig(name)
+		w.New = func(uint64) trace.Generator { panic("poisoned generator") }
+		return w, err
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	l, err := joblog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, BaseConfig: tinyBase(661), JobLog: l})
+
+	st, code, err := s.Submit(JobRequest{Kind: KindSim, Workload: "gups", Policy: "Norm"})
+	if err != nil || code != http.StatusAccepted {
+		t.Fatalf("submit = %d, %v", code, err)
+	}
+	fin := waitDone(t, ts, st.ID)
+	if want := "experiments: simulation panicked: poisoned generator"; fin.State != StateFailed || fin.Error != want {
+		t.Fatalf("job = %s (%q), want failed with %q", fin.State, fin.Error, want)
+	}
+
+	lookupWorkload = orig
+	st2, code, err := s.Submit(JobRequest{Kind: KindSim, Workload: "gups", Policy: "Norm"})
+	if err != nil || code != http.StatusAccepted {
+		t.Fatalf("resubmit = %d, %v", code, err)
+	}
+	if fin := waitDone(t, ts, st2.ID); fin.State != StateDone {
+		t.Fatalf("healthy job after the panic = %s (%s)", fin.State, fin.Error)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := joblog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var failed bool
+	for _, r := range l2.Records() {
+		failed = failed || (r.Type == joblog.TypeFail && r.ID == st.ID && r.Error == fin.Error)
+	}
+	if !failed {
+		t.Errorf("job log has no fail record for %s: %+v", st.ID, l2.Records())
+	}
+	if p := joblog.Pending(l2.Records()); len(p) != 0 {
+		t.Errorf("pending after the panic: %+v, want none (replay must not re-run it)", p)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,8 +50,8 @@ type jobState struct {
 	// jobs submitted with "trace": true (nil otherwise; every recording
 	// call is nil-safe).
 	spans *xtrace.SpanRecorder
-	// traces collects each simulation's execution timeline. runJob's
-	// workers write disjoint slots; readers wait for done to close.
+	// traces collects each simulation's execution timeline, one slot
+	// per matrix cell; readers wait for done to close.
 	traces []*xtrace.SimTrace
 }
 
@@ -221,32 +220,30 @@ func (s *recordSorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
+// lookupWorkload resolves a sim/compare job's builtin workload; tests
+// swap it to inject a failing workload.
+var lookupWorkload = trace.ByName
+
 // runJob executes one job's simulations through the memoised harness,
 // so identical sub-simulations across different jobs run once. A
 // positive interval_ns runs them observed: per-epoch series land in the
 // result and the jobState's progress trackers feed the status API live.
 //
-// Sim and compare matrices fan out in parallel; the process-wide
-// scheduler (internal/sched) bounds total concurrent simulations across
-// every job, so the fan-out cannot oversubscribe the machine. Each
-// matrix cell writes its result (and series) into a slot fixed by its
-// (workload, policy) loop index, so the payload keeps the exact
-// sequential ordering — equal keys still yield equal bytes no matter
-// which cells finish first.
+// A sim or compare job is one (workload, policy) matrix run through
+// experiments.RunCells: the process-wide scheduler (internal/sched)
+// bounds total concurrent simulations across every job, and results
+// come back in matrix slot order — the payload and the SSE cell index
+// keep the exact sequential ordering, so equal keys still yield equal
+// bytes no matter which cells finish first.
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
 	epoch := sim.NS(canon.IntervalNS)
 	switch canon.Kind {
 	case KindSim, KindCompare:
-		type cell struct {
-			w      trace.Workload
-			policy string
-			spec   policy.Spec
-		}
-		cells := make([]cell, 0, len(canon.Workloads)*len(canon.Policies))
+		var cells []experiments.Cell
 		for _, name := range canon.Workloads {
-			w, err := trace.ByName(name)
+			w, err := lookupWorkload(name)
 			if err != nil {
 				return nil, err
 			}
@@ -255,96 +252,84 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				cells = append(cells, cell{w: w, policy: p, spec: spec})
+				cells = append(cells, experiments.Cell{Cfg: canon.Config, Spec: spec, Workload: w})
 			}
 		}
+		// label names cell i as the request spelled it (workload-major).
+		label := func(i int) (string, string) {
+			return cells[i].Workload.Name, canon.Policies[i%len(canon.Policies)]
+		}
 		js.progress.setTotal(len(cells))
-
-		// The first failure cancels the siblings; every cell still
-		// retires through endSim, so a failed job's progress accounts
-		// for all attempted work instead of freezing mid-matrix.
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		results := make([]core.Result, len(cells))
-		var series []experiments.SeriesRecord
-		if epoch > 0 {
-			series = make([]experiments.SeriesRecord, len(cells))
-		}
-		var snaps []*metrics.Snapshot
-		if canon.Metrics {
-			snaps = make([]*metrics.Snapshot, len(cells))
-		}
-		var traces []*xtrace.SimTrace
+		trackers := make([]*engine.Tracker, len(cells))
+		starts := make([]time.Time, len(cells))
+		// streamed counts each cell's live epoch events. OnEpoch only
+		// fires when the cell executes the simulation itself; a memo hit
+		// or a joined in-flight run streams nothing live and flushes the
+		// whole memoised series on completion — either way the cell's
+		// epoch-event subsequence is exactly the series the result embeds.
+		streamed := make([]int, len(cells))
 		if canon.Trace {
-			traces = make([]*xtrace.SimTrace, len(cells))
+			js.traces = make([]*xtrace.SimTrace, len(cells))
 		}
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		for i, cl := range cells {
-			i, cl := i, cl
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var tr *engine.Tracker
+		ins, err := experiments.RunCells(ctx, cells, experiments.Hooks{
+			Start: func(i int) experiments.Observation {
+				ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
 				if epoch > 0 {
-					tr = &engine.Tracker{}
-				}
-				js.progress.beginSim(tr)
-				cellStart := time.Now()
-				ob := experiments.Observation{Epoch: epoch, Tracker: tr,
-					Metrics: canon.Metrics, Trace: canon.Trace}
-				// streamed counts this cell's live epoch events. OnEpoch
-				// only fires when this goroutine executes the simulation
-				// itself; a memo hit or a joined in-flight run streams
-				// nothing live and flushes the whole memoised series
-				// below — either way the cell's epoch-event subsequence
-				// is exactly the series the result embeds.
-				streamed := 0
-				if epoch > 0 && js.stream != nil {
-					ob.OnEpoch = func(s engine.EpochSample) {
-						streamed++
-						js.stream.epoch(i, cl.w.Name, cl.policy, s)
+					trackers[i] = &engine.Tracker{}
+					ob.Tracker = trackers[i]
+					if js.stream != nil {
+						w, p := label(i)
+						ob.OnEpoch = func(s engine.EpochSample) {
+							streamed[i]++
+							js.stream.epoch(i, w, p, s)
+						}
 					}
 				}
-				ins, err := experiments.Run(runCtx, canon.Config, cl.spec, cl.w, ob)
-				js.spans.Span("sim "+cl.w.Name+"/"+cl.policy, "cell",
-					cellStart, time.Now(), "workload", cl.w.Name, "policy", cl.policy)
-				js.progress.endSim(tr)
+				js.progress.beginSim(trackers[i])
+				starts[i] = time.Now()
+				return ob
+			},
+			// Every cell retires through endSim, failed and cancelled ones
+			// too, so a failed job's progress accounts for all attempted
+			// work instead of freezing mid-matrix.
+			Done: func(i int, in experiments.Instrumented, err error) {
+				w, p := label(i)
+				if !starts[i].IsZero() {
+					js.spans.Span("sim "+w+"/"+p, "cell", starts[i], time.Now(), "workload", w, "policy", p)
+				}
+				js.progress.endSim(trackers[i])
 				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
 					return
 				}
-				results[i] = ins.Result
 				if epoch > 0 {
-					series[i] = experiments.SeriesRecord{
-						Workload: cl.w.Name, Policy: cl.policy, Series: ins.Series}
-					js.stream.flushSeries(i, cl.w.Name, cl.policy, ins.Series, streamed)
-				}
-				if canon.Metrics {
-					snaps[i] = ins.Metrics
+					js.stream.flushSeries(i, w, p, in.Series, streamed[i])
 				}
 				if canon.Trace {
-					traces[i] = ins.Trace
+					js.traces[i] = in.Trace
 				}
-			}()
-		}
-		wg.Wait()
-		js.traces = traces
-		if firstErr != nil {
-			return nil, firstErr
+			},
+		})
+		if err != nil {
+			return nil, err
 		}
 		renderStart := time.Now()
-		out.Results = results
-		out.Series = series
-		out.Metrics = snaps
+		out.Results = make([]core.Result, len(ins))
+		if epoch > 0 {
+			out.Series = make([]experiments.SeriesRecord, len(ins))
+		}
+		if canon.Metrics {
+			out.Metrics = make([]*metrics.Snapshot, len(ins))
+		}
+		for i, in := range ins {
+			out.Results[i] = in.Result
+			if epoch > 0 {
+				w, p := label(i)
+				out.Series[i] = experiments.SeriesRecord{Workload: w, Policy: p, Series: in.Series}
+			}
+			if canon.Metrics {
+				out.Metrics[i] = in.Metrics
+			}
+		}
 		js.spans.Span("render", "job", renderStart, time.Now())
 	case KindExperiment:
 		e, err := experiments.ByID(canon.Experiment)
