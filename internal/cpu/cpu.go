@@ -102,6 +102,15 @@ func (r *reqRing) pending() int {
 
 // Core drives the cache hierarchy and memory controller from a workload
 // trace. One tick is one core cycle.
+//
+// The core holds memory reads in four places: the load ring (with its
+// req-bearing mirror, which shares the ring's hold), the store-allocate
+// fetches, the prefetcher's in-flight FIFO (with its index, likewise)
+// and lastLoadReq. Each place owns one mem hold on the request and
+// releases it where it drops the request, so the controller can recycle
+// the slot once the read is done and no place still refers to it. A
+// demand load that attaches to an in-flight prefetch takes holds of its
+// own.
 type Core struct {
 	cfg  config.CPU
 	hier *cache.Hierarchy
@@ -146,13 +155,30 @@ func New(cfg config.Config, hier *cache.Hierarchy, ctl *mem.Controller, gen trac
 // now returns the dispatch cursor as a tick.
 func (c *Core) now() sim.Tick { return sim.Tick(c.cycles) }
 
-// complete resolves a pending load's completion time, advancing the
-// memory clock as needed.
-func (c *Core) complete(p pendingLoad) sim.Tick {
+// retireLoad pops the FIFO head, keeping the req-bearing mirror in
+// step, and returns its completion time, advancing the memory clock as
+// needed. It releases the load's hold on its request.
+func (c *Core) retireLoad() sim.Tick {
+	p := c.loads.popFront()
 	if p.req == nil {
 		return p.fallback
 	}
-	return c.ctl.WaitRead(p.req)
+	c.loadReqs.popFront()
+	t := c.ctl.WaitRead(p.req)
+	c.ctl.Release(p.req)
+	return t
+}
+
+// setLastLoad records the most recent load for the dependence chain:
+// a pending request (holding it) or, when r is nil, a resolved time.
+func (c *Core) setLastLoad(done sim.Tick, r *mem.Request) {
+	if r != nil {
+		c.ctl.Hold(r)
+	}
+	if c.lastLoadReq != nil {
+		c.ctl.Release(c.lastLoadReq)
+	}
+	c.lastLoad, c.lastLoadReq = done, r
 }
 
 // sweep retires finished loads and fetches from the head of the queues
@@ -167,11 +193,13 @@ func (c *Core) sweep() {
 		} else if p.fallback > c.now() {
 			break
 		}
-		c.popLoad()
+		c.retireLoad()
 	}
 	keep := c.fetches[:0]
 	for _, r := range c.fetches {
-		if !r.Done() {
+		if r.Done() {
+			c.ctl.Release(r)
+		} else {
 			keep = append(keep, r)
 		}
 	}
@@ -185,15 +213,6 @@ func (c *Core) loadsOutstanding() int { return c.loadReqs.pending() }
 // fetches and prefetches share the miss-status file.
 func (c *Core) memOutstanding() int {
 	return len(c.fetches) + c.prefetchOutstanding() + c.loadReqs.pending()
-}
-
-// popLoad retires the FIFO head, keeping the req-bearing mirror in step.
-func (c *Core) popLoad() pendingLoad {
-	p := c.loads.popFront()
-	if p.req != nil {
-		c.loadReqs.popFront()
-	}
-	return p
 }
 
 // stallFor advances the pipeline cursor to t if it is ahead.
@@ -244,7 +263,7 @@ func (c *Core) step() {
 	// ROB: the window cannot move past an incomplete load that is
 	// ROBEntries behind the dispatch point.
 	for c.loads.len() > 0 && c.loads.front().num+c.robSize <= c.instrs {
-		c.stallFor(c.complete(c.popLoad()))
+		c.stallFor(c.retireLoad())
 	}
 
 	// MSHRs. Demand loads are bounded by the L1 miss-status file; the
@@ -252,14 +271,15 @@ func (c *Core) step() {
 	// by the LLC's (stores and prefetches bypass the L1 MSHRs: stores
 	// retire into write buffers, prefetches train at the LLC).
 	for c.loadsOutstanding() >= c.loadMSHRs {
-		c.stallFor(c.complete(c.popLoad()))
+		c.stallFor(c.retireLoad())
 		c.sweep()
 	}
 	for c.memOutstanding() >= c.mshrLimit {
 		if c.loads.len() > 0 && c.loads.front().req != nil {
-			c.stallFor(c.complete(c.popLoad()))
+			c.stallFor(c.retireLoad())
 		} else if len(c.fetches) > 0 {
 			c.ctl.WaitRead(c.fetches[0])
+			c.ctl.Release(c.fetches[0])
 			c.fetches = c.fetches[1:]
 		} else if len(c.pf.inflight) > 0 {
 			c.ctl.WaitRead(c.pf.inflight[0].req)
@@ -305,23 +325,25 @@ func (c *Core) step() {
 		r := c.demandRead(res.FetchAddr)
 		c.loads.pushBack(pendingLoad{num: c.instrs, req: r})
 		c.loadReqs.pushBack(r)
-		c.lastLoadReq = r
+		c.setLastLoad(c.lastLoad, r)
 	case !op.Write && res.Hit != cache.LevelL1:
 		done := c.now() + sim.Tick(latency)
 		c.loads.pushBack(pendingLoad{num: c.instrs, fallback: done})
-		c.lastLoad, c.lastLoadReq = done, nil
+		c.setLastLoad(done, nil)
 	case !op.Write:
-		c.lastLoad, c.lastLoadReq = c.now()+sim.Tick(latency), nil
+		c.setLastLoad(c.now()+sim.Tick(latency), nil)
 	}
 }
 
 // demandRead issues a memory read for a demand miss, reusing an
 // in-flight prefetch of the same line when one exists, and training the
-// stream prefetcher.
+// stream prefetcher. The caller owns one hold on the returned request.
 func (c *Core) demandRead(line uint64) *mem.Request {
 	confirmed := c.pf.observe(line)
 	r := c.prefetchRequest(line)
-	if r == nil {
+	if r != nil {
+		c.ctl.Hold(r)
+	} else {
 		r = c.ctl.SubmitRead(line, c.now())
 	}
 	if confirmed {

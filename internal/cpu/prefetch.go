@@ -70,6 +70,7 @@ func (c *Core) drainPrefetches() {
 			continue
 		}
 		delete(c.pf.index, e.line)
+		c.ctl.Release(e.req)
 		for _, wb := range c.hier.InstallPrefetch(e.line) {
 			c.ctl.SubmitWrite(wb, c.now())
 		}

@@ -172,6 +172,9 @@ type CacheStats struct {
 	// flights queued for one. PeakRunning is its high-water mark: with
 	// scheduler budget B, PeakRunning <= B always holds.
 	Running, PeakRunning int
+	// Panics counts simulations whose panic was contained and turned
+	// into a failed run.
+	Panics uint64
 }
 
 // cached is one memoised simulation: the result, plus the epoch series
@@ -203,8 +206,9 @@ type simCache struct {
 	hits     uint64
 	misses   uint64
 	evicted  uint64
-	running  int // flights holding a scheduler slot right now
-	peakRun  int // high-water mark of running
+	panics   uint64 // simulations that panicked and were contained
+	running  int    // flights holding a scheduler slot right now
+	peakRun  int    // high-water mark of running
 }
 
 func newSimCache(cap int) *simCache {
@@ -286,6 +290,9 @@ func (c *simCache) run(ctx context.Context, fn func() (cached, error)) (res cach
 		c.noteRunning(-1)
 		release()
 		if p := recover(); p != nil {
+			c.mu.Lock()
+			c.panics++
+			c.mu.Unlock()
 			res, err = cached{}, fmt.Errorf("experiments: simulation panicked: %v", p)
 		}
 	}()
@@ -359,7 +366,7 @@ func (c *simCache) stats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evicted,
 		Entries: len(c.entries), InFlight: len(c.inflight),
-		Running: c.running, PeakRunning: c.peakRun,
+		Running: c.running, PeakRunning: c.peakRun, Panics: c.panics,
 	}
 }
 
@@ -369,7 +376,7 @@ func (c *simCache) reset(cap int) {
 	c.cap = cap
 	c.entries = map[runKey]cached{}
 	c.order = keyRing{}
-	c.hits, c.misses, c.evicted = 0, 0, 0
+	c.hits, c.misses, c.evicted, c.panics = 0, 0, 0, 0
 	c.peakRun = c.running
 	// in-flight simulations publish into the fresh maps when they land.
 	c.inflight = map[runKey]*flight{}
@@ -407,6 +414,7 @@ func CacheCollector(prefix string) metrics.Collector {
 		g.Gauge(prefix+"simcache_entries", "Memoised simulation results held.", float64(cs.Entries))
 		g.Gauge(prefix+"simcache_inflight", "Deduplicated simulations in flight (running or queued for a scheduler slot).", float64(cs.InFlight))
 		g.Gauge(prefix+"sims_running", "Simulations executing right now (holding a scheduler slot).", float64(cs.Running))
+		g.Counter(prefix+"sim_panics_total", "Simulations that panicked; each failed its run instead of the process.", cs.Panics)
 	}
 }
 

@@ -47,8 +47,8 @@ const (
 )
 
 // evWord packs an event payload: opcode in bits 0..7, bank in bits
-// 8..31, issue generation in bits 32..63.
-func evWord(op, bank, gen int) uint64 {
+// 8..31, the request slot's issue generation in bits 32..63.
+func evWord(op, bank int, gen uint32) uint64 {
 	return uint64(op) | uint64(bank)<<8 | uint64(gen)<<32
 }
 
@@ -87,6 +87,8 @@ type Controller struct {
 
 	arena                 reqArena
 	readQ, writeQ, eagerQ reqQueue
+	readsInFlight         int // reads issued to a bank whose data has not returned
+	ledger                ledger
 
 	draining   bool
 	drainMeter stats.Toggle
@@ -121,6 +123,16 @@ type Controller struct {
 	readLatBase stats.Histogram
 	counts      Counters
 	base        meterBase
+}
+
+// ledger is the controller's request bookkeeping since construction,
+// for conservation checks: every admitted write ends completed or, for
+// an eager write, dropped as stale, and every pulse a write starts ends
+// in exactly one completion, cancellation or pause.
+type ledger struct {
+	dropped  uint64 // queued eager writes replaced by a write-back
+	requeued uint64 // cancelled or paused writes returned to their queue
+	attempts uint64 // issue attempts of writes that completed or were dropped
 }
 
 // Counters are the monotonically increasing event counts of the
@@ -229,12 +241,16 @@ func (c *Controller) OnEvent(now sim.Tick, a, b uint64) {
 		}
 		c.trySchedule(bank, now)
 	case opComplete:
-		c.completeBankOp(bank, c.arena.at(uint32(b)), int(a>>32), now)
+		c.completeBankOp(bank, c.arena.at(uint32(b)), uint32(a>>32), now)
 	case opReadDone:
 		r := c.arena.at(uint32(b))
 		r.done = true
 		r.doneAt = now
+		c.readsInFlight--
 		c.readLat.Add(uint64((now - r.arrive) / sim.TicksPerNS))
+		if r.holds == 0 {
+			c.arena.release(r)
+		}
 	case opPump:
 		c.eagerPump(now)
 	case opQuota:
@@ -334,6 +350,9 @@ func (c *Controller) Now() sim.Tick { return c.k.Now() }
 // SubmitRead enqueues a demand read at time t (clamped to the memory
 // clock). If the read queue is full, the submission blocks (in simulated
 // time) until space frees. The returned request completes when Done().
+// It carries one hold for the caller: once the caller calls Release (and
+// has dropped every further Hold), its slot may be reused. A read that
+// is never released stays valid for the controller's lifetime.
 func (c *Controller) SubmitRead(line uint64, t sim.Tick) *Request {
 	c.advanceToAtLeast(t)
 	bank := int(line & c.bankMask)
@@ -355,6 +374,7 @@ func (c *Controller) SubmitRead(line uint64, t sim.Tick) *Request {
 	}
 	now := c.k.Now()
 	r := c.newRequest(KindRead, line, now)
+	r.holds = 1
 	c.readQ.pushBack(r)
 	c.maybePreemptForRead(r, now)
 	c.wake(r.Bank, now)
@@ -368,7 +388,25 @@ func (c *Controller) forward(w *Request) *Request {
 	r := c.arena.alloc()
 	r.Kind, r.Line, r.Bank = KindRead, w.Line, w.Bank
 	r.arrive, r.done, r.doneAt = now, true, now+forwardLatency
+	r.holds = 1
 	return r
+}
+
+// Hold takes one more reference to a read returned by SubmitRead, for a
+// caller that keeps it in several places. Each Hold needs its Release.
+func (c *Controller) Hold(r *Request) { r.holds++ }
+
+// Release drops one reference to a read returned by SubmitRead. The
+// caller must not touch r afterwards: once a read is done and its last
+// hold is released, its slot is recycled for a later request.
+func (c *Controller) Release(r *Request) {
+	if r.holds <= 0 {
+		panic("mem: Release of a request with no holds")
+	}
+	r.holds--
+	if r.holds == 0 && r.done {
+		c.arena.release(r)
+	}
 }
 
 // SubmitWrite enqueues an LLC dirty write-back at time t. If the write
@@ -386,6 +424,8 @@ func (c *Controller) SubmitWrite(line uint64, t sim.Tick) sim.Tick {
 	// write-back: replace it.
 	if e := c.eagerQ.find(bank, line); e != nil {
 		c.eagerQ.remove(e)
+		c.retireWrite(e)
+		c.ledger.dropped++
 	}
 	for c.writeQ.size >= c.cfg.WriteQueue {
 		c.waitForProgress(func() bool { return c.writeQ.size < c.cfg.WriteQueue })
@@ -462,6 +502,7 @@ func (c *Controller) maybePreemptForRead(r *Request, now sim.Tick) {
 	b.cur = nil
 	b.freeAt = now + cancelPenalty
 	// The write returns to the head of its queue for retry.
+	c.ledger.requeued++
 	if w.Kind == KindEager {
 		c.eagerQ.pushFront(w)
 	} else {
@@ -490,6 +531,7 @@ func (c *Controller) pauseWrite(bank int, now sim.Tick) {
 	}
 	b.cur = nil
 	b.freeAt = now + cancelPenalty
+	c.ledger.requeued++
 	if w.Kind == KindEager {
 		c.eagerQ.pushFront(w)
 	} else {
@@ -611,7 +653,9 @@ func (c *Controller) issueRead(r *Request, now sim.Tick) {
 	b.curStart = start
 	b.freeAt = accessEnd
 	r.attempts++
-	c.k.AtEvent(accessEnd, c, evWord(opComplete, r.Bank, r.attempts), uint64(r.idx))
+	r.gen++
+	c.readsInFlight++
+	c.k.AtEvent(accessEnd, c, evWord(opComplete, r.Bank, r.gen), uint64(r.idx))
 	c.k.AtEvent(doneAt, c, evWord(opReadDone, 0, 0), uint64(r.idx))
 }
 
@@ -676,21 +720,23 @@ func (c *Controller) startWritePulse(w *Request, dec policy.WriteDecision, now s
 		pulse = c.cfg.Device.WriteLatency(dec.Mode)
 	}
 	w.attempts++
+	w.gen++
 	end := start + pulse
 	b.cur = w
 	b.curCancellable = dec.Cancellable
 	b.curPausable = dec.Pausable
 	b.curStart = start
 	b.freeAt = end
-	c.k.AtEvent(end, c, evWord(opComplete, w.Bank, w.attempts), uint64(w.idx))
+	c.k.AtEvent(end, c, evWord(opComplete, w.Bank, w.gen), uint64(w.idx))
 }
 
 // completeBankOp finishes the bank's current operation (unless it was
-// cancelled meanwhile — the issue generation gen guards against a stale
-// completion event matching a re-issued request) and schedules the next.
-func (c *Controller) completeBankOp(bank int, r *Request, gen int, now sim.Tick) {
+// cancelled meanwhile — the slot's issue generation gen guards against a
+// stale completion event matching a retry or a later occupant of the
+// slot) and schedules the next.
+func (c *Controller) completeBankOp(bank int, r *Request, gen uint32, now sim.Tick) {
 	b := &c.banks[bank]
-	if b.cur != r || r.attempts != gen {
+	if b.cur != r || r.gen != gen {
 		return // cancelled; a retry was queued
 	}
 	b.cur = nil
@@ -698,6 +744,7 @@ func (c *Controller) completeBankOp(bank int, r *Request, gen int, now sim.Tick)
 	c.traceOp(r, b.curStart, now)
 	if r.Kind != KindRead {
 		c.finishWrite(bank, r, now)
+		c.retireWrite(r)
 		if b.freeAt > now {
 			// Wear-leveling migration keeps the bank busy a little longer.
 			b.busy.AddBusy(now, b.freeAt)
@@ -736,6 +783,43 @@ func (c *Controller) finishWrite(bank int, w *Request, now sim.Tick) {
 				now, w.Line, uint64(cost.CopyWrites))
 		}
 	}
+}
+
+// retireWrite recycles the slot of a write the controller is done with:
+// completed, or dropped from the eager queue as stale. Nothing outside
+// the controller holds writes, and the caller has unlinked it from every
+// queue and bank.
+func (c *Controller) retireWrite(w *Request) {
+	c.ledger.attempts += uint64(w.attempts)
+	c.arena.release(w)
+}
+
+// Occupancy is a census of the request arena, for conservation checks:
+// every slot in use is queued, in flight, or a done read its submitter
+// still holds.
+type Occupancy struct {
+	// InUse counts arena slots handed out and not recycled.
+	InUse int
+	// Queued counts requests waiting in the read, write and eager queues.
+	Queued int
+	// InFlight counts writes on a bank plus reads issued to a bank whose
+	// data has not returned.
+	InFlight int
+}
+
+// Occupancy returns the arena census.
+func (c *Controller) Occupancy() Occupancy {
+	o := Occupancy{
+		InUse:    c.arena.inUse(),
+		Queued:   c.readQ.size + c.writeQ.size + c.eagerQ.size,
+		InFlight: c.readsInFlight,
+	}
+	for b := range c.banks {
+		if cur := c.banks[b].cur; cur != nil && cur.Kind != KindRead {
+			o.InFlight++
+		}
+	}
+	return o
 }
 
 // bankIdle reports whether every bank is idle (no in-flight operation).

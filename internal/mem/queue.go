@@ -3,26 +3,35 @@ package mem
 import "mellow/internal/sim"
 
 // This file holds the controller's indexed request containers: a chunked
-// request arena (so the hot path never allocates per request) and the
-// intrusive per-bank FIFO queues that replaced the old []*Request slices
-// with their per-issue linear scans.
+// request arena with a free list (so the hot path never allocates per
+// request) and the intrusive per-bank FIFO queues that replaced the old
+// []*Request slices with their per-issue linear scans.
 
 // reqChunkBits sizes the arena chunks: 512 requests (~64 KB) each.
 const reqChunkBits = 9
 
-// reqArena hands out Requests from append-only chunks. Slots are never
-// recycled within a run — a *Request stays valid for the controller's
-// lifetime, which is what the CPU model (which holds requests across
-// arbitrary simulated time) and the completion events (which name
-// requests by index) rely on. One run allocates a handful of chunks
-// instead of one object per memory operation.
+// reqArena hands out Requests from chunks that never move, so a
+// *Request stays valid while its slot is in use, and recycles slots
+// through a free list linked by Request.next. A run's arena therefore
+// grows to the most requests live at once, not to its total memory
+// traffic. The ownership rules that decide when a slot returns to the
+// list are the controller's (see Controller.Release).
 type reqArena struct {
 	chunks [][]Request
-	n      uint32
+	n      uint32   // slots ever handed out
+	free   *Request // recycled slots, most recently freed first
+	nfree  int
 }
 
-// alloc returns a zeroed Request with its arena index stamped.
+// alloc returns a zeroed Request with its arena index stamped. A
+// recycled slot keeps its issue generation, so events naming the slot's
+// earlier occupants never match the new one.
 func (a *reqArena) alloc() *Request {
+	if r := a.free; r != nil {
+		a.free, a.nfree = r.next, a.nfree-1
+		*r = Request{idx: r.idx, gen: r.gen}
+		return r
+	}
 	ci, off := int(a.n>>reqChunkBits), int(a.n&(1<<reqChunkBits-1))
 	if off == 0 {
 		a.chunks = append(a.chunks, make([]Request, 1<<reqChunkBits))
@@ -32,6 +41,17 @@ func (a *reqArena) alloc() *Request {
 	a.n++
 	return r
 }
+
+// release returns a slot to the free list. The caller guarantees no
+// queue, bank or holder references it any more.
+func (a *reqArena) release(r *Request) {
+	r.next, r.prev = a.free, nil
+	a.free = r
+	a.nfree++
+}
+
+// inUse counts slots handed out and not yet released.
+func (a *reqArena) inUse() int { return int(a.n) - a.nfree }
 
 // at resolves an arena index (an event payload word) to its Request.
 func (a *reqArena) at(idx uint32) *Request {

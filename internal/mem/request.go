@@ -65,6 +65,13 @@ type Request struct {
 
 	// idx is the request's arena slot, used to name it in event payloads.
 	idx uint32
+	// gen counts issues of the slot across all its occupants; an
+	// opComplete event carries it, so a stale event left by a cancelled
+	// attempt matches neither a retry nor a later occupant of the slot.
+	gen uint32
+	// holds counts the submitter's references to a read; the slot is
+	// recycled once the read is done and holds drops to zero.
+	holds int32
 	// next/prev link the request into its bank's queue while it waits.
 	next, prev *Request
 }

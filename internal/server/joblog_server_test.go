@@ -358,7 +358,8 @@ func TestJobLogShedNotRecorded(t *testing.T) {
 
 // TestPanickingSimulationFailsJob: a simulation that panics fails its
 // job with the contained error and a joblog fail record, instead of
-// killing the process; the server keeps serving.
+// killing the process, and counts in mellowd_sim_panics_total; the
+// server keeps serving.
 func TestPanickingSimulationFailsJob(t *testing.T) {
 	experiments.ResetCache()
 	orig := lookupWorkload
@@ -382,6 +383,9 @@ func TestPanickingSimulationFailsJob(t *testing.T) {
 	fin := waitDone(t, ts, st.ID)
 	if want := "experiments: simulation panicked: poisoned generator"; fin.State != StateFailed || fin.Error != want {
 		t.Fatalf("job = %s (%q), want failed with %q", fin.State, fin.Error, want)
+	}
+	if n, ok := scrapeCounter(t, ts.URL, "mellowd_sim_panics_total"); ok && n != 1 {
+		t.Errorf("mellowd_sim_panics_total = %d after one contained panic, want 1", n)
 	}
 
 	lookupWorkload = orig

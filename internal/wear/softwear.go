@@ -27,17 +27,66 @@ const softwearEfficiency = 0.85
 // block copy, but actions are correspondingly rare; the controller
 // charges the whole copy as bank-busy time, which is how the software
 // scheme's page-migration pauses reach IPC.
+//
+// The page tables are allocated lazily in fixed-size chunks, so a bank
+// costs memory in proportion to the pages and frames a run touches, not
+// to its capacity: a nil chunk reads as identity mapping and zero
+// writes. An epoch closes in time proportional to the pages written in
+// it, and the coldest frame is found by a forward-only cursor while any
+// frame is still unwritten.
 type SoftWear struct {
-	n           int64
-	pageShift   uint
-	pageMask    int64
-	pages       int64
-	fwd, inv    []int32  // page-level permutation and its inverse
-	epochHot    []uint32 // per-logical-page writes in the current epoch
-	frameWrites []uint64 // lifetime writes absorbed per physical frame
+	n         int64
+	pageShift uint
+	pageMask  int64
+	pages     int64
+	// fwd and inv hold the page permutation and its inverse as offsets
+	// from identity (phys-page, page-phys), so a zero entry is unmapped.
+	fwd, inv    pageTable[int32]
+	epochHot    pageTable[uint32] // per-logical-page writes in the current epoch
+	frameWrites pageTable[uint64] // lifetime writes absorbed per physical frame
+	touched     []int64           // pages with nonzero epochHot, in first-write order
+	// unwritten is the lowest frame that may still have zero writes:
+	// every frame below it has been written. Write counts never fall,
+	// so it only moves forward.
+	unwritten   int64
 	epochWrites int
 	since       int
 	moves       uint64
+}
+
+// pageChunkBits sizes the lazily allocated page-table chunks: 1024
+// pages (4 MB of bank at the default 4 KB page) per chunk.
+const (
+	pageChunkBits = 10
+	pageChunk     = 1 << pageChunkBits
+)
+
+// pageTable is a sparse per-page array: fixed-size chunks allocated on
+// first store, a nil chunk reading as all zeros.
+type pageTable[T int32 | uint32 | uint64] struct {
+	chunks []*[pageChunk]T
+}
+
+func newPageTable[T int32 | uint32 | uint64](pages int64) pageTable[T] {
+	return pageTable[T]{chunks: make([]*[pageChunk]T, (pages+pageChunk-1)>>pageChunkBits)}
+}
+
+// get returns entry i, zero when its chunk was never stored to.
+func (t *pageTable[T]) get(i int64) T {
+	if c := t.chunks[i>>pageChunkBits]; c != nil {
+		return c[i&(pageChunk-1)]
+	}
+	return 0
+}
+
+// ref returns a pointer to entry i, allocating its chunk on first use.
+func (t *pageTable[T]) ref(i int64) *T {
+	c := t.chunks[i>>pageChunkBits]
+	if c == nil {
+		c = new([pageChunk]T)
+		t.chunks[i>>pageChunkBits] = c
+	}
+	return &c[i&(pageChunk-1)]
 }
 
 // NewSoftWear creates a remapper for a bank of n blocks with pages of
@@ -57,26 +106,33 @@ func NewSoftWear(n int64, pageBlocks, epochWrites int) (*SoftWear, error) {
 		return nil, fmt.Errorf("wear: softwear needs a positive epoch, got %d", epochWrites)
 	}
 	pages := n / int64(pageBlocks)
-	s := &SoftWear{
+	return &SoftWear{
 		n:           n,
 		pageShift:   uint(bits.TrailingZeros64(uint64(pageBlocks))),
 		pageMask:    int64(pageBlocks) - 1,
 		pages:       pages,
-		fwd:         make([]int32, pages),
-		inv:         make([]int32, pages),
-		epochHot:    make([]uint32, pages),
-		frameWrites: make([]uint64, pages),
+		fwd:         newPageTable[int32](pages),
+		inv:         newPageTable[int32](pages),
+		epochHot:    newPageTable[uint32](pages),
+		frameWrites: newPageTable[uint64](pages),
 		epochWrites: epochWrites,
-	}
-	for p := int64(0); p < pages; p++ {
-		s.fwd[p] = int32(p)
-		s.inv[p] = int32(p)
-	}
-	return s, nil
+	}, nil
 }
 
 // Name returns the backend identifier.
 func (s *SoftWear) Name() string { return BackendSoftWear }
+
+// frameOf returns the physical frame holding a logical page.
+func (s *SoftWear) frameOf(page int64) int64 { return page + int64(s.fwd.get(page)) }
+
+// pageAt returns the logical page occupying a physical frame.
+func (s *SoftWear) pageAt(frame int64) int64 { return frame + int64(s.inv.get(frame)) }
+
+// place maps a logical page to a physical frame in both tables.
+func (s *SoftWear) place(page, frame int64) {
+	*s.fwd.ref(page) = int32(frame - page)
+	*s.inv.ref(frame) = int32(page - frame)
+}
 
 // Map translates a logical block through the page table: the page index
 // remaps, the offset within the page is untouched.
@@ -84,7 +140,7 @@ func (s *SoftWear) Map(logical int64) int64 {
 	if logical < 0 || logical >= s.n {
 		panic(fmt.Sprintf("wear: logical block %d out of [0,%d)", logical, s.n))
 	}
-	return int64(s.fwd[logical>>s.pageShift])<<s.pageShift | logical&s.pageMask
+	return s.frameOf(logical>>s.pageShift)<<s.pageShift | logical&s.pageMask
 }
 
 // Observe counts the write against its logical page and physical frame;
@@ -92,38 +148,66 @@ func (s *SoftWear) Map(logical int64) int64 {
 // least-written frame (a page swap), unless it already sits there.
 func (s *SoftWear) Observe(logical int64) RemapCost {
 	page := logical >> s.pageShift
-	s.epochHot[page]++
-	s.frameWrites[s.fwd[page]]++
+	h := s.epochHot.ref(page)
+	if *h == 0 {
+		s.touched = append(s.touched, page)
+	}
+	*h++
+	*s.frameWrites.ref(s.frameOf(page))++
 	s.since++
 	if s.since < s.epochWrites {
 		return RemapCost{}
 	}
 	s.since = 0
-	// Hottest logical page this epoch and coldest physical frame overall;
-	// ties break toward the lowest index, keeping runs deterministic.
-	hot, cold := int64(0), int64(0)
-	for p := int64(1); p < s.pages; p++ {
-		if s.epochHot[p] > s.epochHot[hot] {
-			hot = p
-		}
-		if s.frameWrites[p] < s.frameWrites[cold] {
-			cold = p
-		}
-	}
-	for p := range s.epochHot {
-		s.epochHot[p] = 0
-	}
-	if int64(s.fwd[hot]) == cold {
+	hot := s.closeEpoch()
+	cold := s.coldestFrame()
+	oldFrame := s.frameOf(hot)
+	if oldFrame == cold {
 		return RemapCost{} // the hot page already owns the coldest frame
 	}
 	s.moves++
 	// Swap the hot page with whichever logical page holds the cold frame.
-	other := int64(s.inv[cold])
-	oldFrame := s.fwd[hot]
-	s.fwd[hot], s.fwd[other] = int32(cold), oldFrame
-	s.inv[cold], s.inv[oldFrame] = int32(hot), int32(other)
+	other := s.pageAt(cold)
+	s.place(hot, cold)
+	s.place(other, oldFrame)
 	// Both pages rewrite in full at their new frames.
 	return RemapCost{CopyWrites: 2 * int(s.pageMask+1)}
+}
+
+// closeEpoch returns the epoch's hottest logical page (ties break toward
+// the lowest index, keeping runs deterministic) and clears the epoch's
+// counters, visiting only the pages written in it.
+func (s *SoftWear) closeEpoch() int64 {
+	hot, best := s.pages, uint32(0)
+	for _, p := range s.touched {
+		h := s.epochHot.ref(p)
+		if *h > best || *h == best && p < hot {
+			hot, best = p, *h
+		}
+		*h = 0
+	}
+	s.touched = s.touched[:0]
+	return hot
+}
+
+// coldestFrame returns the least-written physical frame, the lowest
+// index among equals. While some frame is unwritten that is the lowest
+// unwritten one, which the cursor finds without revisiting frames; once
+// every frame has been written it falls back to a full scan.
+func (s *SoftWear) coldestFrame() int64 {
+	for s.unwritten < s.pages && s.frameWrites.get(s.unwritten) > 0 {
+		s.unwritten++
+	}
+	if s.unwritten < s.pages {
+		return s.unwritten
+	}
+	cold, least := int64(0), s.frameWrites.get(0)
+	for f := int64(1); f < s.pages; f++ {
+		if w := s.frameWrites.get(f); w < least {
+			cold, least = f, w
+		}
+	}
+	return cold
 }
 
 // Blocks returns the logical block count.
