@@ -14,9 +14,9 @@ import (
 // × policy matrix runs through RunCells, and the cells land in matrix
 // order so the result document is deterministic. Each distinct workload
 // is resolved once, so its cells share one generator factory (and one
-// lazily built hot-set shape). onProgress (optional) fires after every
-// completed cell.
-func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, onProgress func(done, total int)) (*scenario.Result, error) {
+// lazily built hot-set shape). h observes the cells, indexed in
+// sc.Cells() order.
+func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, h Hooks) (*scenario.Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,13 +48,7 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 			cells[i].Cfg.Memory.WearLeveler = ref.Leveler
 		}
 	}
-	done := 0
-	res, err := RunCells(ctx, cells, Hooks{Done: func(int, Instrumented, error) {
-		done++
-		if onProgress != nil {
-			onProgress(done, len(cells))
-		}
-	}})
+	res, err := RunCells(ctx, cells, h)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +99,7 @@ func RunScenarioCorpus(ctx context.Context, base config.Config, dir string, upda
 	outcomes := make([]ScenarioOutcome, 0, len(entries))
 	for _, e := range entries {
 		oc := ScenarioOutcome{Name: e.Scenario.Name, Path: e.Path}
-		res, err := RunScenario(ctx, base, e.Scenario, nil)
+		res, err := RunScenario(ctx, base, e.Scenario, Hooks{})
 		if err != nil {
 			oc.Err = fmt.Errorf("scenario %s: %v", e.Scenario.Name, err)
 		} else {

@@ -35,7 +35,7 @@ func TestRunScenarioMatchesRun(t *testing.T) {
 		Workloads: []scenario.WorkloadRef{{Name: "gups"}},
 		Policies:  []string{"Norm", "BE-Mellow+SC"},
 	}
-	res, err := RunScenario(context.Background(), base, sc, nil)
+	res, err := RunScenario(context.Background(), base, sc, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRunScenarioLevelerCells(t *testing.T) {
 		Levelers:  []string{"", "startgap", "softwear"},
 		Overrides: &scenario.Overrides{Warmup: &warmup, Detailed: &detailed, SoftWearEpochWrites: &epoch},
 	}
-	res, err := RunScenario(context.Background(), base, sc, nil)
+	res, err := RunScenario(context.Background(), base, sc, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 		Policies:  []string{"Norm", "B-Mellow+SC"},
 	}
 	ResetCache()
-	r1, err := RunScenario(context.Background(), base, sc, nil)
+	r1, err := RunScenario(context.Background(), base, sc, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetCache() // force full re-simulation
-	r2, err := RunScenario(context.Background(), base, sc, nil)
+	r2, err := RunScenario(context.Background(), base, sc, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,27 +207,28 @@ func TestRunScenarioProgressAndErrors(t *testing.T) {
 		Policies:  []string{"Norm", "Slow"},
 	}
 	var calls int
-	if _, err := RunScenario(context.Background(), base, sc, func(done, total int) {
+	res, err := RunScenario(context.Background(), base, sc, Hooks{Done: func(i int, _ Instrumented, err error) {
 		calls++
-		if total != 2 {
-			t.Errorf("total = %d, want 2", total)
+		if i < 0 || i >= 2 || err != nil {
+			t.Errorf("Done(%d, %v): want a cell index below 2 and no error", i, err)
 		}
-	}); err != nil {
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Errorf("progress calls = %d, want 2", calls)
+	if calls != 2 || len(res.Cells) != 2 {
+		t.Errorf("Done calls = %d for %d cells, want 2 for 2", calls, len(res.Cells))
 	}
 
 	// Validation failures surface before any simulation.
 	bad := &scenario.Scenario{Name: "t", Workloads: []scenario.WorkloadRef{{Name: "nope"}}, Policies: []string{"Norm"}}
-	if _, err := RunScenario(context.Background(), base, bad, nil); err == nil {
+	if _, err := RunScenario(context.Background(), base, bad, Hooks{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 	// A cancelled context aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScenario(ctx, base, sc, nil); err == nil {
+	if _, err := RunScenario(ctx, base, sc, Hooks{}); err == nil {
 		t.Fatal("cancelled context not reported")
 	}
 }

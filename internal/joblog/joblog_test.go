@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func tempLog(t *testing.T) string {
@@ -335,4 +336,73 @@ func TestClosedLogRefusesAppends(t *testing.T) {
 	if err := l.Compact(); err == nil {
 		t.Fatal("compact on closed log succeeded")
 	}
+}
+
+// FuzzJoblogOpen: Open recovers a clean prefix from arbitrary bytes
+// without panicking or hanging, and appends resume from it — after one
+// Append and a reopen the log holds exactly the first open's records
+// plus the appended one.
+func FuzzJoblogOpen(f *testing.F) {
+	dir := f.TempDir()
+	seed := filepath.Join(dir, "seed.wal")
+	l, err := Open(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Append(true, admit("job-1", "aaa"), admit("job-2", "bbb")); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Append(false, Record{Type: TypeFinish, ID: "job-1", Key: "aaa"},
+		Record{Type: TypeFail, ID: "job-2", Key: "bbb", Error: "boom"}); err != nil {
+		f.Fatal(err)
+	}
+	l.Close()
+	valid, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	for _, n := range []int{3, 8, 20, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	for _, i := range []int{0, 4, 9, len(valid) / 2, len(valid) - 2} {
+		flipped := append([]byte(nil), valid...)
+		flipped[i] ^= 0x10
+		f.Add(flipped)
+	}
+
+	next := Record{Type: TypeAdmit, ID: "job-9", Key: "zzz", Job: json.RawMessage(`{"kind":"sim"}`),
+		Time: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := tempLog(t)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		first := append([]Record(nil), l.Records()...)
+		want := next
+		for _, r := range first {
+			want.Seq = max(want.Seq, r.Seq)
+		}
+		want.Seq++
+		if err := l.Append(false, next); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		l.Close()
+		re, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		if got := re.Records(); !reflect.DeepEqual(got, append(first, want)) {
+			t.Fatalf("reopened records\n%+v\nwant the first open's %d records plus\n%+v", got, len(first), want)
+		}
+		if re.Stats().TailDropped {
+			t.Error("reopen dropped a tail after a clean append")
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,42 +36,66 @@ const (
 	KindScenario = "scenario"
 )
 
-// jobKinds is the single registry of job kinds: admission validates
-// against it and the unknown-kind error message derives from it, so the
-// two cannot drift when a kind is added.
-var jobKinds = []string{KindSim, KindCompare, KindExperiment, KindScenario}
-
-// Kinds lists the accepted job kinds in admission order.
-func Kinds() []string {
-	out := make([]string, len(jobKinds))
-	copy(out, jobKinds)
-	return out
+// kindFields is the job-kind registry: every kind with the request
+// fields that span its matrix. Admission rejects a kind not listed here
+// and any matrix field its kind does not take, so no request field is
+// ever silently dropped; the unknown-kind error lists the kinds from
+// here, so the two cannot drift when a kind is added.
+var kindFields = []struct {
+	kind   string
+	fields []string
+}{
+	{KindSim, []string{"workload", "policy"}},
+	{KindCompare, []string{"workload", "workloads", "policy", "policies"}},
+	{KindExperiment, []string{"experiment", "workloads"}},
+	{KindScenario, []string{"scenario"}},
 }
 
-// kindList renders the registry for error messages: "sim, compare,
-// experiment or scenario".
-func kindList() string {
-	switch len(jobKinds) {
-	case 0:
-		return ""
-	case 1:
-		return jobKinds[0]
+// checkFields rejects an unknown kind, or the first matrix field req
+// sets that kind does not take.
+func checkFields(kind string, req JobRequest) error {
+	set := []struct {
+		field string
+		on    bool
+	}{
+		{"workload", req.Workload != ""},
+		{"workloads", len(req.Workloads) > 0},
+		{"policy", req.Policy != ""},
+		{"policies", len(req.Policies) > 0},
+		{"experiment", req.Experiment != ""},
+		{"scenario", req.Scenario != nil},
 	}
-	return strings.Join(jobKinds[:len(jobKinds)-1], ", ") + " or " + jobKinds[len(jobKinds)-1]
+	kinds := make([]string, len(kindFields))
+	for i, k := range kindFields {
+		kinds[i] = k.kind
+		if k.kind != kind {
+			continue
+		}
+		for _, f := range set {
+			if f.on && !slices.Contains(k.fields, f.field) {
+				return fmt.Errorf("%s job does not take %q (its matrix fields: %s)",
+					kind, f.field, strings.Join(k.fields, ", "))
+			}
+		}
+		return nil
+	}
+	last := len(kinds) - 1
+	return fmt.Errorf("unknown job kind %q (want %s or %s)", kind, strings.Join(kinds[:last], ", "), kinds[last])
 }
 
 // JobRequest is the body of POST /v1/jobs. Every field except the kind
 // discriminator and its operands is optional; unset run parameters take
 // the server's base configuration.
 type JobRequest struct {
-	// Kind selects the work: "sim" (default), "compare", "experiment".
+	// Kind selects the work: "sim" (default), "compare", "experiment" or
+	// "scenario". Each kind takes only its own matrix fields (kindFields).
 	Kind string `json:"kind,omitempty"`
-	// Workload names one benchmark (sim); Workloads a set (compare and
-	// experiment; default: the full 11-benchmark suite).
+	// Workload names one benchmark (sim, compare); Workloads a set
+	// (compare and experiment; default: the full 11-benchmark suite).
 	Workload  string   `json:"workload,omitempty"`
 	Workloads []string `json:"workloads,omitempty"`
-	// Policy names one write policy (sim); Policies a line-up (compare;
-	// default: the paper's evaluation set).
+	// Policy names one write policy (sim, compare); Policies a line-up
+	// (compare; default: the paper's evaluation set).
 	Policy   string   `json:"policy,omitempty"`
 	Policies []string `json:"policies,omitempty"`
 	// Experiment is the artifact id for kind "experiment".
@@ -176,6 +201,21 @@ type canonicalJob struct {
 	Trace      bool               `json:"trace,omitempty"`
 }
 
+// matrix is the scenario a sim, compare or scenario job runs: a
+// scenario job's own document, or else the workloads × policies cross
+// product under the job's config, cells named as the request spelled
+// them. It is derived, never hashed, so content addresses do not move.
+func (c canonicalJob) matrix() *scenario.Scenario {
+	if c.Scenario != nil {
+		return c.Scenario
+	}
+	sc := &scenario.Scenario{Name: c.Kind, Policies: c.Policies}
+	for _, w := range c.Workloads {
+		sc.Workloads = append(sc.Workloads, scenario.WorkloadRef{Name: w})
+	}
+	return sc
+}
+
 // normalize resolves a request against the base configuration,
 // validates every name it references, and returns the canonical job
 // plus its content address.
@@ -183,6 +223,9 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 	c := canonicalJob{Kind: req.Kind, Config: base}
 	if c.Kind == "" {
 		c.Kind = KindSim
+	}
+	if err := checkFields(c.Kind, req); err != nil {
+		return c, "", err
 	}
 	if req.Config != nil {
 		c.Config = *req.Config
@@ -254,10 +297,6 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 		if req.Scenario == nil {
 			return c, "", fmt.Errorf("scenario job needs a scenario document")
 		}
-		if req.Workload != "" || len(req.Workloads) > 0 || req.Policy != "" ||
-			len(req.Policies) > 0 || req.Experiment != "" {
-			return c, "", fmt.Errorf("scenario job takes its matrix from the scenario document only")
-		}
 		// The corpus contract is byte-stable golden documents; observers
 		// that would grow the payload (series) or attach timelines are not
 		// part of it.
@@ -276,8 +315,6 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 			return c, "", err
 		}
 		c.Scenario = req.Scenario.Normalize()
-	default:
-		return c, "", fmt.Errorf("unknown job kind %q (want %s)", c.Kind, kindList())
 	}
 
 	for _, w := range c.Workloads {

@@ -15,6 +15,7 @@ import (
 
 	"mellow/internal/experiments"
 	"mellow/internal/joblog"
+	"mellow/internal/policy"
 	"mellow/internal/trace"
 )
 
@@ -362,19 +363,27 @@ func TestJobLogShedNotRecorded(t *testing.T) {
 // server keeps serving.
 func TestPanickingSimulationFailsJob(t *testing.T) {
 	experiments.ResetCache()
-	orig := lookupWorkload
-	defer func() { lookupWorkload = orig }()
-	lookupWorkload = func(name string) (trace.Workload, error) {
-		w, err := orig(name)
-		w.New = func(uint64) trace.Generator { panic("poisoned generator") }
-		return w, err
-	}
 	path := filepath.Join(t.TempDir(), "jobs.wal")
 	l, err := joblog.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, BaseConfig: tinyBase(661), JobLog: l})
+	// The first job runs its cell with a generator that panics, through
+	// the same matrix runner every simulation goes through.
+	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
+		w, err := trace.ByName(js.canon.Workloads[0])
+		if err != nil {
+			return nil, err
+		}
+		w.New = func(uint64) trace.Generator { panic("poisoned generator") }
+		spec, err := policy.Parse(js.canon.Policies[0])
+		if err != nil {
+			return nil, err
+		}
+		_, err = experiments.RunCells(ctx, []experiments.Cell{{Cfg: js.canon.Config, Spec: spec, Workload: w}}, experiments.Hooks{})
+		return nil, err
+	}
 
 	st, code, err := s.Submit(JobRequest{Kind: KindSim, Workload: "gups", Policy: "Norm"})
 	if err != nil || code != http.StatusAccepted {
@@ -388,7 +397,7 @@ func TestPanickingSimulationFailsJob(t *testing.T) {
 		t.Errorf("mellowd_sim_panics_total = %d after one contained panic, want 1", n)
 	}
 
-	lookupWorkload = orig
+	s.exec = runJob
 	st2, code, err := s.Submit(JobRequest{Kind: KindSim, Workload: "gups", Policy: "Norm"})
 	if err != nil || code != http.StatusAccepted {
 		t.Fatalf("resubmit = %d, %v", code, err)

@@ -13,9 +13,7 @@ import (
 	"mellow/internal/engine"
 	"mellow/internal/experiments"
 	"mellow/internal/metrics"
-	"mellow/internal/policy"
 	"mellow/internal/sim"
-	"mellow/internal/trace"
 	"mellow/internal/xtrace"
 )
 
@@ -220,165 +218,155 @@ func (s *recordSorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// lookupWorkload resolves a sim/compare job's builtin workload; tests
-// swap it to inject a failing workload.
-var lookupWorkload = trace.ByName
-
 // runJob executes one job's simulations through the memoised harness,
 // so identical sub-simulations across different jobs run once. A
 // positive interval_ns runs them observed: per-epoch series land in the
 // result and the jobState's progress trackers feed the status API live.
 //
-// A sim or compare job is one (workload, policy) matrix run through
-// experiments.RunCells: the process-wide scheduler (internal/sched)
-// bounds total concurrent simulations across every job, and results
-// come back in matrix slot order — the payload and the SSE cell index
-// keep the exact sequential ordering, so equal keys still yield equal
-// bytes no matter which cells finish first.
+// Every kind but experiment is one scenario matrix (canonicalJob.matrix)
+// run through experiments.RunScenario: the process-wide scheduler
+// (internal/sched) bounds total concurrent simulations across every job,
+// and results come back in matrix slot order — the payload and the SSE
+// cell index keep the exact sequential ordering, so equal keys still
+// yield equal bytes no matter which cells finish first. Only rendering
+// differs by kind: a scenario job returns the scenario document, a sim
+// or compare job its flat Results (plus Series and Metrics).
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
 	epoch := sim.NS(canon.IntervalNS)
-	switch canon.Kind {
-	case KindSim, KindCompare:
-		var cells []experiments.Cell
-		for _, name := range canon.Workloads {
-			w, err := lookupWorkload(name)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range canon.Policies {
-				spec, err := policy.Parse(p)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, experiments.Cell{Cfg: canon.Config, Spec: spec, Workload: w})
-			}
+	if canon.Kind == KindExperiment {
+		rep, err := runExperiment(ctx, js, epoch)
+		if err != nil {
+			return nil, err
 		}
-		// label names cell i as the request spelled it (workload-major).
-		label := func(i int) (string, string) {
-			return cells[i].Workload.Name, canon.Policies[i%len(canon.Policies)]
-		}
-		js.progress.setTotal(len(cells))
-		trackers := make([]*engine.Tracker, len(cells))
-		starts := make([]time.Time, len(cells))
-		// streamed counts each cell's live epoch events. OnEpoch only
-		// fires when the cell executes the simulation itself; a memo hit
-		// or a joined in-flight run streams nothing live and flushes the
-		// whole memoised series on completion — either way the cell's
-		// epoch-event subsequence is exactly the series the result embeds.
-		streamed := make([]int, len(cells))
-		if canon.Trace {
-			js.traces = make([]*xtrace.SimTrace, len(cells))
-		}
-		ins, err := experiments.RunCells(ctx, cells, experiments.Hooks{
-			Start: func(i int) experiments.Observation {
-				ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
-				if epoch > 0 {
-					trackers[i] = &engine.Tracker{}
-					ob.Tracker = trackers[i]
-					if js.stream != nil {
-						w, p := label(i)
-						ob.OnEpoch = func(s engine.EpochSample) {
-							streamed[i]++
-							js.stream.epoch(i, w, p, s)
-						}
+		out.Report = rep
+		return out, nil
+	}
+	sc := canon.matrix()
+	refs := sc.Cells()
+	// label names cell i as the request spelled it.
+	label := func(i int) (string, string) { return refs[i].Workload.Name, refs[i].Policy }
+	js.progress.setTotal(len(refs))
+	ins := make([]experiments.Instrumented, len(refs))
+	trackers := make([]*engine.Tracker, len(refs))
+	starts := make([]time.Time, len(refs))
+	// streamed counts each cell's live epoch events. OnEpoch only fires
+	// when the cell executes the simulation itself; a memo hit or a
+	// joined in-flight run streams nothing live and flushes the whole
+	// memoised series on completion — either way the cell's epoch-event
+	// subsequence is exactly the series the result embeds.
+	streamed := make([]int, len(refs))
+	if canon.Trace {
+		js.traces = make([]*xtrace.SimTrace, len(refs))
+	}
+	res, err := experiments.RunScenario(ctx, canon.Config, sc, experiments.Hooks{
+		Start: func(i int) experiments.Observation {
+			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
+			if epoch > 0 {
+				trackers[i] = &engine.Tracker{}
+				ob.Tracker = trackers[i]
+				if js.stream != nil {
+					w, p := label(i)
+					ob.OnEpoch = func(s engine.EpochSample) {
+						streamed[i]++
+						js.stream.epoch(i, w, p, s)
 					}
 				}
-				js.progress.beginSim(trackers[i])
-				starts[i] = time.Now()
-				return ob
-			},
-			// Every cell retires through endSim, failed and cancelled ones
-			// too, so a failed job's progress accounts for all attempted
-			// work instead of freezing mid-matrix.
-			Done: func(i int, in experiments.Instrumented, err error) {
-				w, p := label(i)
-				if !starts[i].IsZero() {
-					js.spans.Span("sim "+w+"/"+p, "cell", starts[i], time.Now(), "workload", w, "policy", p)
-				}
-				js.progress.endSim(trackers[i])
-				if err != nil {
-					return
-				}
-				if epoch > 0 {
-					js.stream.flushSeries(i, w, p, in.Series, streamed[i])
-				}
-				if canon.Trace {
-					js.traces[i] = in.Trace
-				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		renderStart := time.Now()
-		out.Results = make([]core.Result, len(ins))
+			}
+			js.progress.beginSim(trackers[i])
+			starts[i] = time.Now()
+			return ob
+		},
+		// Every cell retires through endSim, failed and cancelled ones
+		// too, so a failed job's progress accounts for all attempted
+		// work instead of freezing mid-matrix.
+		Done: func(i int, in experiments.Instrumented, err error) {
+			w, p := label(i)
+			if !starts[i].IsZero() {
+				js.spans.Span("sim "+w+"/"+p, "cell", starts[i], time.Now(), "workload", w, "policy", p)
+			}
+			js.progress.endSim(trackers[i])
+			if err != nil {
+				return
+			}
+			ins[i] = in
+			if epoch > 0 {
+				js.stream.flushSeries(i, w, p, in.Series, streamed[i])
+			}
+			if canon.Trace {
+				js.traces[i] = in.Trace
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	if canon.Kind == KindScenario {
+		out.Scenario = res
+		return out, nil
+	}
+	renderStart := time.Now()
+	out.Results = make([]core.Result, len(ins))
+	if epoch > 0 {
+		out.Series = make([]experiments.SeriesRecord, len(ins))
+	}
+	if canon.Metrics {
+		out.Metrics = make([]*metrics.Snapshot, len(ins))
+	}
+	for i, in := range ins {
+		out.Results[i] = in.Result
 		if epoch > 0 {
-			out.Series = make([]experiments.SeriesRecord, len(ins))
+			w, p := label(i)
+			out.Series[i] = experiments.SeriesRecord{Workload: w, Policy: p, Series: in.Series}
 		}
 		if canon.Metrics {
-			out.Metrics = make([]*metrics.Snapshot, len(ins))
+			out.Metrics[i] = in.Metrics
 		}
-		for i, in := range ins {
-			out.Results[i] = in.Result
-			if epoch > 0 {
-				w, p := label(i)
-				out.Series[i] = experiments.SeriesRecord{Workload: w, Policy: p, Series: in.Series}
-			}
-			if canon.Metrics {
-				out.Metrics[i] = in.Metrics
-			}
-		}
-		js.spans.Span("render", "job", renderStart, time.Now())
-	case KindExperiment:
-		e, err := experiments.ByID(canon.Experiment)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		var records []experiments.SeriesRecord
-		opts := experiments.Options{
-			Ctx:        ctx,
-			Cfg:        canon.Config,
-			Out:        &buf,
-			Workloads:  canon.Workloads,
-			OnProgress: js.progress.set,
-		}
-		if epoch > 0 {
-			opts.Epoch = epoch
-			// Experiments deliver whole series as each simulation
-			// completes (OnSeries is serialized by the experiments layer),
-			// so the stream carries each (workload, policy) series as one
-			// contiguous run of epoch events with cell -1.
-			opts.OnSeries = func(rec experiments.SeriesRecord) {
-				records = append(records, rec)
-				js.stream.flushSeries(-1, rec.Workload, rec.Policy, rec.Series, 0)
-			}
-		}
-		if canon.Trace {
-			opts.Trace = true
-			opts.OnTrace = func(rec experiments.TraceRecord) {
-				js.traces = append(js.traces, rec.Trace)
-			}
-		}
-		if err := e.Run(opts); err != nil {
-			return nil, err
-		}
-		renderStart := time.Now()
-		sortSeriesRecords(records)
-		out.Report = &ExperimentReport{ID: e.ID, Title: e.Title, Output: buf.String(), Series: records}
-		js.spans.Span("render", "job", renderStart, time.Now())
-	case KindScenario:
-		// The scenario document was validated and normalized at admission;
-		// its matrix fans out through the same memoised sched-governed path
-		// as every other kind, and the cells land in matrix order — the
-		// result document is the byte-stable golden form.
-		res, err := experiments.RunScenario(ctx, canon.Config, canon.Scenario, js.progress.set)
-		if err != nil {
-			return nil, err
-		}
-		out.Scenario = res
 	}
+	js.spans.Span("render", "job", renderStart, time.Now())
 	return out, nil
+}
+
+// runExperiment regenerates an experiment job's paper artifact.
+func runExperiment(ctx context.Context, js *jobState, epoch sim.Tick) (*ExperimentReport, error) {
+	canon := js.canon
+	e, err := experiments.ByID(canon.Experiment)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	var records []experiments.SeriesRecord
+	opts := experiments.Options{
+		Ctx:        ctx,
+		Cfg:        canon.Config,
+		Out:        &buf,
+		Workloads:  canon.Workloads,
+		OnProgress: js.progress.set,
+	}
+	if epoch > 0 {
+		opts.Epoch = epoch
+		// Experiments deliver whole series as each simulation completes
+		// (OnSeries is serialized by the experiments layer), so the stream
+		// carries each (workload, policy) series as one contiguous run of
+		// epoch events with cell -1.
+		opts.OnSeries = func(rec experiments.SeriesRecord) {
+			records = append(records, rec)
+			js.stream.flushSeries(-1, rec.Workload, rec.Policy, rec.Series, 0)
+		}
+	}
+	if canon.Trace {
+		opts.Trace = true
+		opts.OnTrace = func(rec experiments.TraceRecord) {
+			js.traces = append(js.traces, rec.Trace)
+		}
+	}
+	if err := e.Run(opts); err != nil {
+		return nil, err
+	}
+	renderStart := time.Now()
+	sortSeriesRecords(records)
+	rep := &ExperimentReport{ID: e.ID, Title: e.Title, Output: buf.String(), Series: records}
+	js.spans.Span("render", "job", renderStart, time.Now())
+	return rep, nil
 }

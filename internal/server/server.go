@@ -241,68 +241,144 @@ func (s *Server) evictLocked() {
 
 // Submit admits one request: returns the job's status plus the HTTP
 // code the API reports (202 accepted, 200 deduped/cached, 429 shed,
-// 503 draining, 400 invalid).
+// 503 draining, 400 invalid, 500 job log failure). It is the one-entry
+// case of SubmitBatch, with unprefixed errors.
 func (s *Server) Submit(req JobRequest) (JobStatus, int, error) {
-	canon, key, err := normalize(req, *s.cfg.BaseConfig)
+	sts, code, err := s.admit([]JobRequest{req}, false)
 	if err != nil {
-		return JobStatus{}, http.StatusBadRequest, err
+		return JobStatus{}, code, err
+	}
+	return sts[0], code, nil
+}
+
+// SubmitBatch admits a set of requests as one shed/accept decision:
+// either every entry is answered (by cache, by joining an active job, or
+// by a fresh enqueue) or the whole batch is rejected. Fresh entries are
+// admitted with a single fsync of all their admit records. The returned
+// statuses align with the request order; the HTTP code is 202 when
+// anything was enqueued, 200 when every entry was already answered.
+// Errors about one entry are prefixed "jobs[i]: ".
+func (s *Server) SubmitBatch(breq BatchRequest) ([]JobStatus, int, error) {
+	if len(breq.Jobs) == 0 {
+		return nil, http.StatusBadRequest, fmt.Errorf("batch needs at least one job")
+	}
+	return s.admit(breq.Jobs, true)
+}
+
+// admit is the one admission core behind Submit and SubmitBatch. Every
+// entry is normalized, then answered by the active job of its key (a
+// result-cache hit or a singleflight join — even while draining), by an
+// earlier entry of the same call, or by a fresh job. Only fresh jobs
+// need a queue slot: while draining they get 503, and if they do not
+// all fit the queue the whole call is shed with 429. Their admit
+// records reach disk in one fsync before any of them is published.
+func (s *Server) admit(reqs []JobRequest, batch bool) ([]JobStatus, int, error) {
+	entryErr := func(i int, err error) error {
+		if batch {
+			return fmt.Errorf("jobs[%d]: %v", i, err)
+		}
+		return err
+	}
+	canons := make([]canonicalJob, len(reqs))
+	keys := make([]string, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if canons[i], keys[i], err = normalize(req, *s.cfg.BaseConfig); err != nil {
+			return nil, http.StatusBadRequest, entryErr(i, err)
+		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Resolve every entry before deciding anything; identical fresh
+	// entries share one queue slot.
+	prev := make([]*jobState, len(reqs))
+	fresh := map[string]*jobState{} // minted below
+	for i, key := range keys {
+		if prev[i] = s.activeLocked(key); prev[i] == nil {
+			fresh[key] = nil
+		}
+	}
+	if len(fresh) > 0 {
+		if s.draining {
+			return nil, http.StatusServiceUnavailable, fmt.Errorf("server is draining")
+		}
+		// Capacity is checked under s.mu, and every queue sender holds
+		// s.mu (workers only drain), so the sends in publishLocked cannot
+		// block.
+		if free := cap(s.queue) - len(s.queue); len(fresh) > free {
+			s.met.shed.Add(1)
+			return nil, http.StatusTooManyRequests,
+				fmt.Errorf("queue full: %d free slots, %d needed", free, len(fresh))
+		}
+	}
 
-	// Content-addressed reuse: an identical job that is finished (hit),
-	// queued or running (singleflight join) answers this submission.
-	// A failed job does not poison its key — fall through and retry.
-	if prev, ok := s.byKey[key]; ok && prev.state != StateFailed {
-		if prev.state == StateDone {
+	statuses := make([]JobStatus, len(reqs))
+	var newJobs []*jobState
+	var recs []joblog.Record
+	for i, req := range reqs {
+		js, joined := prev[i], true
+		if js == nil {
+			js = fresh[keys[i]]
+		}
+		if js == nil {
+			id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
+			js, joined = s.newJob(id, canons[i], keys[i], req.TimeoutSeconds), false
+			rec, err := admitRecord(js, req)
+			if err != nil {
+				return nil, http.StatusInternalServerError, entryErr(i, err)
+			}
+			fresh[keys[i]] = js
+			newJobs = append(newJobs, js)
+			recs = append(recs, rec)
+		} else if js.state == StateDone {
 			s.met.resultHit.Add(1)
 		} else {
 			s.met.deduped.Add(1)
 		}
-		return prev.status(true), http.StatusOK, nil
+		statuses[i] = js.status(joined)
 	}
-
-	if s.draining {
-		return JobStatus{}, http.StatusServiceUnavailable, fmt.Errorf("server is draining")
-	}
-
-	// Capacity is checked under s.mu, and every queue sender holds s.mu
-	// (workers only drain), so a send after a passing check can never
-	// block. The old select/default raced nothing but read worse.
-	if len(s.queue) >= cap(s.queue) {
-		s.met.shed.Add(1)
-		return JobStatus{}, http.StatusTooManyRequests,
-			fmt.Errorf("queue full (%d jobs waiting)", s.cfg.QueueDepth)
-	}
-
-	js := s.newJob(canon, key, req.TimeoutSeconds)
-
-	// Durability barrier: the admit record reaches disk (fsync) before
-	// the job is enqueued or acknowledged. A crash after the 202 then
+	// Durability barrier: the admit records reach disk (fsync) before
+	// any job is enqueued or acknowledged. A crash after the 202 then
 	// finds the job in the log and replays it; a crash before loses only
 	// work the client was never promised.
-	rec, err := admitRecord(js, req)
-	if err != nil {
-		return JobStatus{}, http.StatusInternalServerError, err
+	if err := s.logAppend(true, recs...); err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("job log write failed: %v", err)
 	}
-	if err := s.logAppend(true, rec); err != nil {
-		return JobStatus{}, http.StatusInternalServerError,
-			fmt.Errorf("job log write failed: %v", err)
+	for _, js := range newJobs {
+		s.publishLocked(js)
 	}
-
-	s.queue <- js
-	s.jobs[js.id] = js
-	s.byKey[key] = js
-	s.met.accepted.Add(1)
-	return js.status(false), http.StatusAccepted, nil
+	if len(newJobs) == 0 {
+		return statuses, http.StatusOK, nil
+	}
+	return statuses, http.StatusAccepted, nil
 }
 
-// newJob mints a jobState with a fresh process-local id. Callers hold
-// s.mu.
-func (s *Server) newJob(canon canonicalJob, key string, timeoutSeconds float64) *jobState {
+// activeLocked returns the job that answers key without new work: a
+// finished one (a result-cache hit) or a queued or running one (a
+// singleflight join). A failed job does not poison its key: nil means
+// key needs a fresh job. Callers hold s.mu.
+func (s *Server) activeLocked(key string) *jobState {
+	if js := s.byKey[key]; js != nil && js.state != StateFailed {
+		return js
+	}
+	return nil
+}
+
+// publishLocked enqueues an admitted job and makes it findable by id
+// and by key. Callers hold s.mu and have checked the queue has room.
+func (s *Server) publishLocked(js *jobState) {
+	s.queue <- js
+	s.jobs[js.id] = js
+	s.byKey[js.key] = js
+	s.met.accepted.Add(1)
+}
+
+// newJob builds a queued jobState under id: a freshly minted one, or
+// the logged id of a replayed job.
+func (s *Server) newJob(id string, canon canonicalJob, key string, timeoutSeconds float64) *jobState {
 	js := &jobState{
-		id:       fmt.Sprintf("job-%06d", s.nextID.Add(1)),
+		id:       id,
 		key:      key,
 		canon:    canon,
 		state:    StateQueued,
@@ -331,102 +407,6 @@ func admitRecord(js *jobState, req JobRequest) (joblog.Record, error) {
 		Type: joblog.TypeAdmit, ID: js.id, Key: js.key,
 		Job: body, TimeoutSeconds: req.TimeoutSeconds,
 	}, nil
-}
-
-// SubmitBatch admits a set of requests as one shed/accept decision:
-// either every entry is answered (by cache, by joining an active job, or
-// by a fresh enqueue) or the whole batch is rejected. Fresh entries are
-// admitted with a single fsync of all their admit records. The returned
-// statuses align with the request order; the HTTP code is 202 when
-// anything was enqueued, 200 when every entry was already answered.
-func (s *Server) SubmitBatch(breq BatchRequest) ([]JobStatus, int, error) {
-	if len(breq.Jobs) == 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("batch needs at least one job")
-	}
-	canons := make([]canonicalJob, len(breq.Jobs))
-	keys := make([]string, len(breq.Jobs))
-	for i, req := range breq.Jobs {
-		canon, key, err := normalize(req, *s.cfg.BaseConfig)
-		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("jobs[%d]: %v", i, err)
-		}
-		canons[i], keys[i] = canon, key
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("server is draining")
-	}
-
-	// First pass: resolve each entry against the caches and count how
-	// many fresh jobs the batch needs, deduplicating within the batch —
-	// two identical entries cost one queue slot.
-	fresh := 0
-	inBatch := map[string]bool{}
-	for i := range breq.Jobs {
-		if prev, ok := s.byKey[keys[i]]; ok && prev.state != StateFailed {
-			continue
-		}
-		if !inBatch[keys[i]] {
-			inBatch[keys[i]] = true
-			fresh++
-		}
-	}
-	if free := cap(s.queue) - len(s.queue); fresh > free {
-		s.met.shed.Add(1)
-		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("batch needs %d queue slots, %d free", fresh, free)
-	}
-
-	// Second pass: mint the fresh jobs and their admit records. Nothing
-	// is published until the whole batch's records are on disk.
-	statuses := make([]JobStatus, len(breq.Jobs))
-	minted := map[string]*jobState{}
-	var newJobs []*jobState
-	var recs []joblog.Record
-	for i, req := range breq.Jobs {
-		if prev, ok := s.byKey[keys[i]]; ok && prev.state != StateFailed {
-			if prev.state == StateDone {
-				s.met.resultHit.Add(1)
-			} else {
-				s.met.deduped.Add(1)
-			}
-			statuses[i] = prev.status(true)
-			continue
-		}
-		if prev, ok := minted[keys[i]]; ok {
-			s.met.deduped.Add(1)
-			statuses[i] = prev.status(true)
-			continue
-		}
-		js := s.newJob(canons[i], keys[i], req.TimeoutSeconds)
-		rec, err := admitRecord(js, req)
-		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("jobs[%d]: %v", i, err)
-		}
-		minted[keys[i]] = js
-		newJobs = append(newJobs, js)
-		recs = append(recs, rec)
-		statuses[i] = js.status(false)
-	}
-	if len(recs) > 0 {
-		if err := s.logAppend(true, recs...); err != nil {
-			return nil, http.StatusInternalServerError,
-				fmt.Errorf("job log write failed: %v", err)
-		}
-	}
-	for _, js := range newJobs {
-		s.queue <- js // cannot block: capacity checked above under s.mu
-		s.jobs[js.id] = js
-		s.byKey[js.key] = js
-		s.met.accepted.Add(1)
-	}
-	code := http.StatusOK
-	if len(newJobs) > 0 {
-		code = http.StatusAccepted
-	}
-	return statuses, code, nil
 }
 
 // Restore replays the write-ahead job log: every admitted-but-unfinished
@@ -476,21 +456,7 @@ func (s *Server) Restore() (int, error) {
 			s.log.Warn("joblog: replayed job re-keyed (base config changed?)",
 				"id", rec.ID, "logged_key", rec.Key, "key", key)
 		}
-		js := &jobState{
-			id:       rec.ID,
-			key:      key,
-			canon:    canon,
-			state:    StateQueued,
-			queuedAt: time.Now(),
-			done:     make(chan struct{}),
-			stream:   newStreamLog(s.cfg.StreamBuffer, s.met.streamDropped),
-		}
-		if rec.TimeoutSeconds > 0 {
-			js.timeout = time.Duration(rec.TimeoutSeconds * float64(time.Second))
-		}
-		if canon.Trace {
-			js.spans = xtrace.NewSpanRecorder("")
-		}
+		js := s.newJob(rec.ID, canon, key, rec.TimeoutSeconds)
 		ok, err := s.enqueueReplayed(js)
 		if err != nil {
 			return restored, err
@@ -504,10 +470,10 @@ func (s *Server) Restore() (int, error) {
 	return restored, nil
 }
 
-// enqueueReplayed admits one replayed job, waiting for queue space —
-// the log can hold more pending jobs than the queue bound, and the
-// workers are already draining it. Returns false when the job's key is
-// already active (a client beat the replay to it).
+// enqueueReplayed admits one replayed job. Unlike admit it never sheds:
+// it waits for queue space — the log can hold more pending jobs than the
+// queue bound, and the workers are already draining it. Returns false
+// when the job's key is already active (a client beat the replay to it).
 func (s *Server) enqueueReplayed(js *jobState) (bool, error) {
 	for {
 		s.mu.Lock()
@@ -515,15 +481,12 @@ func (s *Server) enqueueReplayed(js *jobState) (bool, error) {
 			s.mu.Unlock()
 			return false, fmt.Errorf("server is draining")
 		}
-		if prev, ok := s.byKey[js.key]; ok && prev.state != StateFailed {
+		if s.activeLocked(js.key) != nil {
 			s.mu.Unlock()
 			return false, nil
 		}
 		if len(s.queue) < cap(s.queue) {
-			s.queue <- js
-			s.jobs[js.id] = js
-			s.byKey[js.key] = js
-			s.met.accepted.Add(1)
+			s.publishLocked(js)
 			s.mu.Unlock()
 			return true, nil
 		}
@@ -601,43 +564,49 @@ const maxBodyBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, APIError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	st, code, err := s.Submit(req)
-	if err != nil {
-		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, code, APIError{Error: err.Error()})
-		return
+	if err == nil {
+		w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	}
-	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	writeJSON(w, code, st)
+	writeAdmission(w, code, st, err)
 }
 
 // handleSubmitBatch serves POST /v1/jobs:batch: many submissions, one
 // shed/accept decision, one fsync for all the fresh admits.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeJSON(w, http.StatusBadRequest, APIError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &breq) {
 		return
 	}
 	sts, code, err := s.SubmitBatch(breq)
+	writeAdmission(w, code, BatchResponse{Jobs: sts}, err)
+}
+
+// decodeBody strictly decodes a bounded JSON request body into v; on
+// failure it answers 400 itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeJSON(w, http.StatusBadRequest, APIError{Error: "bad request body: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// writeAdmission answers a submission with body, or with err as an
+// APIError; the retryable 429 and 503 carry Retry-After.
+func writeAdmission(w http.ResponseWriter, code int, body any, err error) {
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, code, APIError{Error: err.Error()})
-		return
+		body = APIError{Error: err.Error()}
 	}
-	writeJSON(w, code, BatchResponse{Jobs: sts})
+	writeJSON(w, code, body)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

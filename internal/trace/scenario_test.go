@@ -35,7 +35,7 @@ func TestScenarioBuildsShapeOnce(t *testing.T) {
 	cfg.Run.DetailedInstructions = 20_000
 	cfg.Run.Seed = 631
 	experiments.ResetCache()
-	res, err := experiments.RunScenario(context.Background(), cfg, sc, nil)
+	res, err := experiments.RunScenario(context.Background(), cfg, sc, experiments.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

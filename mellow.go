@@ -186,5 +186,5 @@ func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 // RunScenario executes a scenario against the base configuration,
 // fanning its matrix out through the memoised simulation path.
 func RunScenario(ctx context.Context, base Config, sc *Scenario) (*ScenarioResult, error) {
-	return experiments.RunScenario(ctx, base, sc, nil)
+	return experiments.RunScenario(ctx, base, sc, experiments.Hooks{})
 }
