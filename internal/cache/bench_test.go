@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkCacheAccess measures the hierarchy layer in isolation — the
-// flat-array LRU lookup/touch/install path — so optimization PRs can
-// localize wins without running a full experiment. The address streams
+// packed-LRU-order lookup/touch/install path — so an optimization can
+// localize its win without running a full experiment. The address streams
 // model the two extremes the simulator lives between: a hot working set
 // that hits in L1/L2, and a striding sweep that misses to memory and
 // keeps the fill/evict/back-invalidate path busy.

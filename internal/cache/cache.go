@@ -3,41 +3,42 @@
 // an inclusive LLC with back-invalidation, and the LLC-side machinery of
 // Eager Mellow Writes (§IV-B): per-LRU-position hit counters, the
 // periodic useless-position profiler of Figure 7, and dirty-candidate
-// selection (Figure 8).
+// selection (Figure 8). Lines stay in the way they were filled into;
+// each set's LRU order is one packed word of way indices, at most 16
+// ways per set.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mellow/internal/config"
 )
 
-// Line state bits in the flags array.
-const (
-	flagValid      = 1 << iota
-	flagDirty      // holds data memory has not seen
-	flagEagerClean // cleaned by an eager mellow write-back, not re-dirtied yet
-)
-
-// Cache is one cache level. Lines live in flat struct-of-arrays storage:
-// slot set*ways+i holds the line at LRU stack position i of that set, so
-// a line's slot offset within its set IS its stack position — which the
-// LLC profiler depends on (§IV-B1). An LRU touch shifts a few array
-// entries instead of reordering a slice of 32-byte structs, and the whole
-// level is three allocations instead of one per set.
+// Cache is one cache level. A line stays in the way it was filled into;
+// each set keeps its LRU order separately, as one word of 4-bit way
+// indices in which nibble p is the way at stack position p (0 = MRU).
+// A hit finds its stack position — which the LLC profiler counts
+// (§IV-B1) — with a SWAR search of that word, and moving a line to MRU
+// is two masks, a shift and an OR, so no line data moves on a touch or
+// a fill. The word holds 16 ways, which is why config rejects a wider
+// level. The whole level is three allocations: tags, recency clocks and
+// per-set state.
 //
-// Lines store the full line address (byte address >> 6) rather than a
-// set-relative tag; comparisons are equally cheap and reverse mapping for
-// eager write-back is free.
+// A tag is the full line address (byte address >> 6) shifted left over a
+// valid bit, so find makes one compare per way and an invalid way (tag
+// 0) never matches; reverse mapping for eager write-back is free. The
+// dirty and eager-clean bits of the ways live in per-set masks next to
+// the order word.
 type Cache struct {
 	cfg     config.Cache
 	ways    int
 	nsets   int
 	setMask uint64
 
-	addrs []uint64 // line address per slot
-	last  []uint64 // access-clock value at last demand use, per slot
-	flags []uint8  // flagValid | flagDirty | flagEagerClean, per slot
+	tags []uint64 // line address<<1 | 1 per valid way, 0 per invalid way
+	last []uint64 // access-clock value at last demand use, per way
+	sets []set
 
 	hits     uint64
 	misses   uint64
@@ -49,52 +50,82 @@ type Cache struct {
 	profiler *Profiler // non-nil on the LLC only
 }
 
-// New builds a cache level from its configuration.
+// set is one set's recency and line state. An invalidated line leaves a
+// hole: its way keeps its stack position until a fill takes it.
+type set struct {
+	order uint64 // nibble p = way at LRU stack position p
+	dirty uint16 // ways holding data memory has not seen
+	eager uint16 // ways cleaned by an eager write-back, not re-dirtied yet
+	holes uint8  // invalid ways
+}
+
+// SWAR constants: a 1 and a top bit in every nibble.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleTops = 0x8888888888888888
+)
+
+// New builds a cache level from its configuration. It panics on more
+// than config.MaxCacheWays ways, which Config.Validate rejects.
 func New(cfg config.Cache) *Cache {
+	if cfg.Ways > config.MaxCacheWays {
+		panic(fmt.Sprintf("cache: %d ways exceed %d", cfg.Ways, config.MaxCacheWays))
+	}
 	nsets := cfg.Sets()
-	n := nsets * cfg.Ways
+	var identity uint64 // way p at stack position p
+	for w := cfg.Ways - 1; w >= 0; w-- {
+		identity = identity<<4 | uint64(w)
+	}
+	sets := make([]set, nsets)
+	for i := range sets {
+		sets[i] = set{order: identity, holes: uint8(cfg.Ways)}
+	}
 	return &Cache{
 		cfg:     cfg,
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
-		addrs:   make([]uint64, n),
-		last:    make([]uint64, n),
-		flags:   make([]uint8, n),
+		tags:    make([]uint64, nsets*cfg.Ways),
+		last:    make([]uint64, nsets*cfg.Ways),
+		sets:    sets,
 	}
 }
 
-// base returns the first slot of the set holding addr.
-func (c *Cache) base(addr uint64) int { return int(addr&c.setMask) * c.ways }
+// locate returns the index of the set holding addr and its first way.
+func (c *Cache) locate(addr uint64) (si, base int) {
+	si = int(addr & c.setMask)
+	return si, si * c.ways
+}
 
-// find returns the stack position holding addr within the set at base,
-// or -1. This is the hottest loop in the simulator; it reads only the
-// two small per-set array stripes.
+// find returns the way holding addr in the set whose first way is base,
+// or -1. This is the hottest loop in the simulator.
 func (c *Cache) find(base int, addr uint64) int {
-	for i := 0; i < c.ways; i++ {
-		if c.addrs[base+i] == addr && c.flags[base+i]&flagValid != 0 {
-			return i
+	tag := addr<<1 | 1
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return w
 		}
 	}
 	return -1
 }
 
-// touch moves the line at stack position i of the set at base to MRU.
-func (c *Cache) touch(base, i int) {
-	a, la, f := c.addrs[base+i], c.last[base+i], c.flags[base+i]
-	copy(c.addrs[base+1:base+i+1], c.addrs[base:base+i])
-	copy(c.last[base+1:base+i+1], c.last[base:base+i])
-	copy(c.flags[base+1:base+i+1], c.flags[base:base+i])
-	c.addrs[base], c.last[base], c.flags[base] = a, la, f
+// wayAt returns the way at stack position p of order.
+func wayAt(order uint64, p int) int { return int(order >> (4 * p) & 0xf) }
+
+// position returns the stack position of way w in order: the lowest
+// zero nibble of order XOR w-in-every-nibble. The borrow trick can flag
+// a nibble above a true zero but never below one, so the lowest flag is
+// exact. Nibbles above the associativity are 0, but way 0 sits below.
+func position(order uint64, w int) int {
+	x := order ^ uint64(w)*nibbleOnes
+	return bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleTops) >> 2
 }
 
-// shiftIn pushes positions [0,i) of the set at base down one and writes
-// the new line at MRU.
-func (c *Cache) shiftIn(base, i int, addr, last uint64, flags uint8) {
-	copy(c.addrs[base+1:base+i+1], c.addrs[base:base+i])
-	copy(c.last[base+1:base+i+1], c.last[base:base+i])
-	copy(c.flags[base+1:base+i+1], c.flags[base:base+i])
-	c.addrs[base], c.last[base], c.flags[base] = addr, last, flags
+// toMRU moves way w, at stack position p of order, to MRU: positions
+// below p move down one, positions above p stay.
+func toMRU(order uint64, p, w int) uint64 {
+	below := uint64(1)<<(4*p) - 1
+	return order&^(below<<4|0xf) | (order&below)<<4 | uint64(w)
 }
 
 // Ways returns the associativity.
@@ -113,92 +144,112 @@ func (c *Cache) Accesses() uint64 { return c.acc }
 // DirtyEvictions returns the count of dirty victims produced.
 func (c *Cache) DirtyEvictions() uint64 { return c.dirtyEv }
 
-// lookup performs a demand access. On a hit the line moves to MRU and is
-// dirtied if write; wasEagerClean reports that a write re-dirtied a line
-// an eager write-back had cleaned (a wasted eager write).
-func (c *Cache) lookup(addr uint64, write bool) (hit, wasEagerClean bool) {
+// lookup performs a demand access. On a hit the line moves to MRU and a
+// write dirties it.
+func (c *Cache) lookup(addr uint64, write bool) bool {
 	c.acc++
-	base := c.base(addr)
-	i := c.find(base, addr)
-	if i < 0 {
+	si, base := c.locate(addr)
+	w := c.find(base, addr)
+	if w < 0 {
 		c.misses++
 		if c.profiler != nil {
 			c.profiler.miss++
 		}
-		return false, false
+		return false
 	}
 	c.hits++
+	s := &c.sets[si]
+	p := position(s.order, w)
 	if c.profiler != nil {
-		c.profiler.hit[i]++
+		c.profiler.hit[p]++
 	}
-	c.touch(base, i)
+	s.order = toMRU(s.order, p, w)
 	c.touches++
-	c.last[base] = c.touches
+	c.last[base+w] = c.touches
 	if write {
-		wasEagerClean = c.flags[base]&flagEagerClean != 0
-		c.flags[base] = c.flags[base]&^flagEagerClean | flagDirty
+		s.dirty |= 1 << w
+		s.eager &^= 1 << w
 	}
-	return true, wasEagerClean
+	return true
 }
 
 // install allocates a line (after a fill from the next level or an
 // incoming write-back from the previous one) and returns the victim, if
-// any valid line was displaced.
+// any valid line was displaced. A fill takes the invalid way closest to
+// LRU; a full set gives up its LRU way.
 func (c *Cache) install(addr uint64, dirty bool) (victimAddr uint64, victimValid, victimDirty bool) {
 	c.fills++
 	c.touches++
-	f := uint8(flagValid)
-	if dirty {
-		f |= flagDirty
-	}
-	base := c.base(addr)
-	// Prefer filling an invalid way; the LRU-most invalid way is as good
-	// as any.
-	for i := c.ways - 1; i >= 0; i-- {
-		if c.flags[base+i]&flagValid == 0 {
-			c.shiftIn(base, i, addr, c.touches, f)
-			return 0, false, false
+	si, base := c.locate(addr)
+	s := &c.sets[si]
+	p := c.ways - 1
+	w := wayAt(s.order, p)
+	if s.holes > 0 {
+		for c.tags[base+w] != 0 {
+			p--
+			w = wayAt(s.order, p)
+		}
+		s.holes--
+	} else {
+		victimAddr, victimValid, victimDirty = c.tags[base+w]>>1, true, s.dirty&(1<<w) != 0
+		c.evicts++
+		if victimDirty {
+			c.dirtyEv++
 		}
 	}
-	victimAddr = c.addrs[base+c.ways-1]
-	victimDirty = c.flags[base+c.ways-1]&flagDirty != 0
-	c.shiftIn(base, c.ways-1, addr, c.touches, f)
-	c.evicts++
-	if victimDirty {
-		c.dirtyEv++
+	c.tags[base+w] = addr<<1 | 1
+	c.last[base+w] = c.touches
+	s.dirty &^= 1 << w
+	if dirty {
+		s.dirty |= 1 << w
 	}
-	return victimAddr, true, victimDirty
+	s.eager &^= 1 << w
+	s.order = toMRU(s.order, p, w)
+	return victimAddr, victimValid, victimDirty
 }
 
 // mergeWriteback handles a dirty line arriving from the level above: on
 // hit the existing copy is dirtied (without promoting to MRU — a
 // write-back is not a demand use); on miss the caller must install.
-func (c *Cache) mergeWriteback(addr uint64) bool {
-	base := c.base(addr)
-	if i := c.find(base, addr); i >= 0 {
-		c.flags[base+i] = c.flags[base+i]&^flagEagerClean | flagDirty
-		return true
+// wasEagerClean reports that the copy had been cleaned by an eager
+// write-back, which the merge has now wasted (§VI-D).
+func (c *Cache) mergeWriteback(addr uint64) (hit, wasEagerClean bool) {
+	si, base := c.locate(addr)
+	w := c.find(base, addr)
+	if w < 0 {
+		return false, false
 	}
-	return false
+	s := &c.sets[si]
+	wasEagerClean = s.eager&(1<<w) != 0
+	s.dirty |= 1 << w
+	s.eager &^= 1 << w
+	return true, wasEagerClean
 }
 
 // invalidate removes addr if present, reporting whether the dropped copy
 // was dirty (the caller merges that into the outgoing write-back). The
-// hole stays at the line's stack position until an install shifts past
-// it, exactly like the pre-flattening slice implementation.
-func (c *Cache) invalidate(addr uint64) (present, dirty bool) {
-	base := c.base(addr)
-	i := c.find(base, addr)
-	if i < 0 {
-		return false, false
+// order word is left alone: the hole keeps the line's stack position
+// until a fill takes it.
+func (c *Cache) invalidate(addr uint64) (dirty bool) {
+	si, base := c.locate(addr)
+	w := c.find(base, addr)
+	if w < 0 {
+		return false
 	}
-	dirty = c.flags[base+i]&flagDirty != 0
-	c.addrs[base+i], c.last[base+i], c.flags[base+i] = 0, 0, 0
-	return true, dirty
+	s := &c.sets[si]
+	dirty = s.dirty&(1<<w) != 0
+	c.tags[base+w] = 0
+	s.dirty &^= 1 << w
+	s.eager &^= 1 << w
+	s.holes++
+	return dirty
 }
 
-// contains reports whether addr is cached (tests and invariants).
-func (c *Cache) contains(addr uint64) bool { return c.find(c.base(addr), addr) >= 0 }
+// contains reports whether addr is cached.
+func (c *Cache) contains(addr uint64) bool {
+	_, base := c.locate(addr)
+	return c.find(base, addr) >= 0
+}
 
 // ResetStats zeroes the demand counters (end of warmup). Profiler counts
 // are left alone: the profiler follows its own sampling periods.
@@ -209,10 +260,8 @@ func (c *Cache) ResetStats() {
 // DirtyLines counts dirty lines currently resident (tests).
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for _, f := range c.flags {
-		if f&(flagValid|flagDirty) == flagValid|flagDirty {
-			n++
-		}
+	for _, s := range c.sets {
+		n += bits.OnesCount16(s.dirty)
 	}
 	return n
 }

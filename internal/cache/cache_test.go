@@ -363,7 +363,7 @@ func TestMergeWritebackDoesNotPromote(t *testing.T) {
 	c := New(config.Cache{SizeBytes: 256, Ways: 2, HitLatency: 1, MSHRs: 1}) // 2 sets × 2 ways
 	c.install(0, false)                                                      // set 0: [0]
 	c.install(2, false)                                                      // set 0: [2, 0]
-	if !c.mergeWriteback(0) {
+	if hit, _ := c.mergeWriteback(0); !hit {
 		t.Fatal("merge missed resident line")
 	}
 	// Insert a third line: victim must be 0 (still LRU despite merge).

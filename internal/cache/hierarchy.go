@@ -75,14 +75,14 @@ func (h *Hierarchy) Access(byteAddr uint64, write bool) Access {
 	}
 	h.wbScratch = h.wbScratch[:0]
 
-	if hit, _ := h.L1.lookup(addr, write); hit {
+	if h.L1.lookup(addr, write) {
 		return Access{Hit: LevelL1}
 	}
-	if hit, _ := h.L2.lookup(addr, false); hit {
+	if h.L2.lookup(addr, false) {
 		h.fillUpper(addr, write, false)
 		return Access{Hit: LevelL2, Writebacks: h.wbScratch}
 	}
-	if hit, _ := h.L3.lookup(addr, false); hit {
+	if h.L3.lookup(addr, false) {
 		h.fillUpper(addr, write, true)
 		return Access{Hit: LevelL3, Writebacks: h.wbScratch}
 	}
@@ -108,10 +108,9 @@ func (h *Hierarchy) fillUpper(addr uint64, write, fillL2 bool) {
 
 // writebackToL2 delivers a dirty L1 victim to L2.
 func (h *Hierarchy) writebackToL2(addr uint64) {
-	if h.L2.mergeWriteback(addr) {
-		return
+	if hit, _ := h.L2.mergeWriteback(addr); !hit {
+		h.installL2(addr, true)
 	}
-	h.installL2(addr, true)
 }
 
 // installL2 allocates in L2, cascading a dirty victim to L3.
@@ -125,16 +124,13 @@ func (h *Hierarchy) installL2(addr uint64, dirty bool) {
 // write-backs (a dirty line landing on a copy an eager write had
 // cleaned means that eager write was wasted, §VI-D).
 func (h *Hierarchy) writebackToL3(addr uint64) {
-	l3 := h.L3
-	base := l3.base(addr)
-	if i := l3.find(base, addr); i >= 0 {
-		if l3.flags[base+i]&flagEagerClean != 0 {
-			h.wastedEager++
-		}
-		l3.flags[base+i] = l3.flags[base+i]&^flagEagerClean | flagDirty
-		return
+	hit, wasted := h.L3.mergeWriteback(addr)
+	if wasted {
+		h.wastedEager++
 	}
-	h.installL3(addr, true)
+	if !hit {
+		h.installL3(addr, true)
+	}
 }
 
 // installL3 allocates in the LLC. Its victim is back-invalidated from
@@ -145,10 +141,10 @@ func (h *Hierarchy) installL3(addr uint64, dirty bool) {
 	if !ok {
 		return
 	}
-	if _, d1 := h.L1.invalidate(v); d1 {
+	if h.L1.invalidate(v) {
 		vdirty = true
 	}
-	if _, d2 := h.L2.invalidate(v); d2 {
+	if h.L2.invalidate(v) {
 		vdirty = true
 	}
 	if vdirty {
@@ -158,10 +154,9 @@ func (h *Hierarchy) installL3(addr uint64, dirty bool) {
 }
 
 // Contains reports whether a line address is resident at any level
-// (prefetcher duplicate suppression).
-func (h *Hierarchy) Contains(addr uint64) bool {
-	return h.L1.contains(addr) || h.L2.contains(addr) || h.L3.contains(addr)
-}
+// (prefetcher duplicate suppression). The LLC is inclusive, so probing
+// it alone answers for all three.
+func (h *Hierarchy) Contains(addr uint64) bool { return h.L3.contains(addr) }
 
 // InstallPrefetch allocates a prefetched line into the LLC only (it was
 // not demanded, so the upper levels are not polluted). Dirty LLC victims

@@ -19,23 +19,32 @@ const (
 // LLC accesses) exceeds threshold. The chosen line is marked clean but
 // stays resident, exactly like the LRU-profile scheme.
 func (c *Cache) EagerCandidateDecay(src *rng.Source, threshold uint64) (addr uint64, ok bool) {
-	base := int(src.Uintn(uint64(c.nsets))) * c.ways
+	si := int(src.Uintn(uint64(c.nsets)))
+	s := &c.sets[si]
+	base := si * c.ways
+	if s.dirty == 0 {
+		return 0, false
+	}
 	best := -1
 	var bestAge uint64
-	for i := 0; i < c.ways; i++ {
-		if c.flags[base+i]&(flagValid|flagDirty) != flagValid|flagDirty {
+	// Scan in stack order from MRU: with the strict >, an age tie goes
+	// to the line nearer MRU.
+	for p := 0; p < c.ways; p++ {
+		w := wayAt(s.order, p)
+		if s.dirty&(1<<w) == 0 {
 			continue
 		}
-		age := c.touches - c.last[base+i]
+		age := c.touches - c.last[base+w]
 		if age > threshold && age > bestAge {
-			best, bestAge = i, age
+			best, bestAge = w, age
 		}
 	}
 	if best < 0 {
 		return 0, false
 	}
-	c.flags[base+best] = c.flags[base+best]&^flagDirty | flagEagerClean
-	return c.addrs[base+best], true
+	s.dirty &^= 1 << best
+	s.eager |= 1 << best
+	return c.tags[base+best] >> 1, true
 }
 
 // Touches returns the cache's logical access clock (tests).

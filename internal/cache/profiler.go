@@ -85,12 +85,16 @@ func (c *Cache) EagerCandidate(src *rng.Source) (addr uint64, ok bool) {
 	if p.eagerPos >= c.ways {
 		return 0, false
 	}
-	base := int(src.Uintn(uint64(c.nsets))) * c.ways
-	for i := c.ways - 1; i >= p.eagerPos; i-- {
-		f := c.flags[base+i]
-		if f&(flagValid|flagDirty) == flagValid|flagDirty {
-			c.flags[base+i] = f&^flagDirty | flagEagerClean
-			return c.addrs[base+i], true
+	si := int(src.Uintn(uint64(c.nsets)))
+	s := &c.sets[si]
+	if s.dirty == 0 {
+		return 0, false
+	}
+	for pos := c.ways - 1; pos >= p.eagerPos; pos-- {
+		if w := wayAt(s.order, pos); s.dirty&(1<<w) != 0 {
+			s.dirty &^= 1 << w
+			s.eager |= 1 << w
+			return c.tags[si*c.ways+w] >> 1, true
 		}
 	}
 	return 0, false

@@ -33,13 +33,17 @@ type CPU struct {
 type Cache struct {
 	// SizeBytes is the total capacity; must be a power of two.
 	SizeBytes int
-	// Ways is the set associativity.
+	// Ways is the set associativity, at most MaxCacheWays.
 	Ways int
 	// HitLatency is the access latency in CPU cycles.
 	HitLatency int
 	// MSHRs bounds outstanding misses to the next level.
 	MSHRs int
 }
+
+// MaxCacheWays is the widest associativity a cache level supports: a
+// set keeps its LRU order as sixteen 4-bit way indices in one word.
+const MaxCacheWays = 16
 
 // Sets returns the number of sets.
 func (c Cache) Sets() int { return c.SizeBytes / (LineBytes * c.Ways) }
@@ -50,6 +54,9 @@ func (c Cache) validate(name string) error {
 	}
 	if c.Ways <= 0 || c.SizeBytes%(LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("config: %s ways %d does not divide %d lines", name, c.Ways, c.SizeBytes/LineBytes)
+	}
+	if c.Ways > MaxCacheWays {
+		return fmt.Errorf("config: %s ways %d exceeds %d", name, c.Ways, MaxCacheWays)
 	}
 	if s := c.Sets(); bits.OnesCount(uint(s)) != 1 {
 		return fmt.Errorf("config: %s set count %d is not a power of two", name, s)

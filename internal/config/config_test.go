@@ -93,6 +93,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"zero ROB":             func(c *Config) { c.CPU.ROBEntries = 0 },
 		"non-pow2 L1":          func(c *Config) { c.Caches.L1.SizeBytes = 3000 },
 		"zero ways":            func(c *Config) { c.Caches.L2.Ways = 0 },
+		"32-way L3":            func(c *Config) { c.Caches.L3.Ways = 32 },
 		"zero hit latency":     func(c *Config) { c.Caches.L3.HitLatency = 0 },
 		"zero MSHRs":           func(c *Config) { c.Caches.L1.MSHRs = 0 },
 		"L1 bigger than L2":    func(c *Config) { c.Caches.L1.SizeBytes = 1 << 20 },

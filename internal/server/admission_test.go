@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mellow/internal/config"
 	"mellow/internal/scenario"
 )
 
@@ -37,6 +38,7 @@ var admissionCases = []struct {
 	{"sim bad workload", `{"kind":"sim","workload":"nope","policy":"Norm"}`, http.StatusBadRequest, "nope"},
 	{"sim bad policy", `{"kind":"sim","workload":"stream","policy":"Bogus"}`, http.StatusBadRequest, "Bogus"},
 	{"sim invalid config", `{"kind":"sim","workload":"stream","policy":"Norm","detailed":0}`, http.StatusBadRequest, "detailed"},
+	{"sim 32-way L3", fmt.Sprintf(`{"kind":"sim","workload":"stream","policy":"Norm","config":%s}`, wideLLCConfig()), http.StatusBadRequest, "config: L3 ways 32 exceeds 16"},
 	{"sim interval below floor", `{"kind":"sim","workload":"stream","policy":"Norm","interval_ns":999}`, http.StatusBadRequest, "floor"},
 	{"sim workloads", `{"kind":"sim","workload":"lbm","policy":"Norm","workloads":["mcf"]}`, http.StatusBadRequest, `sim job does not take "workloads"`},
 	{"sim policies", `{"kind":"sim","workload":"lbm","policy":"Norm","policies":["Slow"]}`, http.StatusBadRequest, `sim job does not take "policies"`},
@@ -76,6 +78,18 @@ var admissionCases = []struct {
 	{"scenario layout over 4 GB", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"big","spec":{"kind":"hotonly","gap_mean":2,"hot_bytes":8589934592,"hot_theta":0.8}}],"policies":["Norm"]}}`, http.StatusBadRequest, "needs 8320 MB"},
 
 	{"unknown kind", `{"kind":"frobnicate"}`, http.StatusBadRequest, "want sim, compare, experiment or scenario"},
+}
+
+// wideLLCConfig is the default configuration as JSON with a 32-way LLC,
+// wider than a cache set's packed LRU order holds.
+func wideLLCConfig() string {
+	cfg := config.Default()
+	cfg.Caches.L3.Ways = 32
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
 }
 
 // readmeRequests are the README's request examples.
