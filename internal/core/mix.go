@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"mellow/internal/cache"
@@ -39,6 +40,10 @@ func (m MixResult) WeightedIPC() float64 {
 	return sum
 }
 
+// mixCancelCheck is how many core steps RunMix takes between polls of
+// its context, the granularity cpu.Core.RunCancellable uses.
+const mixCancelCheck = 1 << 10
+
 // mixCore bundles one program's private front end.
 type mixCore struct {
 	name string
@@ -52,8 +57,10 @@ type mixCore struct {
 // against a single shared memory controller under the given policy.
 // Cores co-simulate conservatively: at every step the core with the
 // smallest local time advances, so no core submits requests into
-// another's past.
-func RunMix(cfg config.Config, spec policy.Spec, workloads []string) (MixResult, error) {
+// another's past. The loop polls ctx every mixCancelCheck steps and
+// returns ctx's error once it is cancelled or times out; a mix that is
+// never cancelled gives the same result whatever ctx is.
+func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads []string) (MixResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MixResult{}, err
 	}
@@ -97,8 +104,14 @@ func RunMix(cfg config.Config, spec policy.Spec, workloads []string) (MixResult,
 	}
 	k.After(cfg.Caches.ProfilePeriod, rotate)
 
-	runPhase := func(target uint64) {
-		for {
+	steps := 0
+	runPhase := func(target uint64) error {
+		for ; ; steps++ {
+			if steps%mixCancelCheck == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			// Advance the laggard that still has work.
 			var pick *mixCore
 			for _, c := range cores {
@@ -114,20 +127,24 @@ func RunMix(cfg config.Config, spec policy.Spec, workloads []string) (MixResult,
 				}
 			}
 			if pick == nil {
-				return
+				return nil
 			}
 			pick.core.Step()
 		}
 	}
 
-	runPhase(cfg.Run.WarmupInstructions)
+	if err := runPhase(cfg.Run.WarmupInstructions); err != nil {
+		return MixResult{}, err
+	}
 	for _, c := range cores {
 		c.done = false
 		c.hier.ResetStats()
 		c.core.BeginMeasurement()
 	}
 	ctl.ResetStats()
-	runPhase(cfg.Run.WarmupInstructions + cfg.Run.DetailedInstructions)
+	if err := runPhase(cfg.Run.WarmupInstructions + cfg.Run.DetailedInstructions); err != nil {
+		return MixResult{}, err
+	}
 
 	// Align the memory clock with the slowest core.
 	var maxT sim.Tick

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mellow/internal/policy"
 )
@@ -11,7 +14,7 @@ func mustMix(t *testing.T, spec policy.Spec, workloads ...string) MixResult {
 	cfg := quickCfg()
 	cfg.Run.WarmupInstructions = 500_000
 	cfg.Run.DetailedInstructions = 2_000_000
-	m, err := RunMix(cfg, spec, workloads)
+	m, err := RunMix(context.Background(), cfg, spec, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +46,15 @@ func TestMixBasics(t *testing.T) {
 
 func TestMixErrors(t *testing.T) {
 	cfg := quickCfg()
-	if _, err := RunMix(cfg, policy.Norm(), nil); err == nil {
+	if _, err := RunMix(context.Background(), cfg, policy.Norm(), nil); err == nil {
 		t.Error("empty mix accepted")
 	}
-	if _, err := RunMix(cfg, policy.Norm(), []string{"nope"}); err == nil {
+	if _, err := RunMix(context.Background(), cfg, policy.Norm(), []string{"nope"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 	bad := cfg
 	bad.CPU.IssueWidth = 0
-	if _, err := RunMix(bad, policy.Norm(), []string{"stream"}); err == nil {
+	if _, err := RunMix(context.Background(), bad, policy.Norm(), []string{"stream"}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -100,5 +103,24 @@ func TestMixDistinctSeedsPerCore(t *testing.T) {
 	a, b := m.Cores[0], m.Cores[1]
 	if a.Cache.LLCMisses == b.Cache.LLCMisses && a.IPC == b.IPC {
 		t.Error("identical per-core behaviour suggests shared seeds")
+	}
+}
+
+// TestMixHonoursCancellation times a mix out partway through a run far
+// longer than the deadline and requires it to return the context's
+// error soon after, rather than only when the mix ends.
+func TestMixHonoursCancellation(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Run.WarmupInstructions = 0
+	cfg.Run.DetailedInstructions = 1 << 40
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := RunMix(ctx, cfg, policy.BEMellow().WithSC(), []string{"lbm", "mcf"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled mix returned after %v", d)
 	}
 }

@@ -60,10 +60,9 @@ func (r *loadRing) pushBack(p pendingLoad) {
 }
 
 // reqRing mirrors the subsequence of ROB-resident loads that carry a
-// memory request, in the same FIFO order. The MSHR occupancy checks run
-// once per step (and once per stall iteration); scanning just the
-// req-bearing loads instead of the whole ROB window turns the dominant
-// per-step cost into a walk over at most a few MSHRs' worth of entries.
+// memory request, in the same FIFO order, so recounting the pending
+// demand loads walks at most a few MSHRs' worth of entries rather than
+// the whole ROB window.
 type reqRing struct {
 	buf  []*mem.Request
 	head int
@@ -111,6 +110,15 @@ func (r *reqRing) pending() int {
 // the slot once the read is done and no place still refers to it. A
 // demand load that attaches to an in-flight prefetch takes holds of its
 // own.
+//
+// The MSHR occupancy counts and the passes over the fetches and the
+// prefetch FIFO are memoised on the controller's ReadsDone count.
+// Between two read completions no request the core holds changes state,
+// and the core only ever pops requests that are done, so while ReadsDone
+// stands still the counts move only by the core's own pushes and a pass
+// that found nothing done would find nothing again. The one request
+// pushed already done without a completion to announce it, a fetch that
+// attaches to a finished prefetch, forces the next pass itself.
 type Core struct {
 	cfg  config.CPU
 	hier *cache.Hierarchy
@@ -132,6 +140,12 @@ type Core struct {
 	lastLoad    sim.Tick
 	lastLoadReq *mem.Request
 	pf          *prefetcher
+
+	loadPending int    // not-done requests in loadReqs
+	pfPending   int    // not-done requests in pf.inflight
+	countAt     uint64 // ReadsDone when the pending counts were last scanned
+	fetchesAt   uint64 // ReadsDone at the last release pass over fetches
+	drainAt     uint64 // ReadsDone at the start of the last prefetch drain
 
 	baseCycles float64 // measurement window start
 	baseInstrs uint64
@@ -155,16 +169,19 @@ func New(cfg config.Config, hier *cache.Hierarchy, ctl *mem.Controller, gen trac
 // now returns the dispatch cursor as a tick.
 func (c *Core) now() sim.Tick { return sim.Tick(c.cycles) }
 
-// retireLoad pops the FIFO head, keeping the req-bearing mirror in
-// step, and returns its completion time, advancing the memory clock as
-// needed. It releases the load's hold on its request.
+// retireLoad waits for the FIFO head's read, advancing the memory clock
+// as needed, then pops it, keeping the req-bearing mirror in step, and
+// returns its completion time. It releases the load's hold on its
+// request.
 func (c *Core) retireLoad() sim.Tick {
-	p := c.loads.popFront()
+	p := *c.loads.front()
 	if p.req == nil {
+		c.loads.popFront()
 		return p.fallback
 	}
-	c.loadReqs.popFront()
 	t := c.ctl.WaitRead(p.req)
+	c.loads.popFront()
+	c.loadReqs.popFront()
 	c.ctl.Release(p.req)
 	return t
 }
@@ -195,24 +212,41 @@ func (c *Core) sweep() {
 		}
 		c.retireLoad()
 	}
-	keep := c.fetches[:0]
-	for _, r := range c.fetches {
-		if r.Done() {
-			c.ctl.Release(r)
-		} else {
-			keep = append(keep, r)
+	if d := c.ctl.ReadsDone(); d != c.fetchesAt {
+		c.fetchesAt = d
+		keep := c.fetches[:0]
+		for _, r := range c.fetches {
+			if r.Done() {
+				c.ctl.Release(r)
+			} else {
+				keep = append(keep, r)
+			}
 		}
+		c.fetches = keep
 	}
-	c.fetches = keep
+}
+
+// recount rescans the pending load and prefetch counts if a read has
+// completed since the last scan.
+func (c *Core) recount() {
+	if d := c.ctl.ReadsDone(); d != c.countAt {
+		c.countAt = d
+		c.loadPending = c.loadReqs.pending()
+		c.pfPending = c.prefetchOutstanding()
+	}
 }
 
 // loadsOutstanding counts unfinished demand loads that went to memory.
-func (c *Core) loadsOutstanding() int { return c.loadReqs.pending() }
+func (c *Core) loadsOutstanding() int {
+	c.recount()
+	return c.loadPending
+}
 
 // memOutstanding counts LLC MSHR occupancy: demand loads, store-allocate
 // fetches and prefetches share the miss-status file.
 func (c *Core) memOutstanding() int {
-	return len(c.fetches) + c.prefetchOutstanding() + c.loadReqs.pending()
+	c.recount()
+	return len(c.fetches) + c.pfPending + c.loadPending
 }
 
 // stallFor advances the pipeline cursor to t if it is ahead.
@@ -321,10 +355,19 @@ func (c *Core) step() {
 		// Write-allocate fetch: occupies an MSHR, never blocks retire.
 		r := c.demandRead(res.FetchAddr)
 		c.fetches = append(c.fetches, r)
+		if r.Done() {
+			// It attached to a prefetch that completed before now, so
+			// no later completion announces it: force the next pass.
+			// ReadsDone is at least 1 once any read is done.
+			c.fetchesAt = 0
+		}
 	case res.Fetch:
 		r := c.demandRead(res.FetchAddr)
 		c.loads.pushBack(pendingLoad{num: c.instrs, req: r})
 		c.loadReqs.pushBack(r)
+		if !r.Done() {
+			c.loadPending++
+		}
 		c.setLastLoad(c.lastLoad, r)
 	case !op.Write && res.Hit != cache.LevelL1:
 		done := c.now() + sim.Tick(latency)

@@ -13,9 +13,13 @@ import "mellow/internal/mem"
 type prefetcher struct {
 	recent    [64]uint64 // ring of recent demand-miss line addresses
 	recentIdx int
-	inflight  []pfEntry               // FIFO, drained in order (determinism)
-	index     map[uint64]*mem.Request // dedup / hit-under-prefetch lookup
-	degree    int
+	// seen counts the ring's entries by their low line bits. A zero
+	// count proves that no entry has those bits, so most misses outside
+	// a stream skip the ring walk.
+	seen     [seenSize]uint8
+	inflight []pfEntry               // FIFO, drained in order (determinism)
+	index    map[uint64]*mem.Request // dedup / hit-under-prefetch lookup
+	degree   int
 }
 
 type pfEntry struct {
@@ -23,23 +27,38 @@ type pfEntry struct {
 	req  *mem.Request
 }
 
+const seenSize = 1024 // a power of two
+
 func newPrefetcher(degree int) *prefetcher {
-	return &prefetcher{index: make(map[uint64]*mem.Request), degree: degree}
+	p := &prefetcher{index: make(map[uint64]*mem.Request), degree: degree}
+	p.seen[0] = uint8(len(p.recent)) // the ring starts out holding line 0
+	return p
 }
 
 // observe records a demand miss and reports whether it confirms a
-// sequential stream.
+// sequential stream: whether line-1 or line-2 is among the last
+// len(recent) misses, counting the ring's initial zero lines.
 func (p *prefetcher) observe(line uint64) bool {
-	confirmed := false
-	for _, r := range p.recent {
-		if r == line-1 || r == line-2 {
-			confirmed = true
-			break
-		}
-	}
+	confirmed := p.recentHas(line-1) || p.recentHas(line-2)
+	p.seen[p.recent[p.recentIdx]&(seenSize-1)]--
+	p.seen[line&(seenSize-1)]++
 	p.recent[p.recentIdx] = line
 	p.recentIdx = (p.recentIdx + 1) % len(p.recent)
 	return confirmed
+}
+
+// recentHas reports whether line is in the ring, walking it newest
+// first, since a stream's previous miss is usually the last one.
+func (p *prefetcher) recentHas(line uint64) bool {
+	if p.seen[line&(seenSize-1)] == 0 {
+		return false
+	}
+	for i := 1; i <= len(p.recent); i++ {
+		if p.recent[(p.recentIdx-i)&(len(p.recent)-1)] == line {
+			return true
+		}
+	}
+	return false
 }
 
 // issuePrefetches launches next-line fetches for a confirmed stream.
@@ -55,14 +74,23 @@ func (c *Core) issuePrefetches(line uint64) {
 		r := c.ctl.SubmitRead(target, c.now())
 		c.pf.index[target] = r
 		c.pf.inflight = append(c.pf.inflight, pfEntry{line: target, req: r})
+		if !r.Done() {
+			c.pfPending++
+		}
 	}
 }
 
-// drainPrefetches installs completed prefetches into the LLC, pushing
-// any displaced dirty victims to the write queue. Entries complete
-// roughly in order; a stalled head blocks installation of later lines
-// only until the next drain, which is harmless.
+// drainPrefetches installs completed prefetches into the LLC in FIFO
+// order, pushing any displaced dirty victims to the write queue. It
+// returns at once if no read has completed since the last pass began;
+// reads that complete during a pass, while a victim waits for write
+// queue space, move ReadsDone, so the next pass looks again.
 func (c *Core) drainPrefetches() {
+	d := c.ctl.ReadsDone()
+	if d == c.drainAt {
+		return
+	}
+	c.drainAt = d
 	keep := c.pf.inflight[:0]
 	for _, e := range c.pf.inflight {
 		if !e.req.Done() {

@@ -281,7 +281,7 @@ func runExt6(o Options) error {
 			if err != nil {
 				return err
 			}
-			m, err := core.RunMix(o.Cfg, s, mix)
+			m, err := core.RunMix(o.ctx(), o.Cfg, s, mix)
 			release()
 			if err != nil {
 				return err

@@ -90,6 +90,10 @@ type Controller struct {
 	readsInFlight         int // reads issued to a bank whose data has not returned
 	ledger                ledger
 
+	// readsDone counts reads that turned done since construction; see
+	// ReadsDone. It is not a statistic: ResetStats leaves it alone.
+	readsDone uint64
+
 	draining   bool
 	drainMeter stats.Toggle
 	busFree    []sim.Tick    // per-channel data-bus occupancy
@@ -247,6 +251,7 @@ func (c *Controller) OnEvent(now sim.Tick, a, b uint64) {
 		r.done = true
 		r.doneAt = now
 		c.readsInFlight--
+		c.readsDone++
 		c.readLat.Add(uint64((now - r.arrive) / sim.TicksPerNS))
 		if r.holds == 0 {
 			c.arena.release(r)
@@ -364,10 +369,10 @@ func (c *Controller) SubmitRead(line uint64, t sim.Tick) *Request {
 	if r := c.eagerQ.find(bank, line); r != nil {
 		return c.forward(r)
 	}
-	for b := range c.banks {
-		if cur := c.banks[b].cur; cur != nil && cur.Kind != KindRead && cur.Line == line {
-			return c.forward(cur)
-		}
+	// A write occupies the bank its line maps to, so only that bank's
+	// current operation can be one to this line.
+	if cur := c.banks[bank].cur; cur != nil && cur.Kind != KindRead && cur.Line == line {
+		return c.forward(cur)
 	}
 	for c.readQ.size >= c.cfg.ReadQueue {
 		c.waitForProgress(func() bool { return c.readQ.size < c.cfg.ReadQueue })
@@ -384,6 +389,7 @@ func (c *Controller) SubmitRead(line uint64, t sim.Tick) *Request {
 // forward completes a read instantly from write data.
 func (c *Controller) forward(w *Request) *Request {
 	c.counts.Forwarded++
+	c.readsDone++
 	now := c.k.Now()
 	r := c.arena.alloc()
 	r.Kind, r.Line, r.Bank = KindRead, w.Line, w.Bank
@@ -391,6 +397,13 @@ func (c *Controller) forward(w *Request) *Request {
 	r.holds = 1
 	return r
 }
+
+// ReadsDone returns how many reads have turned done since the
+// controller was built: bank-serviced reads whose data returned plus
+// reads forwarded from write data. It only ever grows, so a caller that
+// recorded it can tell that no read of its own changed state while it
+// still reads the same value.
+func (c *Controller) ReadsDone() uint64 { return c.readsDone }
 
 // Hold takes one more reference to a read returned by SubmitRead, for a
 // caller that keeps it in several places. Each Hold needs its Release.

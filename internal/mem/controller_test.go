@@ -225,6 +225,30 @@ func TestForwarding(t *testing.T) {
 	}
 }
 
+// TestReadsDoneCountsCompletions requires ReadsDone to move exactly
+// when a read turns done, through a bank or by forwarding, and to
+// survive ResetStats.
+func TestReadsDoneCountsCompletions(t *testing.T) {
+	_, c := newCtl(policy.Norm())
+	r := c.SubmitRead(lineForBank(3, 1), 0)
+	if n := c.ReadsDone(); n != 0 {
+		t.Fatalf("ReadsDone = %d before any read completed", n)
+	}
+	c.WaitRead(r)
+	if n := c.ReadsDone(); n != 1 {
+		t.Fatalf("ReadsDone = %d after a bank read, want 1", n)
+	}
+	c.SubmitWrite(lineForBank(9, 1), c.Now())
+	c.SubmitWrite(lineForBank(9, 2), c.Now())
+	if f := c.SubmitRead(lineForBank(9, 2), c.Now()); !f.Done() || c.ReadsDone() != 2 {
+		t.Fatalf("forwarded read: done %v, ReadsDone = %d, want true and 2", f.Done(), c.ReadsDone())
+	}
+	c.ResetStats()
+	if n := c.ReadsDone(); n != 2 {
+		t.Errorf("ReadsDone = %d after ResetStats, want 2", n)
+	}
+}
+
 func TestWriteCoalescing(t *testing.T) {
 	k, c := newCtl(policy.Norm())
 	c.SubmitWrite(lineForBank(9, 1), 0)

@@ -146,3 +146,51 @@ func TestGoldenTraceFile(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseOps feeds the trace reader arbitrary text. It must never
+// panic, and any trace it accepts must come back unchanged through
+// WriteOps and ParseOps.
+func FuzzParseOps(f *testing.F) {
+	golden, err := os.ReadFile("testdata/milc64.trace")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(golden))
+	for _, s := range []string{
+		"# a comment\n10 4000000 R\n0 4000040 W\n\n3 8000000 R!\n",
+		"4294967295 ffffffffffffffff R\n",
+		"4294967296 0 R\n",
+		"1 10000000000000000 W\n",
+		"-1 40 R\n",
+		"1 0x40 R\n",
+		"1 40 W!\n",
+		"1 40 r\n",
+		"1 2\n",
+		"1\t40\tR  \r\n",
+		"\n#\n   \n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		ops, err := ParseOps(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var sb strings.Builder
+		if err := WriteOps(&sb, ops); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseOps(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("rereading %q: %v", sb.String(), err)
+		}
+		if len(back) != len(ops) {
+			t.Fatalf("%d records came back as %d", len(ops), len(back))
+		}
+		for i := range ops {
+			if back[i] != ops[i] {
+				t.Fatalf("record %d: %+v came back as %+v", i, ops[i], back[i])
+			}
+		}
+	})
+}

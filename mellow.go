@@ -108,7 +108,7 @@ type MixResult = core.MixResult
 // system — the multiprogrammed setting where bank interference erodes
 // the idle time Mellow Writes exploits.
 func RunMix(cfg Config, p Policy, workloads ...string) (MixResult, error) {
-	return core.RunMix(cfg, p, workloads)
+	return core.RunMix(context.Background(), cfg, p, workloads)
 }
 
 // RecordTrace writes n records of a named workload's trace to w in the

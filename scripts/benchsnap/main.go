@@ -231,19 +231,19 @@ func diff(base, cur Snapshot, allocThreshold, nsThreshold float64) bool {
 		fmt.Println()
 		// Allocation counts are deterministic per op, so hold them to the
 		// tight threshold: unlike ns/op, a jump here can never be machine
-		// noise.
+		// noise. A baseline of 0 allocs/op admits none.
 		ba, haveBase := b.Units["allocs/op"]
 		ca, haveCur := c.Units["allocs/op"]
-		if haveBase && haveCur && ba > 0 {
-			arel := (ca - ba) / ba
-			if arel > allocThreshold {
-				regressed = true
-				fmt.Printf("ALLOC %-24s %12.0f -> %12.0f allocs/op (%+.1f%%)", name, ba, ca, 100*arel)
-				if bb, cb := b.Units["B/op"], c.Units["B/op"]; bb > 0 {
-					fmt.Printf("  %.0f -> %.0f B/op", bb, cb)
-				}
-				fmt.Println()
+		if haveBase && haveCur && ca > ba*(1+allocThreshold) {
+			regressed = true
+			fmt.Printf("ALLOC %-24s %12.0f -> %12.0f allocs/op", name, ba, ca)
+			if ba > 0 {
+				fmt.Printf(" (%+.1f%%)", 100*(ca-ba)/ba)
 			}
+			if bb, cb := b.Units["B/op"], c.Units["B/op"]; bb > 0 {
+				fmt.Printf("  %.0f -> %.0f B/op", bb, cb)
+			}
+			fmt.Println()
 		}
 	}
 	for name := range base.Benchmarks {
