@@ -74,10 +74,10 @@ func main() {
 	for _, f := range figures {
 		g := &stats.GroupedBars{Title: f.title, YLabel: f.ylabel, Series: policy.Names(specs), Log: f.log}
 		for _, w := range suite {
-			base := res[[2]string{"Norm", w}]
+			base := res.At("", "Norm", w)
 			var vals []float64
 			for _, s := range specs {
-				vals = append(vals, f.value(res[[2]string{s.Name, w}], base))
+				vals = append(vals, f.value(res.At("", s.Name, w), base))
 			}
 			g.AddGroup(w, vals...)
 		}

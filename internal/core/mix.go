@@ -52,15 +52,16 @@ type mixCore struct {
 	done bool
 }
 
-// RunMix simulates the named workloads on one core each (private
-// L1/L2/LLC per program — a multiprogrammed, not shared-cache, CMP)
-// against a single shared memory controller under the given policy.
-// Cores co-simulate conservatively: at every step the core with the
-// smallest local time advances, so no core submits requests into
-// another's past. The loop polls ctx every mixCancelCheck steps and
-// returns ctx's error once it is cancelled or times out; a mix that is
-// never cancelled gives the same result whatever ctx is.
-func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads []string) (MixResult, error) {
+// RunMix simulates the workloads on one core each (private L1/L2/LLC
+// per program — a multiprogrammed, not shared-cache, CMP) against a
+// single shared memory controller under the given policy. Cores
+// co-simulate conservatively: at every step the core with the smallest
+// local time advances, so no core submits requests into another's past.
+// The loop polls ctx every mixCancelCheck steps and returns ctx's error
+// once it is cancelled or times out; a mix that is never cancelled gives
+// the same result whatever ctx is. Resolve builtin names with
+// trace.ByName first.
+func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads []trace.Workload) (MixResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MixResult{}, err
 	}
@@ -72,14 +73,10 @@ func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads 
 	src := rng.New(cfg.Run.Seed)
 
 	cores := make([]*mixCore, len(workloads))
-	for i, name := range workloads {
-		w, err := trace.ByName(name)
-		if err != nil {
-			return MixResult{}, err
-		}
+	for i, w := range workloads {
 		hier := cache.NewHierarchy(cfg.Caches, src.Branch(uint64(i)))
 		gen := w.New(cfg.Run.Seed + uint64(i)*1001)
-		cores[i] = &mixCore{name: name, hier: hier, core: cpu.New(cfg, hier, ctl, gen)}
+		cores[i] = &mixCore{name: w.Name, hier: hier, core: cpu.New(cfg, hier, ctl, gen)}
 	}
 
 	// The eager source drains candidates from the private LLCs round-

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mellow/internal/policy"
+	"mellow/internal/trace"
 )
 
 func mustMix(t *testing.T, spec policy.Spec, workloads ...string) MixResult {
@@ -14,11 +15,25 @@ func mustMix(t *testing.T, spec policy.Spec, workloads ...string) MixResult {
 	cfg := quickCfg()
 	cfg.Run.WarmupInstructions = 500_000
 	cfg.Run.DetailedInstructions = 2_000_000
-	m, err := RunMix(context.Background(), cfg, spec, workloads)
+	m, err := RunMix(context.Background(), cfg, spec, resolveAll(t, workloads...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// resolveAll looks up builtin workloads by name.
+func resolveAll(t *testing.T, names ...string) []trace.Workload {
+	t.Helper()
+	ws := make([]trace.Workload, len(names))
+	for i, name := range names {
+		w, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	return ws
 }
 
 func TestMixBasics(t *testing.T) {
@@ -49,12 +64,9 @@ func TestMixErrors(t *testing.T) {
 	if _, err := RunMix(context.Background(), cfg, policy.Norm(), nil); err == nil {
 		t.Error("empty mix accepted")
 	}
-	if _, err := RunMix(context.Background(), cfg, policy.Norm(), []string{"nope"}); err == nil {
-		t.Error("unknown workload accepted")
-	}
 	bad := cfg
 	bad.CPU.IssueWidth = 0
-	if _, err := RunMix(context.Background(), bad, policy.Norm(), []string{"stream"}); err == nil {
+	if _, err := RunMix(context.Background(), bad, policy.Norm(), resolveAll(t, "stream")); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -116,7 +128,7 @@ func TestMixHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunMix(ctx, cfg, policy.BEMellow().WithSC(), []string{"lbm", "mcf"})
+	_, err := RunMix(ctx, cfg, policy.BEMellow().WithSC(), resolveAll(t, "lbm", "mcf"))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the deadline", err)
 	}

@@ -22,6 +22,22 @@ func tinyConfig(seed uint64) config.Config {
 	return cfg
 }
 
+// grid is the workload-major, policy-minor matrix of builtin workloads
+// under one configuration.
+func grid(cfg config.Config, workloads []string, specs []policy.Spec) ([]Cell, error) {
+	cells := make([]Cell, 0, len(workloads)*len(specs))
+	for _, name := range workloads {
+		w, err := trace.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range specs {
+			cells = append(cells, Cell{Cfg: cfg, Spec: s, Workload: w})
+		}
+	}
+	return cells, nil
+}
+
 // runNamed resolves a builtin workload by name and runs it through the
 // memo.
 func runNamed(ctx context.Context, cfg config.Config, spec policy.Spec, name string, ob Observation) (Instrumented, error) {
@@ -29,7 +45,7 @@ func runNamed(ctx context.Context, cfg config.Config, spec policy.Spec, name str
 	if err != nil {
 		return Instrumented{}, err
 	}
-	return Run(ctx, cfg, spec, w, ob)
+	return Run(ctx, Cell{Cfg: cfg, Spec: spec, Workload: w}, ob)
 }
 
 // runPlain runs a builtin workload unobserved and returns its result.

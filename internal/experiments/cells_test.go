@@ -109,7 +109,7 @@ func testRunCellsSlotOrder(t *testing.T) {
 		t.Fatalf("completion order = %v, want %v", log.order, want)
 	}
 	for i, c := range cells {
-		want, err := Run(context.Background(), c.Cfg, c.Spec, c.Workload, Observation{})
+		want, err := Run(context.Background(), c, Observation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +199,12 @@ func TestJoinerSurvivesRunnerCancel(t *testing.T) {
 			<-release
 		}
 	})
-	cfg, spec := tinyConfig(611), policy.Norm()
+	c := Cell{Cfg: tinyConfig(611), Spec: policy.Norm(), Workload: w}
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	go func() {
-		_, err := Run(ctxA, cfg, spec, w, Observation{})
+		_, err := Run(ctxA, c, Observation{})
 		errA <- err
 	}()
 	<-entered
@@ -214,7 +214,7 @@ func TestJoinerSurvivesRunnerCancel(t *testing.T) {
 	}
 	outB := make(chan outcome, 1)
 	go func() {
-		ins, err := Run(context.Background(), cfg, spec, w, Observation{})
+		ins, err := Run(context.Background(), c, Observation{})
 		outB <- outcome{ins, err}
 	}()
 	for CacheSnapshot().Hits == 0 { // B has joined A's flight
@@ -249,17 +249,17 @@ func TestRunContainsPanic(t *testing.T) {
 		once.Do(func() { close(entered); <-release })
 		panic("generator exploded")
 	})
-	cfg, spec := tinyConfig(621), policy.Norm()
+	c := Cell{Cfg: tinyConfig(621), Spec: policy.Norm(), Workload: w}
 	before := sched.Default().Stats().InUse
 
 	errs := make(chan error, 2)
 	go func() {
-		_, err := Run(context.Background(), cfg, spec, w, Observation{})
+		_, err := Run(context.Background(), c, Observation{})
 		errs <- err
 	}()
 	<-entered
 	go func() {
-		_, err := Run(context.Background(), cfg, spec, w, Observation{})
+		_, err := Run(context.Background(), c, Observation{})
 		errs <- err
 	}()
 	for CacheSnapshot().Hits == 0 { // the second caller has joined
@@ -281,7 +281,7 @@ func TestRunContainsPanic(t *testing.T) {
 		t.Errorf("scheduler slots in use = %d, want %d", inUse, before)
 	}
 	// Not memoised: the next caller simulates (and fails) again.
-	if _, err := Run(context.Background(), cfg, spec, w, Observation{}); err == nil {
+	if _, err := Run(context.Background(), c, Observation{}); err == nil {
 		t.Fatal("a failed simulation was served from the memo")
 	}
 	if st := CacheSnapshot(); st.Misses != 2 {

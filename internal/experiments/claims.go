@@ -21,16 +21,16 @@ type claim struct {
 	id    string
 	text  string
 	paper string
-	check func(sweep map[[2]string]core.Result, o Options) (measured string, ok bool)
+	check func(sweep Sweep, o Options) (measured string, ok bool)
 }
 
 // geomeanOver computes a geometric mean of a per-workload metric for one
 // policy, skipping unbounded values.
-func geomeanOver(sweep map[[2]string]core.Result, o Options, policyName string,
+func geomeanOver(sweep Sweep, o Options, policyName string,
 	metric func(core.Result) float64) float64 {
 	var vs []float64
 	for _, w := range o.workloads() {
-		v := metric(sweep[[2]string{policyName, w}])
+		v := metric(sweep.At("", policyName, w))
 		if !math.IsInf(v, 1) && !math.IsNaN(v) {
 			vs = append(vs, v)
 		}
@@ -46,7 +46,7 @@ func claims() []claim {
 			id:    "C1",
 			text:  "BE-Mellow+SC extends lifetime well beyond Norm (geomean)",
 			paper: "2.58x",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				ratio := geomeanOver(s, o, "BE-Mellow+SC", lifetime) /
 					geomeanOver(s, o, "Norm", lifetime)
 				return fmt.Sprintf("%.2fx", ratio), ratio >= 1.5
@@ -56,7 +56,7 @@ func claims() []claim {
 			id:    "C2",
 			text:  "BE-Mellow+SC matches or beats Norm performance (geomean IPC)",
 			paper: "1.06x",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				ratio := geomeanOver(s, o, "BE-Mellow+SC", ipc) /
 					geomeanOver(s, o, "Norm", ipc)
 				return fmt.Sprintf("%.2fx", ratio), ratio >= 0.98
@@ -66,7 +66,7 @@ func claims() []claim {
 			id:    "C3",
 			text:  "BE-Mellow+SC is within a whisker of the aggressive E-Norm+NC's performance",
 			paper: "'almost the same as a system aggressively optimized for performance'",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				ratio := geomeanOver(s, o, "BE-Mellow+SC", ipc) /
 					geomeanOver(s, o, "E-Norm+NC", ipc)
 				return fmt.Sprintf("%.2fx", ratio), ratio >= 0.95
@@ -76,7 +76,7 @@ func claims() []claim {
 			id:    "C4",
 			text:  "E-Norm+NC has an unacceptably short lifetime (worst of the line-up)",
 			paper: "shortest in Fig. 11",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				en := geomeanOver(s, o, "E-Norm+NC", lifetime)
 				for _, p := range policy.Names(policy.EvaluationSet()) {
 					if p == "E-Norm+NC" {
@@ -93,7 +93,7 @@ func claims() []claim {
 			id:    "C5",
 			text:  "All-slow writes cost real performance",
 			paper: "E-Slow+SC geomean 0.77x, worst 0.46x",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				ratio := geomeanOver(s, o, "Slow", ipc) / geomeanOver(s, o, "Norm", ipc)
 				return fmt.Sprintf("Slow %.2fx", ratio), ratio <= 0.90
 			},
@@ -102,17 +102,17 @@ func claims() []claim {
 			id:    "C6",
 			text:  "Wear Quota pulls heavy writers toward the 8-year floor",
 			paper: ">= 8 years for all workloads",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				// The floor emerges over the measured window; for the
 				// heavy writers the +WQ config must land near 8 years
 				// even though Norm is far below.
 				worstGain, worst := math.Inf(1), ""
 				for _, w := range o.workloads() {
-					n := s[[2]string{"Norm", w}].LifetimeYears()
+					n := s.At("", "Norm", w).LifetimeYears()
 					if n >= 8 {
 						continue // quota never binds
 					}
-					q := s[[2]string{"Norm+WQ", w}].LifetimeYears()
+					q := s.At("", "Norm+WQ", w).LifetimeYears()
 					gain := q / n
 					if gain < worstGain {
 						worstGain, worst = gain, w
@@ -131,10 +131,10 @@ func claims() []claim {
 			id:    "C7",
 			text:  "BE-Mellow+SC keeps write-drain time small",
 			paper: "<= ~6% of execution time",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				worst := 0.0
 				for _, w := range o.workloads() {
-					if f := s[[2]string{"BE-Mellow+SC", w}].Mem.DrainFraction; f > worst {
+					if f := s.At("", "BE-Mellow+SC", w).Mem.DrainFraction; f > worst {
 						worst = f
 					}
 				}
@@ -145,10 +145,10 @@ func claims() []claim {
 			id:    "C8",
 			text:  "Eager writes convert a large share of LLC write-backs",
 			paper: "'nearly half of the writes' (Fig. 14)",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				var shares []float64
 				for _, w := range o.workloads() {
-					c := s[[2]string{"BE-Mellow+SC", w}].Cache
+					c := s.At("", "BE-Mellow+SC", w).Cache
 					if tot := c.MemWritebacks + c.EagerIssued; tot > 0 {
 						shares = append(shares, float64(c.EagerIssued)/float64(tot))
 					}
@@ -165,7 +165,7 @@ func claims() []claim {
 			id:    "C9",
 			text:  "The useless-line predictor is accurate: eager writes barely inflate write traffic",
 			paper: "up to 2.2% extra writes (hmmer, Fig. 14)",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				// The paper's metric: LLC->memory write requests under the
 				// eager scheme versus the baseline. Workloads whose baseline
 				// write traffic is negligible (our hmmer stand-in is almost
@@ -173,8 +173,8 @@ func claims() []claim {
 				// is an unbounded relative increase there.
 				worst := 0.0
 				for _, w := range o.workloads() {
-					base := s[[2]string{"Norm", w}].Cache
-					be := s[[2]string{"BE-Mellow+SC", w}].Cache
+					base := s.At("", "Norm", w).Cache
+					be := s.At("", "BE-Mellow+SC", w).Cache
 					if base.MemWritebacks < base.MemFetches/20 {
 						continue
 					}
@@ -190,7 +190,7 @@ func claims() []claim {
 			id:    "C10",
 			text:  "Main-memory energy overhead of the best config is moderate",
 			paper: "~1.39x Norm",
-			check: func(s map[[2]string]core.Result, o Options) (string, bool) {
+			check: func(s Sweep, o Options) (string, bool) {
 				ratio := geomeanOver(s, o, "BE-Mellow+SC+WQ",
 					func(r core.Result) float64 { return r.Mem.EnergyPJ }) /
 					geomeanOver(s, o, "Norm",

@@ -8,24 +8,34 @@ import (
 	"mellow/internal/stats"
 )
 
-// evalTable renders one Figure 10–16 style table: a column per policy of
-// the evaluation set, a row per workload plus a summary row.
-func evalTable(o Options, title, summary string,
-	cell func(r, base core.Result) (value float64, text string)) error {
-	res, specs, err := EvalSweep(o)
+// tableCell derives one table cell from a result and its Norm baseline:
+// the value a summary row averages, and the rendered text.
+type tableCell = func(r, base core.Result) (value float64, text string)
+
+// suiteTable runs specs over the active suite and renders the results
+// with policyTable.
+func suiteTable(o Options, specs []policy.Spec, title, summary string, cell tableCell) error {
+	res, err := runMatrices(o, o.base(specs...))
 	if err != nil {
 		return err
 	}
+	return policyTable(o, res, specs, title, summary, cell)
+}
+
+// policyTable renders a one-configuration sweep as a table: a column per
+// policy, a row per workload, plus a geomean row labelled summary unless
+// summary is empty.
+func policyTable(o Options, res Sweep, specs []policy.Spec, title, summary string, cell tableCell) error {
 	t := stats.Table{
 		Title:  title,
 		Header: append([]string{"workload"}, policy.Names(specs)...),
 	}
 	sums := make([][]float64, len(specs))
 	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
+		base := res.At("", "Norm", w)
 		row := []string{w}
 		for i, s := range specs {
-			v, text := cell(res[[2]string{s.Name, w}], base)
+			v, text := cell(res.At("", s.Name, w), base)
 			sums[i] = append(sums[i], v)
 			row = append(row, text)
 		}
@@ -42,7 +52,7 @@ func evalTable(o Options, title, summary string,
 }
 
 func runFig10(o Options) error {
-	return evalTable(o, "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
+	return suiteTable(o, policy.EvaluationSet(), "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.IPC / base.IPC
 			return v, stats.F(v, 3)
@@ -50,7 +60,11 @@ func runFig10(o Options) error {
 }
 
 func runFig11(o Options) error {
-	if err := evalTable(o, "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
+	res, specs, err := EvalSweep(o)
+	if err != nil {
+		return err
+	}
+	if err := policyTable(o, res, specs, "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			y := r.LifetimeYears()
 			return y, formatYears(y)
@@ -59,14 +73,10 @@ func runFig11(o Options) error {
 	}
 	// The paper plots Figure 11 on a log axis; render the headline
 	// comparison that way for the default suite.
-	res, _, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
 	bars := &stats.Bars{Title: "Figure 11 (log scale): Norm vs BE-Mellow+SC lifetime", Log: true}
 	for _, w := range o.workloads() {
-		n := res[[2]string{"Norm", w}].LifetimeYears()
-		b := res[[2]string{"BE-Mellow+SC", w}].LifetimeYears()
+		n := res.At("", "Norm", w).LifetimeYears()
+		b := res.At("", "BE-Mellow+SC", w).LifetimeYears()
 		bars.Add(w+" Norm", n, formatYears(n)+"y")
 		bars.Add(w+" BE-Mellow+SC", b, formatYears(b)+"y")
 	}
@@ -75,7 +85,7 @@ func runFig11(o Options) error {
 }
 
 func runFig12(o Options) error {
-	return evalTable(o, "Figure 12: average bank utilization by write policy", "geomean",
+	return suiteTable(o, policy.EvaluationSet(), "Figure 12: average bank utilization by write policy", "geomean",
 		func(r, base core.Result) (float64, string) {
 			u := r.Mem.AvgUtilization
 			return u, stats.Pct(u)
@@ -83,7 +93,7 @@ func runFig12(o Options) error {
 }
 
 func runFig13(o Options) error {
-	return evalTable(o, "Figure 13: fraction of time in write drain", "",
+	return suiteTable(o, policy.EvaluationSet(), "Figure 13: fraction of time in write drain", "",
 		func(r, base core.Result) (float64, string) {
 			f := r.Mem.DrainFraction
 			return f, stats.Pct(f)
@@ -93,36 +103,20 @@ func runFig13(o Options) error {
 // runFig14 shows the LLC-side request mix: demand fetches, ordinary
 // dirty write-backs, and eager write-backs, normalized to Norm's total.
 func runFig14(o Options) error {
-	res, specs, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
-	t := stats.Table{
-		Title: "Figure 14: memory requests from LLC, normalized to Norm total " +
-			"(read / writeback / eager)",
-		Header: append([]string{"workload"}, policy.Names(specs)...),
-	}
-	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
-		baseTotal := float64(base.Cache.MemFetches + base.Cache.MemWritebacks + base.Cache.EagerIssued)
-		row := []string{w}
-		for _, s := range specs {
-			r := res[[2]string{s.Name, w}]
-			c := r.Cache
-			row = append(row, fmt.Sprintf("%.2f/%.2f/%.2f",
-				float64(c.MemFetches)/baseTotal,
-				float64(c.MemWritebacks)/baseTotal,
-				float64(c.EagerIssued)/baseTotal))
-		}
-		t.AddRow(row...)
-	}
-	return t.Fprint(o.Out)
+	return suiteTable(o, policy.EvaluationSet(), "Figure 14: memory requests from LLC, normalized to Norm total "+
+		"(read / writeback / eager)", "",
+		func(r, base core.Result) (float64, string) {
+			c, b := r.Cache, base.Cache
+			baseTotal := float64(b.MemFetches + b.MemWritebacks + b.EagerIssued)
+			return 0, fmt.Sprintf("%.2f/%.2f/%.2f", float64(c.MemFetches)/baseTotal,
+				float64(c.MemWritebacks)/baseTotal, float64(c.EagerIssued)/baseTotal)
+		})
 }
 
 // runFig15 shows requests actually serviced by banks — including
 // cancelled write attempts and Start-Gap migrations — normalized to Norm.
 func runFig15(o Options) error {
-	return evalTable(o, "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
+	return suiteTable(o, policy.EvaluationSet(), "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := float64(r.Mem.BankAttempts) / float64(base.Mem.BankAttempts)
 			return v, stats.F(v, 3)
@@ -130,7 +124,7 @@ func runFig15(o Options) error {
 }
 
 func runFig16(o Options) error {
-	return evalTable(o, "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
+	return suiteTable(o, policy.EvaluationSet(), "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.Mem.EnergyPJ / base.Mem.EnergyPJ
 			return v, stats.F(v, 3)

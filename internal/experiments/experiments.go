@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"mellow/internal/config"
@@ -42,9 +43,9 @@ type Options struct {
 	// OnSeries receives one record per simulated (workload, policy) when
 	// Epoch is set. Calls are serialised, in completion order.
 	OnSeries func(SeriesRecord)
-	// OnProgress, when set, is called after every simulation a sweep
-	// completes, with the done count and the sweep total. Calls are
-	// serialised; completion order is nondeterministic.
+	// OnProgress, when set, is called after every simulation an
+	// experiment completes, with the done count and the experiment
+	// total. Calls are serialised; completion order is nondeterministic.
 	OnProgress func(done, total int)
 	// Trace records an execution timeline for every simulation and
 	// hands each to OnTrace. Traced runs are bit-identical to untraced
@@ -125,33 +126,44 @@ func ByID(id string) (Experiment, error) {
 // runKey identifies one simulation for memoisation. The workload keys
 // on its result label plus the content hash of its trace.Spec, so a
 // builtin and an inline spec with the same name and parameterization
-// share one entry. Observed runs key on their sampling period and
-// per-bank-damage flag too: the stored epoch series is part of the
-// memoised value, and equal keys must yield equal bytes.
+// share one entry; a mix keys on every core's label and hash, in core
+// order. Observed runs key on their sampling period and per-bank-damage
+// flag too: the stored epoch series is part of the memoised value, and
+// equal keys must yield equal bytes.
 type runKey struct {
 	cfg        string // canonical JSON of the config
 	policy     string
-	workload   string   // result label
-	spec       string   // content hash of the workload's trace.Spec
+	workload   string   // result label; a mix's labels joined by NUL
+	spec       string   // content hash of the trace.Spec; a mix's joined by NUL
+	mix        int      // cores of a multiprogrammed mix, 0 for one workload
 	epoch      sim.Tick // 0 for unobserved runs
 	bankDamage bool
 	metrics    bool // per-run metrics snapshot stored with the value
 	trace      bool // execution timeline stored with the value
 }
 
-func keyFor(cfg config.Config, spec policy.Spec, w trace.Workload, ob Observation) (runKey, error) {
-	if w.Spec == nil {
-		return runKey{}, fmt.Errorf("experiments: workload %q has no spec", w.Name)
+func keyFor(c Cell, ob Observation) (runKey, error) {
+	ws := c.Mix
+	if len(ws) == 0 {
+		ws = []trace.Workload{c.Workload}
 	}
-	h, err := w.Spec.Hash()
-	if err != nil {
-		return runKey{}, err
+	names, hashes := make([]string, len(ws)), make([]string, len(ws))
+	for i, w := range ws {
+		if w.Spec == nil {
+			return runKey{}, fmt.Errorf("experiments: workload %q has no spec", w.Name)
+		}
+		h, err := w.Spec.Hash()
+		if err != nil {
+			return runKey{}, err
+		}
+		names[i], hashes[i] = w.Name, h
 	}
-	b, err := cfg.CanonicalJSON()
+	b, err := c.Cfg.CanonicalJSON()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: config not serialisable: %v", err))
 	}
-	return runKey{cfg: string(b), policy: spec.Name, workload: w.Name, spec: h,
+	return runKey{cfg: string(b), policy: c.Spec.Name,
+		workload: strings.Join(names, "\x00"), spec: strings.Join(hashes, "\x00"), mix: len(c.Mix),
 		epoch: ob.Epoch, bankDamage: ob.BankDamage, metrics: ob.Metrics, trace: ob.Trace}, nil
 }
 
@@ -178,14 +190,15 @@ type CacheStats struct {
 }
 
 // cached is one memoised simulation: the result, plus the epoch series
-// for observed runs, the per-run metrics snapshot for instrumented runs
-// and the execution timeline for traced runs (nil otherwise). Entries
-// are immutable once stored.
+// for observed runs, the per-run metrics snapshot for instrumented runs,
+// the execution timeline for traced runs and the mix result of a mix
+// (nil otherwise). Entries are immutable once stored.
 type cached struct {
 	res    core.Result
 	series []engine.EpochSample
 	met    *metrics.Snapshot
 	trace  *xtrace.SimTrace
+	mix    *core.MixResult
 }
 
 // flight is one in-progress simulation that concurrent callers join.
@@ -229,14 +242,14 @@ var memo = newSimCache(DefaultCacheCap)
 // joiner's failure: a joiner whose own ctx is still live retries, and
 // either joins a newer flight or runs the simulation itself.
 //
-// The executing caller acquires one slot from the process-wide
-// scheduler before fn runs, so total concurrent simulations never
-// exceed the sched budget regardless of how many sweeps or jobs fan out
-// at once. Cache hits and singleflight joins never consume a slot. If
-// the executing caller's context ends while it is queued for a slot,
-// the flight fails with that error (and joiners retry as above). A
-// panic in fn fails the flight with a stable error: it is not memoised
-// and every joiner sees it.
+// The executing caller acquires scheduler slots (see run) before fn
+// runs, so total concurrent simulation work never exceeds the sched
+// budget regardless of how many sweeps or jobs fan out at once. Cache
+// hits and singleflight joins never consume a slot. If the executing
+// caller's context ends while it is queued for a slot, the flight fails
+// with that error (and joiners retry as above). A panic in fn fails the
+// flight with a stable error: it is not memoised and every joiner sees
+// it.
 func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)) (cached, error) {
 	for {
 		c.mu.Lock()
@@ -266,7 +279,7 @@ func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.res, f.err = c.run(ctx, fn)
+	f.res, f.err = c.run(ctx, key, fn)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -278,10 +291,12 @@ func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)
 	return f.res, f.err
 }
 
-// run executes fn under one scheduler slot, turning a panic into an
-// error; the slot and the running count are released on every path.
-func (c *simCache) run(ctx context.Context, fn func() (cached, error)) (res cached, err error) {
-	release, err := sched.Default().Acquire(ctx, 1)
+// run executes fn under its scheduler slots, turning a panic into an
+// error; the slots and the running count are released on every path.
+// A mix models key.mix cores against one memory system, so it holds
+// that many slots; every other simulation holds one.
+func (c *simCache) run(ctx context.Context, key runKey, fn func() (cached, error)) (res cached, err error) {
+	release, err := sched.Default().Acquire(ctx, int64(max(key.mix, 1)))
 	if err != nil {
 		return cached{}, err
 	}
@@ -451,31 +466,41 @@ type Observation struct {
 }
 
 // Instrumented bundles everything one memoised simulation can produce.
-// Series, Metrics and Trace are shared with the memo cache and must not
-// be modified.
+// Series, Metrics, Trace and Mix are shared with the memo cache and must
+// not be modified.
 type Instrumented struct {
 	Result  core.Result
 	Series  []engine.EpochSample
 	Metrics *metrics.Snapshot
 	Trace   *xtrace.SimTrace
+	// Mix is a mix cell's result (nil otherwise; Result is then zero).
+	Mix *core.MixResult
 }
 
 // Run is the memoised, deduplicated simulation entry point — the
 // primitive the figure sweeps, scenarios and the mellowd service build
-// on. An identical (config, policy, workload, observation) key simulates
-// at most once concurrently and its result is reused across callers.
-// A zero Observation is a plain run. Epoch observation when
-// ob.Epoch > 0, a per-run metrics snapshot when ob.Metrics and an
-// execution timeline when ob.Trace are all stored with the memoised
-// value (every observer is deterministic or, for the timeline,
-// read-only, so equal keys still yield equal result bytes). Resolve a
-// builtin name with trace.ByName first.
-func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workload, ob Observation) (Instrumented, error) {
-	key, err := keyFor(cfg, spec, w, ob)
+// on. An identical (cell, observation) key simulates at most once
+// concurrently and its result is reused across callers. A zero
+// Observation is a plain run. Epoch observation when ob.Epoch > 0, a
+// per-run metrics snapshot when ob.Metrics and an execution timeline
+// when ob.Trace are all stored with the memoised value (every observer
+// is deterministic or, for the timeline, read-only, so equal keys still
+// yield equal result bytes). A mix cell runs through core.RunMix and
+// takes none of these three. Resolve builtin names with trace.ByName
+// first.
+func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
+	if len(c.Mix) > 0 && (ob.Epoch > 0 || ob.Metrics || ob.Trace) {
+		return Instrumented{}, errors.New("experiments: a mix cell cannot be observed")
+	}
+	key, err := keyFor(c, ob)
 	if err != nil {
 		return Instrumented{}, err
 	}
-	c, err := memo.do(ctx, key, func() (cached, error) {
+	ch, err := memo.do(ctx, key, func() (cached, error) {
+		if len(c.Mix) > 0 {
+			m, err := core.RunMix(ctx, c.Cfg, c.Spec, c.Mix)
+			return cached{mix: &m}, err
+		}
 		opts := engine.Options{
 			Epoch:      ob.Epoch,
 			Collect:    ob.Epoch > 0,
@@ -494,7 +519,7 @@ func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workl
 			opts.Timeline = rec
 			defer rec.Discard() // a no-op once finalized
 		}
-		r, series, err := core.Run(ctx, cfg, spec, w, opts)
+		r, series, err := core.Run(ctx, c.Cfg, c.Spec, c.Workload, opts)
 		if err != nil {
 			return cached{}, err
 		}
@@ -504,9 +529,9 @@ func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workl
 			ch.met = &snap
 		}
 		if rec != nil {
-			ch.trace = rec.Finalize(w.Name, spec.Name, cfg.Memory.Banks())
+			ch.trace = rec.Finalize(c.Workload.Name, c.Spec.Name, c.Cfg.Memory.Banks())
 		}
-		return ch, err
+		return ch, nil
 	})
 	if err != nil {
 		return Instrumented{}, err
@@ -516,7 +541,7 @@ func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workl
 		// caller ran the simulation itself.
 		ob.Tracker.SetProgress(1)
 	}
-	return Instrumented{Result: c.res, Series: c.series, Metrics: c.met, Trace: c.trace}, nil
+	return Instrumented{Result: ch.res, Series: ch.series, Metrics: ch.met, Trace: ch.trace, Mix: ch.mix}, nil
 }
 
 // SeriesRecord labels one simulation's epoch series for export.
@@ -536,11 +561,14 @@ type TraceRecord struct {
 }
 
 // Cell is one simulation of a matrix: a configuration, a policy and a
-// resolved workload.
+// resolved workload, or a multiprogrammed mix of resolved workloads.
 type Cell struct {
 	Cfg      config.Config
 	Spec     policy.Spec
 	Workload trace.Workload
+	// Mix, when set, runs one core per workload against a shared memory
+	// system instead of Workload.
+	Mix []trace.Workload
 }
 
 // Hooks observe a RunCells matrix cell by cell; both are optional.
@@ -582,7 +610,7 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 			if h.Start != nil {
 				ob = h.Start(i)
 			}
-			ins, err := Run(ctx, c.Cfg, c.Spec, c.Workload, ob)
+			ins, err := Run(ctx, c, ob)
 			done <- outcome{i, ins, err}
 		}(i, c)
 	}
@@ -630,44 +658,76 @@ func runAll(o Options, cells []Cell) ([]Instrumented, error) {
 	})
 }
 
-// grid is the workload-major, policy-minor matrix of builtin workloads
-// under one configuration.
-func grid(cfg config.Config, workloads []string, specs []policy.Spec) ([]Cell, error) {
-	cells := make([]Cell, 0, len(workloads)*len(specs))
-	for _, name := range workloads {
-		w, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range specs {
-			cells = append(cells, Cell{Cfg: cfg, Spec: s, Workload: w})
-		}
-	}
-	return cells, nil
+// variant is one labelled configuration of a declared matrix.
+type variant struct {
+	label string
+	cfg   config.Config
 }
 
-// runGrid runs grid(cfg, workloads, specs) through runAll and keys the
-// results by (policy, workload) for the figure renderers.
-func runGrid(o Options, cfg config.Config, workloads []string, specs []policy.Spec) (map[[2]string]core.Result, error) {
-	cells, err := grid(cfg, workloads, specs)
-	if err != nil {
-		return nil, err
+// matrix declares simulations: every variant × workload × policy.
+type matrix struct {
+	variants  []variant
+	workloads []string
+	specs     []policy.Spec
+}
+
+// Sweep holds a matrix's results by (variant label, policy name,
+// workload). A one-configuration sweep labels its variant "".
+type Sweep map[sweepKey]core.Result
+
+type sweepKey struct{ variant, policy, workload string }
+
+// At returns one cell's result (zero if the matrix has no such cell).
+func (s Sweep) At(variant, policy, workload string) core.Result {
+	return s[sweepKey{variant, policy, workload}]
+}
+
+// runMatrices simulates an experiment's matrices as one runAll batch, so
+// its progress counts all of their cells.
+func runMatrices(o Options, ms ...matrix) (Sweep, error) {
+	var cells []Cell
+	var keys []sweepKey
+	for _, m := range ms {
+		for _, name := range m.workloads {
+			w, err := trace.ByName(name)
+			if err != nil {
+				return nil, err
+			}
+			for _, v := range m.variants {
+				for _, s := range m.specs {
+					cells = append(cells, Cell{Cfg: v.cfg, Spec: s, Workload: w})
+					keys = append(keys, sweepKey{v.label, s.Name, name})
+				}
+			}
+		}
 	}
 	res, err := runAll(o, cells)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[[2]string]core.Result, len(res))
+	out := make(Sweep, len(res))
 	for i, r := range res {
-		out[[2]string{cells[i].Spec.Name, cells[i].Workload.Name}] = r.Result
+		out[keys[i]] = r.Result
 	}
 	return out, nil
 }
 
+// vary labels o.Cfg with set applied as one variant of a matrix.
+func (o Options) vary(label string, set func(*config.Config)) variant {
+	cfg := o.Cfg
+	set(&cfg)
+	return variant{label, cfg}
+}
+
+// base is the matrix of specs over the active suite on o.Cfg alone.
+func (o Options) base(specs ...policy.Spec) matrix {
+	return matrix{[]variant{{cfg: o.Cfg}}, o.workloads(), specs}
+}
+
 // EvalSweep runs the Figure 10–16 policy line-up over the active suite:
-// results keyed by (policy name, workload), plus the line-up.
-func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
+// its one-configuration Sweep, plus the line-up.
+func EvalSweep(o Options) (Sweep, []policy.Spec, error) {
 	specs := policy.EvaluationSet()
-	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
+	res, err := runMatrices(o, o.base(specs...))
 	return res, specs, err
 }

@@ -10,7 +10,6 @@ import (
 	"mellow/internal/nvm"
 	"mellow/internal/policy"
 	"mellow/internal/rng"
-	"mellow/internal/sched"
 	"mellow/internal/stats"
 	"mellow/internal/trace"
 	"mellow/internal/wear"
@@ -44,69 +43,35 @@ func runExt1(o Options) error {
 		policy.BEMellow().WithSC().WithWQ(),
 		policy.BEMellow().WithSC().WithML().WithWQ(),
 	}
-	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
-	if err != nil {
-		return err
-	}
-	t := stats.Table{
-		Title:  "Extension 1: graded write pulses (IPC vs Norm / lifetime years)",
-		Header: append([]string{"workload"}, policy.Names(specs)...),
-	}
-	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
-		row := []string{w}
-		for _, s := range specs {
-			r := res[[2]string{s.Name, w}]
-			row = append(row, fmt.Sprintf("%.2f/%s", r.IPC/base.IPC, formatYears(r.LifetimeYears())))
-		}
-		t.AddRow(row...)
-	}
-	return t.Fprint(o.Out)
+	return suiteTable(o, specs, "Extension 1: graded write pulses (IPC vs Norm / lifetime years)", "",
+		func(r, base core.Result) (float64, string) {
+			return 0, fmt.Sprintf("%.2f/%s", r.IPC/base.IPC, formatYears(r.LifetimeYears()))
+		})
 }
 
 // runExt2 swaps the eager-candidate predictor: the paper's LRU-position
 // profiler versus timeout-style dead-block (decay) prediction.
 func runExt2(o Options) error {
 	spec := policy.BEMellow().WithSC()
-	type variant struct {
-		label     string
-		predictor string
-	}
-	variants := []variant{
-		{"lru-profile (paper)", cache.PredictorLRUProfile},
-		{"decay (dead-block)", cache.PredictorDecay},
-	}
-	// Per workload: the Norm baseline on the default config, then one
-	// cell per predictor variant.
-	ws := o.workloads()
-	var cells []Cell
-	for _, name := range ws {
-		w, err := trace.ByName(name)
-		if err != nil {
-			return err
-		}
-		cells = append(cells, Cell{Cfg: o.Cfg, Spec: policy.Norm(), Workload: w})
-		for _, v := range variants {
-			cfg := o.Cfg
-			cfg.Caches.EagerPredictor = v.predictor
-			cells = append(cells, Cell{Cfg: cfg, Spec: spec, Workload: w})
-		}
-	}
-	res, err := runAll(o, cells)
+	predictors := matrix{workloads: o.workloads(), specs: []policy.Spec{spec}, variants: []variant{
+		o.vary("lru-profile (paper)", func(c *config.Config) { c.Caches.EagerPredictor = cache.PredictorLRUProfile }),
+		o.vary("decay (dead-block)", func(c *config.Config) { c.Caches.EagerPredictor = cache.PredictorDecay }),
+	}}
+	// Each predictor is compared with the Norm baseline on the default config.
+	res, err := runMatrices(o, o.base(policy.Norm()), predictors)
 	if err != nil {
 		return err
 	}
 	t := stats.Table{
 		Title: "Extension 2: eager-candidate predictor " +
 			"(IPC vs Norm / lifetime years / wasted eager writes)",
-		Header: []string{"workload", variants[0].label, variants[1].label},
+		Header: []string{"workload", predictors.variants[0].label, predictors.variants[1].label},
 	}
-	stride := 1 + len(variants)
-	for j, name := range ws {
-		base := res[j*stride].Result
-		row := []string{name}
-		for k := range variants {
-			r := res[j*stride+1+k].Result
+	for _, w := range o.workloads() {
+		base := res.At("", "Norm", w)
+		row := []string{w}
+		for _, v := range predictors.variants {
+			r := res.At(v.label, spec.Name, w)
 			row = append(row, fmt.Sprintf("%.2f/%s/%d",
 				r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Cache.WastedEager))
 		}
@@ -124,33 +89,26 @@ func runExt3(o Options) error {
 	if ws := o.workloads(); len(ws) > 0 {
 		workload = ws[0]
 	}
-	w, err := trace.ByName(workload)
-	if err != nil {
-		return err
-	}
-	cases := []struct {
-		label string
-		mut   cfgMutator
-	}{
-		{"baseline (eq=16, drain 16/32, psi=100)", func(*configT) {}},
-		{"eager queue 4", func(c *configT) { c.Memory.EagerQueue = 4 }},
-		{"eager queue 64", func(c *configT) { c.Memory.EagerQueue = 64 }},
-		{"drain thresholds 8/16", func(c *configT) { c.Memory.DrainLow, c.Memory.DrainHigh = 8, 16 }},
-		{"drain thresholds 24/32", func(c *configT) { c.Memory.DrainLow = 24 }},
-		{"Start-Gap psi 10", func(c *configT) { c.Memory.StartGapPsi = 10 }},
-		{"Start-Gap psi 1000", func(c *configT) { c.Memory.StartGapPsi = 1000 }},
-		{"2 channels", func(c *configT) { c.Memory.Channels = 2 }},
-		{"FR-FCFS reads", func(c *configT) { c.Memory.Scheduler = "frfcfs" }},
-		{"profile period 100us", func(c *configT) { c.Caches.ProfilePeriod /= 5 }},
-		{"useless threshold 1/8", func(c *configT) { c.Caches.UselessHitRatio = 1.0 / 8.0 }},
-	}
-	cells := make([]Cell, len(cases))
-	for i, cse := range cases {
-		cells[i] = Cell{Cfg: o.Cfg, Spec: spec, Workload: w}
-		cse.mut(&cells[i].Cfg)
+	m := matrix{
+		variants: []variant{
+			o.vary("baseline (eq=16, drain 16/32, psi=100)", func(*config.Config) {}),
+			o.vary("eager queue 4", func(c *config.Config) { c.Memory.EagerQueue = 4 }),
+			o.vary("eager queue 64", func(c *config.Config) { c.Memory.EagerQueue = 64 }),
+			o.vary("drain thresholds 8/16", func(c *config.Config) { c.Memory.DrainLow, c.Memory.DrainHigh = 8, 16 }),
+			o.vary("drain thresholds 24/32", func(c *config.Config) { c.Memory.DrainLow = 24 }),
+			o.vary("Start-Gap psi 10", func(c *config.Config) { c.Memory.StartGapPsi = 10 }),
+			o.vary("Start-Gap psi 1000", func(c *config.Config) { c.Memory.StartGapPsi = 1000 }),
+			o.vary("2 channels", func(c *config.Config) { c.Memory.Channels = 2 }),
+			o.vary("FR-FCFS reads", func(c *config.Config) { c.Memory.Scheduler = "frfcfs" }),
+			o.vary("profile period 100us", func(c *config.Config) { c.Caches.ProfilePeriod /= 5 }),
+			o.vary("useless threshold 1/8", func(c *config.Config) { c.Caches.UselessHitRatio = 1.0 / 8.0 }),
+		},
+		workloads: []string{workload},
+		specs:     []policy.Spec{spec},
 	}
 	// The ablation rows are plain runs: Options' observers do not apply.
-	res, err := RunCells(o.ctx(), cells, Hooks{})
+	o.Epoch, o.Trace = 0, false
+	res, err := runMatrices(o, m)
 	if err != nil {
 		return err
 	}
@@ -158,9 +116,9 @@ func runExt3(o Options) error {
 		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", workload),
 		Header: []string{"variant", "IPC", "lifetime (y)", "eager done", "drain time", "gap moves"},
 	}
-	for i, cse := range cases {
-		r := res[i].Result
-		t.AddRow(cse.label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
+	for _, v := range m.variants {
+		r := res.At(v.label, spec.Name, workload)
+		t.AddRow(v.label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
 			fmt.Sprintf("%d", r.Mem.EagerDone), stats.Pct(r.Mem.DrainFraction),
 			fmt.Sprintf("%d", r.Mem.GapMoves))
 	}
@@ -180,28 +138,12 @@ func runExt4(o Options) error {
 		policy.BEMellow().WithSC(),
 		policy.BEMellow().WithWP(),
 	}
-	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
-	if err != nil {
-		return err
-	}
-	t := stats.Table{
-		Title: "Extension 4: pausing vs cancellation " +
-			"(IPC vs Norm / lifetime years / preemptions / mean read ns)",
-		Header: append([]string{"workload"}, policy.Names(specs)...),
-	}
-	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
-		row := []string{w}
-		for _, s := range specs {
-			r := res[[2]string{s.Name, w}]
-			pre := r.Mem.Cancellations + r.Mem.Pauses
-			row = append(row, fmt.Sprintf("%.2f/%s/%d/%.0f",
-				r.IPC/base.IPC, formatYears(r.LifetimeYears()), pre,
-				r.Mem.ReadLatency.Mean()))
-		}
-		t.AddRow(row...)
-	}
-	return t.Fprint(o.Out)
+	return suiteTable(o, specs, "Extension 4: pausing vs cancellation "+
+		"(IPC vs Norm / lifetime years / preemptions / mean read ns)", "",
+		func(r, base core.Result) (float64, string) {
+			return 0, fmt.Sprintf("%.2f/%s/%d/%.0f", r.IPC/base.IPC, formatYears(r.LifetimeYears()),
+				r.Mem.Cancellations+r.Mem.Pauses, r.Mem.ReadLatency.Mean())
+		})
 }
 
 // runExt5 validates the Start-Gap efficiency assumption behind the §V
@@ -267,25 +209,34 @@ func runExt6(o Options) error {
 		{"lbm", "GemsFDTD", "gups", "milc"},
 	}
 	specs := []policy.Spec{policy.Norm(), policy.BEMellow().WithSC(), policy.BEMellow().WithSC().WithWQ()}
+	var cells []Cell
+	for _, mix := range mixes {
+		ws := make([]trace.Workload, len(mix))
+		for i, name := range mix {
+			w, err := trace.ByName(name)
+			if err != nil {
+				return err
+			}
+			ws[i] = w
+		}
+		for _, s := range specs {
+			cells = append(cells, Cell{Cfg: o.Cfg, Spec: s, Mix: ws})
+		}
+	}
+	// Mixes are plain runs: Options' observers do not apply.
+	o.Epoch, o.Trace = 0, false
+	res, err := runAll(o, cells)
+	if err != nil {
+		return err
+	}
 	t := stats.Table{
 		Title:  "Extension 6: multiprogrammed mixes (per-core IPC sum / lifetime years / bank util)",
 		Header: append([]string{"mix"}, policy.Names(specs)...),
 	}
-	for _, mix := range mixes {
+	for i, mix := range mixes {
 		row := []string{strings.Join(mix, "+")}
-		for _, s := range specs {
-			// A mix models len(mix) cores against one memory system, so
-			// it holds that many scheduler slots — the weighted analogue
-			// of one slot per single-core simulation.
-			release, err := sched.Default().Acquire(o.ctx(), int64(len(mix)))
-			if err != nil {
-				return err
-			}
-			m, err := core.RunMix(o.ctx(), o.Cfg, s, mix)
-			release()
-			if err != nil {
-				return err
-			}
+		for j := range specs {
+			m := res[i*len(specs)+j].Mix
 			row = append(row, fmt.Sprintf("%.2f/%s/%s",
 				m.WeightedIPC(), formatYears(m.LifetimeYears()), stats.Pct(m.Mem.AvgUtilization)))
 		}
@@ -303,21 +254,23 @@ func runExt7(o Options) error {
 	if len(suite) > 3 {
 		suite = []string{"GemsFDTD", "lbm", "gups"}
 	}
+	m := matrix{workloads: suite, specs: specs}
+	for _, p := range nvm.Presets() {
+		m.variants = append(m.variants, o.vary(p.Name, func(c *config.Config) { c.Memory.Device = p.Device }))
+	}
+	res, err := runMatrices(o, m)
+	if err != nil {
+		return err
+	}
 	t := stats.Table{
 		Title:  "Extension 7: technology corners (per workload: Norm lifetime -> BE-Mellow+SC lifetime, years)",
 		Header: append([]string{"device"}, suite...),
 	}
-	for _, p := range nvm.Presets() {
-		cfg := o.Cfg
-		cfg.Memory.Device = p.Device
-		res, err := runGrid(o, cfg, suite, specs)
-		if err != nil {
-			return err
-		}
-		row := []string{p.Name}
+	for _, v := range m.variants {
+		row := []string{v.label}
 		for _, w := range suite {
-			n := res[[2]string{"Norm", w}].LifetimeYears()
-			b := res[[2]string{"BE-Mellow+SC", w}].LifetimeYears()
+			n := res.At(v.label, "Norm", w).LifetimeYears()
+			b := res.At(v.label, "BE-Mellow+SC", w).LifetimeYears()
 			row = append(row, fmt.Sprintf("%s -> %s", formatYears(n), formatYears(b)))
 		}
 		t.AddRow(row...)
@@ -339,23 +292,25 @@ func runExt8(o Options) error {
 		policy.BEMellow().WithSC(),
 		policy.BEMellow().WithSC().WithWQ(),
 	}
+	m := matrix{workloads: o.workloads(), specs: specs}
+	for _, backend := range wear.Backends() {
+		m.variants = append(m.variants, o.vary(backend, func(c *config.Config) { c.Memory.WearLeveler = backend }))
+	}
+	res, err := runMatrices(o, m)
+	if err != nil {
+		return err
+	}
 	t := stats.Table{
 		Title: "Extension 8: wear-leveling backends x Mellow policies " +
 			"(IPC vs same-backend Norm / lifetime years / migration writes)",
 		Header: append([]string{"workload", "leveler"}, policy.Names(specs)...),
 	}
-	for _, w := range o.workloads() {
-		for _, backend := range wear.Backends() {
-			cfg := o.Cfg
-			cfg.Memory.WearLeveler = backend
-			res, err := runGrid(o, cfg, []string{w}, specs)
-			if err != nil {
-				return err
-			}
-			base := res[[2]string{"Norm", w}]
-			row := []string{w, backend}
+	for _, w := range m.workloads {
+		for _, v := range m.variants {
+			base := res.At(v.label, "Norm", w)
+			row := []string{w, v.label}
 			for _, s := range specs {
-				r := res[[2]string{s.Name, w}]
+				r := res.At(v.label, s.Name, w)
 				row = append(row, fmt.Sprintf("%.2f/%s/%d",
 					r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Mem.GapMoves))
 			}
@@ -364,9 +319,3 @@ func runExt8(o Options) error {
 	}
 	return t.Fprint(o.Out)
 }
-
-// cfgMutator adjusts one configuration field for an ablation variant.
-type cfgMutator = func(*configT)
-
-// configT abbreviates the config type in ablation tables.
-type configT = config.Config

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mellow/internal/cache"
+	"mellow/internal/core"
 	"mellow/internal/nvm"
 	"mellow/internal/policy"
 	"mellow/internal/rng"
@@ -112,46 +113,29 @@ func fig2Specs() []policy.Spec {
 // write latencies, with and without write cancellation.
 func runFig2(o Options) error {
 	specs := fig2Specs()
-	res, err := runGrid(o, o.Cfg, o.workloads(), specs)
+	res, err := runMatrices(o, o.base(specs...))
 	if err != nil {
 		return err
 	}
-	ipc := stats.Table{
-		Title:  "Figure 2 (top): IPC normalized to 1.0x writes without cancellation",
-		Header: append([]string{"workload"}, policy.Names(specs)...),
-	}
-	life := stats.Table{
-		Title:  "Figure 2 (bottom): lifetime in years",
-		Header: append([]string{"workload"}, policy.Names(specs)...),
-	}
-	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
-		ipcRow, lifeRow := []string{w}, []string{w}
-		for _, s := range specs {
-			r := res[[2]string{s.Name, w}]
-			ipcRow = append(ipcRow, stats.F(r.IPC/base.IPC, 3))
-			lifeRow = append(lifeRow, formatYears(r.LifetimeYears()))
-		}
-		ipc.AddRow(ipcRow...)
-		life.AddRow(lifeRow...)
-	}
-	if err := ipc.Fprint(o.Out); err != nil {
+	if err := policyTable(o, res, specs, "Figure 2 (top): IPC normalized to 1.0x writes without cancellation", "",
+		func(r, base core.Result) (float64, string) { return 0, stats.F(r.IPC/base.IPC, 3) }); err != nil {
 		return err
 	}
 	fmt.Fprintln(o.Out)
-	return life.Fprint(o.Out)
+	return policyTable(o, res, specs, "Figure 2 (bottom): lifetime in years", "",
+		func(r, _ core.Result) (float64, string) { return 0, formatYears(r.LifetimeYears()) })
 }
 
 // runFig3 regenerates Figure 3: average bank utilization under normal
 // writes.
 func runFig3(o Options) error {
-	res, err := runGrid(o, o.Cfg, o.workloads(), []policy.Spec{policy.Norm()})
+	res, err := runMatrices(o, o.base(policy.Norm()))
 	if err != nil {
 		return err
 	}
 	bars := &stats.Bars{Title: "Figure 3: average bank utilization with normal writes"}
 	for _, w := range o.workloads() {
-		u := res[[2]string{"Norm", w}].Mem.AvgUtilization
+		u := res.At("", "Norm", w).Mem.AvgUtilization
 		bars.Add(w, u, stats.Pct(u))
 	}
 	return bars.Fprint(o.Out)

@@ -65,7 +65,7 @@ func runSpec(t *testing.T, cfg config.Config, pspec policy.Spec, name string, sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := Run(context.Background(), cfg, pspec, w, Observation{})
+	ins, err := Run(context.Background(), Cell{Cfg: cfg, Spec: pspec, Workload: w}, Observation{})
 	if err != nil {
 		t.Fatal(err)
 	}

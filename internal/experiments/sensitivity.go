@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mellow/internal/config"
 	"mellow/internal/policy"
 	"mellow/internal/stats"
 )
@@ -12,23 +13,27 @@ import (
 // BE-Mellow+SC across the suite as the latency/endurance ExpoFactor
 // sweeps 1.0–3.0, with Norm as the (ExpoFactor-independent) reference.
 func runFig17(o Options) error {
-	expos := []float64{1.0, 1.5, 2.0, 2.5, 3.0}
-	specs := []policy.Spec{policy.Norm(), policy.Slow().WithSC(), policy.BEMellow().WithSC()}
+	m := matrix{
+		workloads: o.workloads(),
+		specs:     []policy.Spec{policy.Norm(), policy.Slow().WithSC(), policy.BEMellow().WithSC()},
+	}
+	for _, e := range []float64{1.0, 1.5, 2.0, 2.5, 3.0} {
+		m.variants = append(m.variants, o.vary(fmt.Sprintf("%.1f", e),
+			func(c *config.Config) { c.Memory.Device.ExpoFactor = e }))
+	}
+	res, err := runMatrices(o, m)
+	if err != nil {
+		return err
+	}
 	t := stats.Table{
 		Title:  "Figure 17: lifetime (geomean years) vs ExpoFactor",
 		Header: []string{"ExpoFactor", "Norm", "Slow+SC", "BE-Mellow+SC", "BE-Mellow+SC/Norm"},
 	}
-	for _, e := range expos {
-		cfg := o.Cfg
-		cfg.Memory.Device.ExpoFactor = e
-		res, err := runGrid(o, cfg, o.workloads(), specs)
-		if err != nil {
-			return err
-		}
+	for _, v := range m.variants {
 		geo := func(name string) float64 {
 			var ys []float64
-			for _, w := range o.workloads() {
-				y := res[[2]string{name, w}].LifetimeYears()
+			for _, w := range m.workloads {
+				y := res.At(v.label, name, w).LifetimeYears()
 				if !math.IsInf(y, 1) {
 					ys = append(ys, y)
 				}
@@ -36,7 +41,7 @@ func runFig17(o Options) error {
 			return stats.Geomean(ys)
 		}
 		norm, slow, be := geo("Norm"), geo("Slow+SC"), geo("BE-Mellow+SC")
-		t.AddRow(fmt.Sprintf("%.1f", e), stats.F(norm, 2), stats.F(slow, 2),
+		t.AddRow(v.label, stats.F(norm, 2), stats.F(slow, 2),
 			stats.F(be, 2), stats.F(be/norm, 2)+"x")
 	}
 	return t.Fprint(o.Out)
@@ -47,24 +52,30 @@ func runFig17(o Options) error {
 // issued to banks by pulse.
 func runFig18(o Options) error {
 	const workload = "GemsFDTD"
-	specs := []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()}
-	t := stats.Table{
-		Title: "Figure 18: GemsFDTD vs bank-level parallelism",
-		Header: []string{"banks", "policy", "lifetime (y)", "bank util",
-			"eager writes", "normal writes", "slow writes", "cancelled"},
+	m := matrix{
+		workloads: []string{workload},
+		specs:     []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()},
 	}
 	for _, banks := range []int{16, 8, 4} {
 		cfg, err := o.Cfg.WithBanks(banks)
 		if err != nil {
 			return err
 		}
-		res, err := runGrid(o, cfg, []string{workload}, specs)
-		if err != nil {
-			return err
-		}
-		for _, s := range specs {
-			r := res[[2]string{s.Name, workload}]
-			t.AddRow(fmt.Sprintf("%d", banks), s.Name,
+		m.variants = append(m.variants, variant{fmt.Sprintf("%d", banks), cfg})
+	}
+	res, err := runMatrices(o, m)
+	if err != nil {
+		return err
+	}
+	t := stats.Table{
+		Title: "Figure 18: GemsFDTD vs bank-level parallelism",
+		Header: []string{"banks", "policy", "lifetime (y)", "bank util",
+			"eager writes", "normal writes", "slow writes", "cancelled"},
+	}
+	for _, v := range m.variants {
+		for _, s := range m.specs {
+			r := res.At(v.label, s.Name, workload)
+			t.AddRow(v.label, s.Name,
 				formatYears(r.LifetimeYears()),
 				stats.Pct(r.Mem.AvgUtilization),
 				fmt.Sprintf("%d", r.Mem.EagerDone),
@@ -94,7 +105,7 @@ func fig19Statics() []policy.Spec {
 func runFig19(o Options) error {
 	statics := fig19Statics()
 	ours := policy.BEMellow().WithSC().WithWQ()
-	res, err := runGrid(o, o.Cfg, o.workloads(), append(statics, ours, policy.Norm()))
+	res, err := runMatrices(o, o.base(append(statics, ours, policy.Norm())...))
 	if err != nil {
 		return err
 	}
@@ -107,10 +118,10 @@ func runFig19(o Options) error {
 	}
 	wins := 0
 	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
+		base := res.At("", "Norm", w)
 		bestName, bestIPC, bestLife := "(none)", 0.0, 0.0
 		for _, s := range statics {
-			r := res[[2]string{s.Name, w}]
+			r := res.At("", s.Name, w)
 			if r.LifetimeYears() < floor {
 				continue
 			}
@@ -118,7 +129,7 @@ func runFig19(o Options) error {
 				bestName, bestIPC, bestLife = s.Name, r.IPC, r.LifetimeYears()
 			}
 		}
-		mine := res[[2]string{ours.Name, w}]
+		mine := res.At("", ours.Name, w)
 		ok := mine.IPC >= bestIPC*0.995
 		if ok {
 			wins++

@@ -26,9 +26,12 @@ func BenchmarkControllerTick(b *testing.B) {
 			r := c.SubmitRead(line^1, k.Now())
 			if i&7 == 0 {
 				// Occasional same-line read exercises forwarding.
-				c.SubmitRead(line, k.Now())
+				c.Release(c.SubmitRead(line, k.Now()))
 			}
 			c.WaitRead(r)
+			// Released reads recycle their slots, so the arena stays at
+			// its steady-state size instead of growing per read.
+			c.Release(r)
 		}
 		// Let the queued writes finish. Quota period timers are daemon
 		// events, so this terminates even under +WQ.

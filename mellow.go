@@ -108,7 +108,15 @@ type MixResult = core.MixResult
 // system — the multiprogrammed setting where bank interference erodes
 // the idle time Mellow Writes exploits.
 func RunMix(cfg Config, p Policy, workloads ...string) (MixResult, error) {
-	return core.RunMix(context.Background(), cfg, p, workloads)
+	ws := make([]Workload, len(workloads))
+	for i, name := range workloads {
+		w, err := trace.ByName(name)
+		if err != nil {
+			return MixResult{}, err
+		}
+		ws[i] = w
+	}
+	return core.RunMix(context.Background(), cfg, p, ws)
 }
 
 // RecordTrace writes n records of a named workload's trace to w in the

@@ -136,6 +136,9 @@ func TestFacadeRunMix(t *testing.T) {
 	if m.LifetimeYears() <= 0 {
 		t.Errorf("mix lifetime: %v", m.LifetimeYears())
 	}
+	if _, err := mellow.RunMix(cfg, spec, "stream", "nope"); err == nil {
+		t.Error("unknown workload accepted")
+	}
 }
 
 func TestFacadeRecordTrace(t *testing.T) {
