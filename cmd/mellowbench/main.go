@@ -24,11 +24,16 @@
 // done/failed event. The feed replays from the start, so following a
 // finished job prints its complete series.
 //
-// -interval samples every simulation at the given period of simulated
-// time (the paper's T_sample is 500us) and dumps one JSON series record
-// per (workload, policy) after the tables — or embeds them in the
-// reports with -json. -progress writes "done/total simulations" status
-// lines to stderr as the sweep advances. -trace records every
+// -interval, -progress and -trace observe each experiment's batch of
+// simulations through one experiments.Hooks value, exactly as mellowd
+// observes an experiment job. -interval samples every simulation at the
+// given period of simulated time (the paper's T_sample is 500us; the
+// bounds are mellowd's interval_ns admission check) and dumps one JSON
+// series record per simulated cell, in cell order and labelled by
+// variant, workload and policy, after the tables — or embeds them in
+// the reports with -json, whose encoding (experiments.Report) is the
+// one experiment jobs serve. -progress writes "done/total simulations"
+// status lines to stderr as the batch advances. -trace records every
 // simulation's execution timeline (engine phases, epochs, per-bank
 // reads, fast/slow/eager writes, cancellations, drain windows, Wear
 // Quota flips) and writes one Chrome Trace Event Format file — open it
@@ -112,10 +117,10 @@ func main() {
 		return
 	}
 
-	// Same floor mellowd enforces at admission: finer sampling than 1 µs
-	// of simulated time produces an effectively unbounded series.
-	if *interval > 0 && *interval < time.Microsecond {
-		fmt.Fprintf(os.Stderr, "mellowbench: -interval %v below the 1µs floor\n", *interval)
+	// The bounds mellowd enforces on interval_ns at admission.
+	intervalNS := uint64(max(interval.Nanoseconds(), 0))
+	if err := server.ValidateInterval(intervalNS); err != nil {
+		fmt.Fprintf(os.Stderr, "mellowbench: -interval %v: %v\n", *interval, err)
 		os.Exit(1)
 	}
 	// All simulations in the process share one scheduler: its budget is
@@ -171,7 +176,8 @@ func main() {
 		todo = []mellow.Experiment{e}
 	}
 
-	var reports []server.ExperimentReport
+	ob := experiments.Observation{Epoch: mellow.NS(intervalNS), Trace: *traceOut != ""}
+	var reports []experiments.Report
 	// Experiments share memoised simulations, so the same *SimTrace can
 	// arrive more than once; the trace file keeps each timeline once.
 	var simTraces []*mellow.SimTrace
@@ -181,54 +187,50 @@ func main() {
 			fmt.Println()
 		}
 		start := time.Now()
-		out := os.Stdout
+		var cells []experiments.Cell
+		var ins []experiments.Instrumented
+		done := 0
+		hooks := experiments.Hooks{
+			Plan:  func(cs []experiments.Cell) { cells, ins = cs, make([]experiments.Instrumented, len(cs)) },
+			Start: func(int) experiments.Observation { return ob },
+			Done: func(i int, in experiments.Instrumented, _ error) {
+				ins[i] = in
+				if done++; *progress {
+					fmt.Fprintf(os.Stderr, "mellowbench: %s: %d/%d simulations\n", e.ID, done, len(cells))
+				}
+			},
+		}
 		var buf bytes.Buffer
-		opts := mellow.ExperimentOptions{Ctx: ctx, Cfg: cfg, Workloads: suite}
+		opts := experiments.Options{Ctx: ctx, Cfg: cfg, Out: os.Stdout, Workloads: suite, Hooks: hooks}
 		if *jsonOut {
 			opts.Out = &buf
-		} else {
-			opts.Out = out
-		}
-		var series []mellow.SeriesRecord
-		if *interval > 0 {
-			opts.Epoch = mellow.NS(uint64(interval.Nanoseconds()))
-			opts.OnSeries = func(rec mellow.SeriesRecord) { series = append(series, rec) }
-		}
-		if *progress {
-			id := e.ID
-			opts.OnProgress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "mellowbench: %s: %d/%d simulations\n", id, done, total)
-			}
-		}
-		if *traceOut != "" {
-			opts.Trace = true
-			opts.OnTrace = func(rec mellow.TraceRecord) {
-				if !seenTrace[rec.Trace] {
-					seenTrace[rec.Trace] = true
-					simTraces = append(simTraces, rec.Trace)
-				}
-			}
 		}
 		if err := e.Run(opts); err != nil {
 			fmt.Fprintf(os.Stderr, "mellowbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		if *jsonOut {
-			reports = append(reports, server.ExperimentReport{
-				ID: e.ID, Title: e.Title, Output: buf.String(), Series: series,
-			})
-		} else {
-			if len(series) > 0 {
-				enc := json.NewEncoder(out)
-				for _, rec := range series {
-					if err := enc.Encode(rec); err != nil {
-						fmt.Fprintln(os.Stderr, "mellowbench:", err)
-						os.Exit(1)
-					}
-				}
+		for _, in := range ins {
+			if in.Trace != nil && !seenTrace[in.Trace] {
+				seenTrace[in.Trace] = true
+				simTraces = append(simTraces, in.Trace)
 			}
-			fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
+		rep := experiments.Report{ID: e.ID, Title: e.Title, Output: buf.String()}
+		if ob.Epoch > 0 {
+			rep.Series = experiments.Records(cells, ins)
+		}
+		if *jsonOut {
+			reports = append(reports, rep)
+			continue
+		}
+		enc := json.NewEncoder(os.Stdout)
+		for _, rec := range rep.Series {
+			if err := enc.Encode(rec); err != nil {
+				fmt.Fprintln(os.Stderr, "mellowbench:", err)
+				os.Exit(1)
+			}
+		}
+		fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -266,8 +268,8 @@ func main() {
 		var payload any = reports
 		if snap != nil {
 			payload = struct {
-				Reports []server.ExperimentReport `json:"reports"`
-				Metrics *metrics.Snapshot         `json:"metrics"`
+				Reports []experiments.Report `json:"reports"`
+				Metrics *metrics.Snapshot    `json:"metrics"`
 			}{Reports: reports, Metrics: snap}
 		}
 		if err := enc.Encode(payload); err != nil {

@@ -98,8 +98,8 @@ func TestRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunAllConcurrent drives the harness-level entry from several
-// goroutines at once, the daemon's usage pattern.
+// TestRunAllConcurrent drives the matrix runner from several goroutines
+// at once, the daemon's usage pattern.
 func TestRunAllConcurrent(t *testing.T) {
 	ResetCache()
 	o := Options{Cfg: tinyConfig(7)}
@@ -112,7 +112,7 @@ func TestRunAllConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := runAll(o, cells)
+			res, err := RunCells(context.Background(), cells, Hooks{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -37,24 +37,10 @@ type Options struct {
 	Out io.Writer
 	// Workloads restricts the benchmark suite (default: all 11).
 	Workloads []string
-	// Epoch, when positive, runs every simulation observed at this
-	// sampling period and hands each collected series to OnSeries.
-	Epoch sim.Tick
-	// OnSeries receives one record per simulated (workload, policy) when
-	// Epoch is set. Calls are serialised, in completion order.
-	OnSeries func(SeriesRecord)
-	// OnProgress, when set, is called after every simulation an
-	// experiment completes, with the done count and the experiment
-	// total. Calls are serialised; completion order is nondeterministic.
-	OnProgress func(done, total int)
-	// Trace records an execution timeline for every simulation and
-	// hands each to OnTrace. Traced runs are bit-identical to untraced
-	// ones; they only memoise under a distinct key.
-	Trace bool
-	// OnTrace receives one record per simulated (workload, policy) when
-	// Trace is set. Calls are serialised, in completion order. The
-	// timeline is shared with the memo cache and must not be modified.
-	OnTrace func(TraceRecord)
+	// Hooks observe the experiment's simulations. Every simulating
+	// experiment runs its matrix as one RunCells batch, so an experiment
+	// is observed exactly like a sim, compare or scenario matrix.
+	Hooks Hooks
 }
 
 func (o Options) ctx() context.Context {
@@ -546,18 +532,37 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 
 // SeriesRecord labels one simulation's epoch series for export.
 type SeriesRecord struct {
+	// Variant is the cell's matrix variant ("" in a one-configuration
+	// matrix).
+	Variant  string               `json:"variant,omitempty"`
 	Workload string               `json:"workload"`
 	Policy   string               `json:"policy"`
 	Series   []engine.EpochSample `json:"series"`
 }
 
-// TraceRecord labels one simulation's execution timeline for export.
-// The timeline may be shared across records when experiments reuse a
-// memoised run.
-type TraceRecord struct {
-	Workload string
-	Policy   string
-	Trace    *xtrace.SimTrace
+// Records builds an observed batch's series records: one per observed
+// cell (every cell but a mix) in cell order, labelled by the cell's
+// variant, workload and policy.
+func Records(cells []Cell, ins []Instrumented) []SeriesRecord {
+	var recs []SeriesRecord
+	for i, c := range cells {
+		if len(c.Mix) == 0 {
+			recs = append(recs, SeriesRecord{Variant: c.Variant, Workload: c.Workload.Name,
+				Policy: c.Spec.Name, Series: ins[i].Series})
+		}
+	}
+	return recs
+}
+
+// Report is the machine-readable rendering of one experiment, shared by
+// mellowd experiment jobs and `mellowbench -json`.
+type Report struct {
+	ID     string `json:"id"`
+	Title  string `json:"title"`
+	Output string `json:"output"`
+	// Series carries the records of an observed run (mellowbench
+	// -interval, interval_ns jobs), in cell order.
+	Series []SeriesRecord `json:"series,omitempty"`
 }
 
 // Cell is one simulation of a matrix: a configuration, a policy and a
@@ -569,12 +574,21 @@ type Cell struct {
 	// Mix, when set, runs one core per workload against a shared memory
 	// system instead of Workload.
 	Mix []trace.Workload
+	// Variant labels the cell's configuration within its matrix; it
+	// names the cell's records and never enters the memo key.
+	Variant string
 }
 
-// Hooks observe a RunCells matrix cell by cell; both are optional.
+// Hooks observe a RunCells matrix cell by cell; every hook is optional.
 type Hooks struct {
+	// Plan runs once, before any cell starts, with the whole batch in
+	// cell order: its total and each cell's labels. The cells must not
+	// be modified.
+	Plan func(cells []Cell)
 	// Start runs in cell i's goroutine just before its simulation and
-	// returns the cell's Observation (zero: a plain run).
+	// returns the cell's Observation (zero: a plain run). A mix cell has
+	// no series, metrics or timeline to collect: it runs plain whatever
+	// Start returns.
 	Start func(i int) Observation
 	// Done fires exactly once for every cell: after its simulation for a
 	// started cell, or with the context's error for a cell that never
@@ -591,6 +605,9 @@ type Hooks struct {
 // returned and cancels the sibling cells; once ctx is done no further
 // cell starts.
 func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error) {
+	if h.Plan != nil {
+		h.Plan(cells)
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -609,6 +626,9 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 			var ob Observation
 			if h.Start != nil {
 				ob = h.Start(i)
+			}
+			if len(c.Mix) > 0 {
+				ob = Observation{}
 			}
 			ins, err := Run(ctx, c, ob)
 			done <- outcome{i, ins, err}
@@ -631,31 +651,6 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// runAll runs cells under o's context and observers and returns their
-// results in cell order. With Options.Epoch set, runs are observed and
-// each series goes to OnSeries; with Options.Trace each timeline goes
-// to OnTrace; OnProgress counts every cell, failed ones included.
-func runAll(o Options, cells []Cell) ([]Instrumented, error) {
-	ob := Observation{Epoch: o.Epoch, Trace: o.Trace}
-	done := 0
-	return RunCells(o.ctx(), cells, Hooks{
-		Start: func(int) Observation { return ob },
-		Done: func(i int, in Instrumented, err error) {
-			done++
-			w, p := cells[i].Workload.Name, cells[i].Spec.Name
-			if err == nil && o.OnSeries != nil && o.Epoch > 0 {
-				o.OnSeries(SeriesRecord{Workload: w, Policy: p, Series: in.Series})
-			}
-			if err == nil && o.OnTrace != nil && in.Trace != nil {
-				o.OnTrace(TraceRecord{Workload: w, Policy: p, Trace: in.Trace})
-			}
-			if o.OnProgress != nil {
-				o.OnProgress(done, len(cells))
-			}
-		},
-	})
 }
 
 // variant is one labelled configuration of a declared matrix.
@@ -682,8 +677,8 @@ func (s Sweep) At(variant, policy, workload string) core.Result {
 	return s[sweepKey{variant, policy, workload}]
 }
 
-// runMatrices simulates an experiment's matrices as one runAll batch, so
-// its progress counts all of their cells.
+// runMatrices simulates an experiment's matrices as one RunCells batch
+// under o's hooks, so its observers see every cell of the experiment.
 func runMatrices(o Options, ms ...matrix) (Sweep, error) {
 	var cells []Cell
 	var keys []sweepKey
@@ -695,13 +690,13 @@ func runMatrices(o Options, ms ...matrix) (Sweep, error) {
 			}
 			for _, v := range m.variants {
 				for _, s := range m.specs {
-					cells = append(cells, Cell{Cfg: v.cfg, Spec: s, Workload: w})
+					cells = append(cells, Cell{Cfg: v.cfg, Spec: s, Workload: w, Variant: v.label})
 					keys = append(keys, sweepKey{v.label, s.Name, name})
 				}
 			}
 		}
 	}
-	res, err := runAll(o, cells)
+	res, err := RunCells(o.ctx(), cells, o.Hooks)
 	if err != nil {
 		return nil, err
 	}

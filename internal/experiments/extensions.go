@@ -106,8 +106,6 @@ func runExt3(o Options) error {
 		workloads: []string{workload},
 		specs:     []policy.Spec{spec},
 	}
-	// The ablation rows are plain runs: Options' observers do not apply.
-	o.Epoch, o.Trace = 0, false
 	res, err := runMatrices(o, m)
 	if err != nil {
 		return err
@@ -223,9 +221,7 @@ func runExt6(o Options) error {
 			cells = append(cells, Cell{Cfg: o.Cfg, Spec: s, Mix: ws})
 		}
 	}
-	// Mixes are plain runs: Options' observers do not apply.
-	o.Epoch, o.Trace = 0, false
-	res, err := runAll(o, cells)
+	res, err := RunCells(o.ctx(), cells, o.Hooks)
 	if err != nil {
 		return err
 	}

@@ -96,23 +96,23 @@ func TestMixContainsPanic(t *testing.T) {
 }
 
 // TestExt6Cancelled: a cancelled ext6 starts no mix, yet still reports
-// every cell to OnProgress; cancelled mid-run, it returns with no flight
-// left running and fewer mixes memoised than it declares.
+// every cell to Done; cancelled mid-run, it returns with no flight left
+// running and fewer mixes memoised than it declares.
 func TestExt6Cancelled(t *testing.T) {
 	ResetCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	calls, total := 0, 0
-	o := Options{Ctx: ctx, Cfg: tinyConfig(704), Out: io.Discard,
-		OnProgress: func(done, n int) { calls, total = done, n }}
+	var r recorder
+	o := Options{Ctx: ctx, Cfg: tinyConfig(704), Out: io.Discard, Hooks: r.hooks(Observation{})}
 	if err := runExt6(o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if st := CacheSnapshot(); st.Misses != 0 {
 		t.Errorf("a cancelled ext6 started %d mixes", st.Misses)
 	}
-	if total == 0 || calls != total {
-		t.Errorf("progress reached %d/%d, want every cell reported", calls, total)
+	total := len(r.cells)
+	if total == 0 || r.done != total {
+		t.Errorf("progress reached %d/%d, want every cell reported", r.done, total)
 	}
 
 	old := sched.Default().Stats().Budget
@@ -123,7 +123,7 @@ func TestExt6Cancelled(t *testing.T) {
 	defer cancel()
 	o.Ctx = ctx
 	o.Cfg.Run.DetailedInstructions = 1_000_000
-	o.OnProgress = func(int, int) { cancel() }
+	o.Hooks = Hooks{Done: func(int, Instrumented, error) { cancel() }}
 	if err := runExt6(o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -10,10 +10,10 @@ import (
 	"mellow/internal/trace"
 )
 
-// TestRunAllProgressOnError: a failing simulation must still advance
-// the progress callback — previously the error path returned before
-// OnProgress, so a failed sweep's last reported fraction froze at an
-// arbitrary value.
+// TestRunAllProgressOnError: a failing simulation must still reach the
+// Done hook — once the error path returned before reporting progress,
+// so a failed sweep's last reported fraction froze at an arbitrary
+// value.
 func TestRunAllProgressOnError(t *testing.T) {
 	ResetCache()
 	cfg := tinyConfig(301)
@@ -23,25 +23,16 @@ func TestRunAllProgressOnError(t *testing.T) {
 	}
 	// A workload without a spec has no memo key: it fails fast.
 	cells := []Cell{ok[0], {Cfg: cfg, Spec: policy.Norm(), Workload: trace.Workload{Name: "no-spec"}}, ok[1]}
-	var mu sync.Mutex
-	var calls [][2]int
-	o := Options{Cfg: cfg, OnProgress: func(done, total int) {
-		mu.Lock()
-		calls = append(calls, [2]int{done, total})
-		mu.Unlock()
-	}}
-	_, err = runAll(o, cells)
+	var r recorder
+	_, err = RunCells(context.Background(), cells, r.hooks(Observation{}))
 	if err == nil {
 		t.Fatal("sweep with an invalid workload succeeded")
 	}
-	if len(calls) != len(cells) {
-		t.Fatalf("OnProgress fired %d times, want %d (every attempt, failures included): %v",
-			len(calls), len(cells), calls)
+	if r.plans != 1 || len(r.cells) != len(cells) {
+		t.Fatalf("planned %d batches of %d cells, want one of %d", r.plans, len(r.cells), len(cells))
 	}
-	for i, c := range calls {
-		if c[0] != i+1 || c[1] != len(cells) {
-			t.Fatalf("call %d reported %d/%d, want %d/%d", i, c[0], c[1], i+1, len(cells))
-		}
+	if r.done != len(cells) {
+		t.Fatalf("Done fired %d times, want %d (every attempt, failures included)", r.done, len(cells))
 	}
 }
 

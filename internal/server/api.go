@@ -170,10 +170,10 @@ const (
 	MaxIntervalNS = math.MaxUint64 / sim.TicksPerNS
 )
 
-// validateInterval applies the documented interval_ns bounds (zero
-// means unobserved and is always valid). mellowbench applies the same
-// floor to its -interval flag.
-func validateInterval(ns uint64) error {
+// ValidateInterval applies the documented interval_ns bounds (zero
+// means unobserved and is always valid): the admission check for
+// interval_ns and for mellowbench's -interval flag alike.
+func ValidateInterval(ns uint64) error {
 	if ns == 0 {
 		return nil
 	}
@@ -245,7 +245,7 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 	if err := c.Config.Validate(); err != nil {
 		return c, "", err
 	}
-	if err := validateInterval(req.IntervalNS); err != nil {
+	if err := ValidateInterval(req.IntervalNS); err != nil {
 		return c, "", err
 	}
 	c.IntervalNS = req.IntervalNS
@@ -409,21 +409,10 @@ type JobResult struct {
 	// equal keys.
 	Metrics []*metrics.Snapshot `json:"metrics,omitempty"`
 	// Report holds an experiment job's rendered artifact.
-	Report *ExperimentReport `json:"report,omitempty"`
+	Report *experiments.Report `json:"report,omitempty"`
 	// Scenario holds a scenario job's result document — the same bytes
 	// `mellowbench -scenario-dir` pins against the committed goldens.
 	Scenario *scenario.Result `json:"scenario,omitempty"`
-}
-
-// ExperimentReport is the machine-readable rendering of one paper
-// artifact — shared by mellowd experiment jobs and `mellowbench -json`.
-type ExperimentReport struct {
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	Output string `json:"output"`
-	// Series carries the underlying simulations' epoch series when the
-	// run was observed (mellowbench -interval, interval_ns jobs).
-	Series []experiments.SeriesRecord `json:"series,omitempty"`
 }
 
 // APIError is the body of every non-2xx response.

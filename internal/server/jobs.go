@@ -3,9 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"mellow/internal/engine"
 	"mellow/internal/experiments"
 	"mellow/internal/metrics"
+	"mellow/internal/scenario"
 	"mellow/internal/sim"
 	"mellow/internal/xtrace"
 )
@@ -108,14 +107,6 @@ func (p *jobProgress) keepLast(s *engine.EpochSample) {
 	}
 }
 
-// set records sweep progress reported by the experiments layer.
-func (p *jobProgress) set(done, total int) {
-	p.setTotal(total)
-	if done >= 0 {
-		p.doneSims.Store(uint64(done))
-	}
-}
-
 // finish pins the fraction at 1 (job completed successfully).
 func (p *jobProgress) finish() { p.clamp(1) }
 
@@ -188,89 +179,74 @@ func (j *jobState) status(deduped bool) JobStatus {
 	return st
 }
 
-// sortSeriesRecords puts sweep series in a canonical order: OnSeries
-// delivers them in completion order, which is nondeterministic, but
-// result bytes must be equal for equal keys. Records are keyed by
-// (workload, policy) and — since one experiment can run the same pair
-// under several configs — tie-broken by their full JSON encoding, so
-// any remaining ties are byte-identical and order-irrelevant.
-func sortSeriesRecords(records []experiments.SeriesRecord) {
-	keys := make([]string, len(records))
-	for i, r := range records {
-		b, err := json.Marshal(r)
-		if err != nil {
-			b = []byte(r.Workload + "/" + r.Policy)
-		}
-		keys[i] = r.Workload + "\x00" + r.Policy + "\x00" + string(b)
-	}
-	sort.Sort(&recordSorter{records: records, keys: keys})
-}
-
-type recordSorter struct {
-	records []experiments.SeriesRecord
-	keys    []string
-}
-
-func (s *recordSorter) Len() int           { return len(s.records) }
-func (s *recordSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *recordSorter) Swap(i, j int) {
-	s.records[i], s.records[j] = s.records[j], s.records[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
 // runJob executes one job's simulations through the memoised harness,
 // so identical sub-simulations across different jobs run once. A
 // positive interval_ns runs them observed: per-epoch series land in the
 // result and the jobState's progress trackers feed the status API live.
 //
-// Every kind but experiment is one scenario matrix (canonicalJob.matrix)
-// run through experiments.RunScenario: the process-wide scheduler
-// (internal/sched) bounds total concurrent simulations across every job,
-// and results come back in matrix slot order — the payload and the SSE
-// cell index keep the exact sequential ordering, so equal keys still
-// yield equal bytes no matter which cells finish first. Only rendering
-// differs by kind: a scenario job returns the scenario document, a sim
-// or compare job its flat Results (plus Series and Metrics).
+// Every kind is one RunCells batch observed by the same hooks: an
+// experiment job runs its experiment's declared matrix, every other kind
+// one scenario matrix (canonicalJob.matrix) through
+// experiments.RunScenario. The process-wide scheduler (internal/sched)
+// bounds total concurrent simulations across every job, and results come
+// back in cell order — the payload and the SSE cell index keep the exact
+// sequential ordering, so equal keys still yield equal bytes no matter
+// which cells finish first. Only rendering differs by kind: an
+// experiment job returns its report, a scenario job the scenario
+// document, a sim or compare job its flat Results (plus Series and
+// Metrics).
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
 	epoch := sim.NS(canon.IntervalNS)
-	if canon.Kind == KindExperiment {
-		rep, err := runExperiment(ctx, js, epoch)
-		if err != nil {
-			return nil, err
+	var sc *scenario.Scenario
+	var refs []scenario.Cell
+	if canon.Kind != KindExperiment {
+		sc = canon.matrix()
+		refs = sc.Cells()
+	}
+	var (
+		cells    []experiments.Cell
+		ins      []experiments.Instrumented
+		trackers []*engine.Tracker
+		starts   []time.Time
+		// streamed counts each cell's live epoch events. OnEpoch only
+		// fires when the cell executes the simulation itself; a memo hit
+		// or a joined in-flight run streams nothing live and flushes the
+		// whole memoised series on completion — either way the cell's
+		// epoch-event subsequence is exactly the series the result embeds.
+		streamed []int
+	)
+	// label names cell i on its events: by its experiment's matrix, or as
+	// the request spelled it.
+	label := func(i int) experiments.SeriesRecord {
+		c := cells[i]
+		rec := experiments.SeriesRecord{Variant: c.Variant, Workload: c.Workload.Name, Policy: c.Spec.Name}
+		if refs != nil {
+			rec.Policy = refs[i].Policy
 		}
-		out.Report = rep
-		return out, nil
+		return rec
 	}
-	sc := canon.matrix()
-	refs := sc.Cells()
-	// label names cell i as the request spelled it.
-	label := func(i int) (string, string) { return refs[i].Workload.Name, refs[i].Policy }
-	js.progress.setTotal(len(refs))
-	ins := make([]experiments.Instrumented, len(refs))
-	trackers := make([]*engine.Tracker, len(refs))
-	starts := make([]time.Time, len(refs))
-	// streamed counts each cell's live epoch events. OnEpoch only fires
-	// when the cell executes the simulation itself; a memo hit or a
-	// joined in-flight run streams nothing live and flushes the whole
-	// memoised series on completion — either way the cell's epoch-event
-	// subsequence is exactly the series the result embeds.
-	streamed := make([]int, len(refs))
-	if canon.Trace {
-		js.traces = make([]*xtrace.SimTrace, len(refs))
-	}
-	res, err := experiments.RunScenario(ctx, canon.Config, sc, experiments.Hooks{
+	h := experiments.Hooks{
+		Plan: func(cs []experiments.Cell) {
+			n := len(cs)
+			cells, ins, streamed = cs, make([]experiments.Instrumented, n), make([]int, n)
+			trackers, starts = make([]*engine.Tracker, n), make([]time.Time, n)
+			js.progress.setTotal(n)
+			if canon.Trace {
+				js.traces = make([]*xtrace.SimTrace, n)
+			}
+		},
 		Start: func(i int) experiments.Observation {
 			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
 			if epoch > 0 {
 				trackers[i] = &engine.Tracker{}
 				ob.Tracker = trackers[i]
 				if js.stream != nil {
-					w, p := label(i)
+					lb := label(i)
 					ob.OnEpoch = func(s engine.EpochSample) {
 						streamed[i]++
-						js.stream.epoch(i, w, p, s)
+						js.stream.epoch(i, lb, s)
 					}
 				}
 			}
@@ -282,23 +258,42 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		// too, so a failed job's progress accounts for all attempted
 		// work instead of freezing mid-matrix.
 		Done: func(i int, in experiments.Instrumented, err error) {
-			w, p := label(i)
+			rec := label(i)
 			if !starts[i].IsZero() {
-				js.spans.Span("sim "+w+"/"+p, "cell", starts[i], time.Now(), "workload", w, "policy", p)
+				js.spans.Span("sim "+rec.Workload+"/"+rec.Policy, "cell", starts[i], time.Now(),
+					"workload", rec.Workload, "policy", rec.Policy)
 			}
 			js.progress.endSim(trackers[i])
 			if err != nil {
 				return
 			}
 			ins[i] = in
-			if epoch > 0 {
-				js.stream.flushSeries(i, w, p, in.Series, streamed[i])
-			}
+			rec.Series = in.Series // nil for an unobserved run or a mix
+			js.stream.flushSeries(i, rec, streamed[i])
 			if canon.Trace {
 				js.traces[i] = in.Trace
 			}
 		},
-	})
+	}
+	if canon.Kind == KindExperiment {
+		e, err := experiments.ByID(canon.Experiment)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		opts := experiments.Options{Ctx: ctx, Cfg: canon.Config, Out: &buf, Workloads: canon.Workloads, Hooks: h}
+		if err := e.Run(opts); err != nil {
+			return nil, err
+		}
+		renderStart := time.Now()
+		out.Report = &experiments.Report{ID: e.ID, Title: e.Title, Output: buf.String()}
+		if epoch > 0 {
+			out.Report.Series = experiments.Records(cells, ins)
+		}
+		js.spans.Span("render", "job", renderStart, time.Now())
+		return out, nil
+	}
+	res, err := experiments.RunScenario(ctx, canon.Config, sc, h)
 	if err != nil {
 		return nil, err
 	}
@@ -309,64 +304,20 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	renderStart := time.Now()
 	out.Results = make([]core.Result, len(ins))
 	if epoch > 0 {
-		out.Series = make([]experiments.SeriesRecord, len(ins))
+		out.Series = experiments.Records(cells, ins)
+		for i := range out.Series {
+			out.Series[i].Policy = label(i).Policy // as the request spelled it
+		}
 	}
 	if canon.Metrics {
 		out.Metrics = make([]*metrics.Snapshot, len(ins))
 	}
 	for i, in := range ins {
 		out.Results[i] = in.Result
-		if epoch > 0 {
-			w, p := label(i)
-			out.Series[i] = experiments.SeriesRecord{Workload: w, Policy: p, Series: in.Series}
-		}
 		if canon.Metrics {
 			out.Metrics[i] = in.Metrics
 		}
 	}
 	js.spans.Span("render", "job", renderStart, time.Now())
 	return out, nil
-}
-
-// runExperiment regenerates an experiment job's paper artifact.
-func runExperiment(ctx context.Context, js *jobState, epoch sim.Tick) (*ExperimentReport, error) {
-	canon := js.canon
-	e, err := experiments.ByID(canon.Experiment)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	var records []experiments.SeriesRecord
-	opts := experiments.Options{
-		Ctx:        ctx,
-		Cfg:        canon.Config,
-		Out:        &buf,
-		Workloads:  canon.Workloads,
-		OnProgress: js.progress.set,
-	}
-	if epoch > 0 {
-		opts.Epoch = epoch
-		// Experiments deliver whole series as each simulation completes
-		// (OnSeries is serialized by the experiments layer), so the stream
-		// carries each (workload, policy) series as one contiguous run of
-		// epoch events with cell -1.
-		opts.OnSeries = func(rec experiments.SeriesRecord) {
-			records = append(records, rec)
-			js.stream.flushSeries(-1, rec.Workload, rec.Policy, rec.Series, 0)
-		}
-	}
-	if canon.Trace {
-		opts.Trace = true
-		opts.OnTrace = func(rec experiments.TraceRecord) {
-			js.traces = append(js.traces, rec.Trace)
-		}
-	}
-	if err := e.Run(opts); err != nil {
-		return nil, err
-	}
-	renderStart := time.Now()
-	sortSeriesRecords(records)
-	rep := &ExperimentReport{ID: e.ID, Title: e.Title, Output: buf.String(), Series: records}
-	js.spans.Span("render", "job", renderStart, time.Now())
-	return rep, nil
 }

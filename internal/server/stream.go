@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mellow/internal/engine"
+	"mellow/internal/experiments"
 	"mellow/internal/metrics"
 )
 
@@ -35,12 +36,13 @@ type StreamEvent struct {
 	Seq int `json:"seq"`
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
-	// Cell is the matrix cell index the sample belongs to — the index
-	// into the result's Results and Series slices. It is -1 on
-	// non-epoch events and on experiment-kind jobs, which stream whole
-	// per-simulation series as each completes: group by (workload,
-	// policy) instead.
-	Cell     int    `json:"cell"`
+	// Cell is the index of the matrix cell the sample belongs to, in the
+	// job's batch order — for a sim or compare job the index into the
+	// result's Results and Series slices. It is -1 on non-epoch events.
+	Cell int `json:"cell"`
+	// Variant, Workload and Policy label the cell as its series record
+	// does; Variant names an experiment's config variant.
+	Variant  string `json:"variant,omitempty"`
 	Workload string `json:"workload,omitempty"`
 	Policy   string `json:"policy,omitempty"`
 	// Sample is the epoch payload (epoch events only).
@@ -120,26 +122,28 @@ func (l *streamLog) append(ev StreamEvent) {
 	l.mu.Unlock()
 }
 
-// epoch appends one live sample for a cell.
-func (l *streamLog) epoch(cell int, workload, policy string, s engine.EpochSample) {
+// epoch appends one live sample for a cell labelled as rec.
+func (l *streamLog) epoch(cell int, rec experiments.SeriesRecord, s engine.EpochSample) {
 	if l == nil {
 		return
 	}
-	l.append(StreamEvent{Type: EventEpoch, Cell: cell, Workload: workload, Policy: policy, Sample: &s})
+	l.append(StreamEvent{Type: EventEpoch, Cell: cell, Variant: rec.Variant,
+		Workload: rec.Workload, Policy: rec.Policy, Sample: &s})
 }
 
-// flushSeries appends the samples of a completed simulation that were
-// not already streamed live: everything from index streamed on. A memo
-// hit or joined flight streamed nothing live (streamed 0) and flushes
-// the whole memoised series; the executing caller streamed everything
-// (streamed == len(series)) and flushes nothing. Either way the cell's
-// epoch-event subsequence ends up byte-identical to the result series.
-func (l *streamLog) flushSeries(cell int, workload, policy string, series []engine.EpochSample, streamed int) {
-	if l == nil || streamed >= len(series) {
+// flushSeries appends the samples of a completed cell's series record
+// that were not already streamed live: everything from index streamed
+// on. A memo hit or joined flight streamed nothing live (streamed 0)
+// and flushes the whole memoised series; the executing caller streamed
+// everything (streamed == len(series)) and flushes nothing. Either way
+// the cell's epoch-event subsequence ends up byte-identical to the
+// result series.
+func (l *streamLog) flushSeries(cell int, rec experiments.SeriesRecord, streamed int) {
+	if l == nil || streamed >= len(rec.Series) {
 		return
 	}
-	for _, s := range series[streamed:] {
-		l.epoch(cell, workload, policy, s)
+	for _, s := range rec.Series[streamed:] {
+		l.epoch(cell, rec, s)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mellow/internal/engine"
+	"mellow/internal/experiments"
 )
 
 // readEventsErr subscribes to a job's SSE feed and decodes events until
@@ -84,14 +85,28 @@ func epochJSON(t *testing.T, events []StreamEvent, cell int) []string {
 	return out
 }
 
+// resultSeries returns a finished job's series records: a sim or
+// compare job's Series, or an experiment job's report series.
+func resultSeries(t *testing.T, st JobStatus) []experiments.SeriesRecord {
+	t.Helper()
+	if st.Result == nil {
+		t.Fatal("job has no result")
+	}
+	if st.Result.Report != nil {
+		return st.Result.Report.Series
+	}
+	return st.Result.Series
+}
+
 // seriesJSON renders a result series the same way.
 func seriesJSON(t *testing.T, st JobStatus, cell int) []string {
 	t.Helper()
-	if st.Result == nil || cell >= len(st.Result.Series) {
+	recs := resultSeries(t, st)
+	if cell >= len(recs) {
 		t.Fatalf("result has no series for cell %d", cell)
 	}
 	var out []string
-	for _, s := range st.Result.Series[cell].Series {
+	for _, s := range recs[cell].Series {
 		s := s
 		b, err := json.Marshal(&s)
 		if err != nil {
@@ -117,63 +132,107 @@ func sameLines(a, b []string) bool {
 // TestStreamMatchesResultSeries is the streaming face of the
 // determinism contract: subscribers attached while the job is queued
 // and long after it finished both observe, per cell, exactly the epoch
-// series the finished result embeds — identical bytes, identical order.
+// series the finished result embeds — identical bytes, identical order,
+// identical labels. An observed experiment job streams like a compare
+// job: every epoch event carries its cell's index in the experiment's
+// batch, and when traced its span artifact holds one cell span per cell.
 func TestStreamMatchesResultSeries(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{Workers: 2, SimBudget: 4, BaseConfig: tinyBase(401)})
-	st, code := postJob(t, ts,
-		`{"kind":"compare","workloads":["stream","gups"],"policies":["BE-Mellow+SC"],"interval_ns":40000}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", code)
-	}
+	for _, body := range []string{
+		`{"kind":"compare","workloads":["stream","gups"],"policies":["BE-Mellow+SC"],"interval_ns":40000}`,
+		`{"kind":"experiment","experiment":"fig18","interval_ns":40000,"trace":true}`,
+	} {
+		st, code := postJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d, want 202", body, code)
+		}
 
-	// Early subscriber: attached before the run, lives through it.
-	type sub struct {
-		events []StreamEvent
-		err    error
-	}
-	earlyCh := make(chan sub, 1)
-	go func() {
-		events, err := readEventsErr(ts, st.ID)
-		earlyCh <- sub{events, err}
-	}()
+		// Early subscriber: attached before the run, lives through it.
+		type sub struct {
+			events []StreamEvent
+			err    error
+		}
+		earlyCh := make(chan sub, 1)
+		go func() {
+			events, err := readEventsErr(ts, st.ID)
+			earlyCh <- sub{events, err}
+		}()
 
-	fin := waitDone(t, ts, st.ID)
-	if fin.State != StateDone {
-		t.Fatalf("job failed: %s", fin.Error)
-	}
-	got := <-earlyCh
-	if got.err != nil {
-		t.Fatalf("early subscriber: %v", got.err)
-	}
-	early := got.events
-	// Late subscriber: attached after completion, replays from scratch.
-	late := readEvents(t, ts, st.ID)
+		fin := waitDone(t, ts, st.ID)
+		if fin.State != StateDone {
+			t.Fatalf("%s: job failed: %s", body, fin.Error)
+		}
+		got := <-earlyCh
+		if got.err != nil {
+			t.Fatalf("%s: early subscriber: %v", body, got.err)
+		}
+		early := got.events
+		// Late subscriber: attached after completion, replays from scratch.
+		late := readEvents(t, ts, st.ID)
 
-	if last := early[len(early)-1]; last.Type != EventDone {
-		t.Fatalf("early subscriber terminal = %s, want done", last.Type)
-	}
-	for i, ev := range late {
-		if ev.Seq != i {
-			t.Fatalf("late subscriber seq[%d] = %d: replay must start at 0", i, ev.Seq)
+		if last := early[len(early)-1]; last.Type != EventDone {
+			t.Fatalf("%s: early subscriber terminal = %s, want done", body, last.Type)
 		}
-	}
-	for cell := 0; cell < 2; cell++ {
-		want := seriesJSON(t, fin, cell)
-		if len(want) == 0 {
-			t.Fatalf("cell %d: result series empty", cell)
+		for i, ev := range late {
+			if ev.Seq != i {
+				t.Fatalf("%s: late subscriber seq[%d] = %d: replay must start at 0", body, i, ev.Seq)
+			}
 		}
-		if got := epochJSON(t, early, cell); !sameLines(got, want) {
-			t.Errorf("cell %d: early subscriber saw %d epochs, result embeds %d (or bytes differ)",
-				cell, len(got), len(want))
+		recs := resultSeries(t, fin)
+		for _, ev := range early {
+			if ev.Type != EventEpoch {
+				continue
+			}
+			if ev.Cell < 0 || ev.Cell >= len(recs) {
+				t.Fatalf("%s: epoch event for cell %d, result has %d records", body, ev.Cell, len(recs))
+			}
+			if r := recs[ev.Cell]; ev.Variant != r.Variant || ev.Workload != r.Workload || ev.Policy != r.Policy {
+				t.Fatalf("%s: cell %d event labelled %s/%s/%s, record %s/%s/%s", body, ev.Cell,
+					ev.Variant, ev.Workload, ev.Policy, r.Variant, r.Workload, r.Policy)
+			}
 		}
-		if got := epochJSON(t, late, cell); !sameLines(got, want) {
-			t.Errorf("cell %d: late subscriber saw %d epochs, result embeds %d (or bytes differ)",
-				cell, len(got), len(want))
+		for cell := range recs {
+			want := seriesJSON(t, fin, cell)
+			if len(want) == 0 {
+				t.Fatalf("%s: cell %d: result series empty", body, cell)
+			}
+			if got := epochJSON(t, early, cell); !sameLines(got, want) {
+				t.Errorf("%s: cell %d: early subscriber saw %d epochs, result embeds %d (or bytes differ)",
+					body, cell, len(got), len(want))
+			}
+			if got := epochJSON(t, late, cell); !sameLines(got, want) {
+				t.Errorf("%s: cell %d: late subscriber saw %d epochs, result embeds %d (or bytes differ)",
+					body, cell, len(got), len(want))
+			}
 		}
-	}
-	if !sameLines(eventJSON(t, early), eventJSON(t, late)) {
-		t.Error("early and late subscribers observed different event sequences")
+		if !sameLines(eventJSON(t, early), eventJSON(t, late)) {
+			t.Errorf("%s: early and late subscribers observed different event sequences", body)
+		}
+		if fin.Result.Report == nil {
+			continue
+		}
+		// fig18: GemsFDTD × {16, 8, 4} banks × {Norm, BE-Mellow+SC}.
+		if len(recs) != 6 {
+			t.Fatalf("fig18 job carries %d series records, want 6", len(recs))
+		}
+		resp, tb := getTrace(t, ts.URL+"/v1/jobs/"+st.ID+"/trace")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace fetch = %d: %s", resp.StatusCode, tb)
+		}
+		var doc chromeTrace
+		if err := json.Unmarshal(tb, &doc); err != nil {
+			t.Fatal(err)
+		}
+		spans := 0
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "b" && strings.HasPrefix(e.Name, "sim ") {
+				spans++
+			}
+		}
+		if spans != len(recs) {
+			t.Errorf("traced fig18 job has %d cell spans, want one per cell (%d)", spans, len(recs))
+		}
 	}
 }
 
@@ -305,7 +364,7 @@ func TestStreamLogNilSafe(t *testing.T) {
 	t.Parallel()
 	var l *streamLog
 	l.append(StreamEvent{Type: EventEpoch})
-	l.epoch(0, "w", "p", engine.EpochSample{})
-	l.flushSeries(0, "w", "p", nil, 0)
+	l.epoch(0, experiments.SeriesRecord{}, engine.EpochSample{})
+	l.flushSeries(0, experiments.SeriesRecord{}, 0)
 	l.finish("")
 }

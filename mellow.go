@@ -62,9 +62,6 @@ type EpochSample = engine.EpochSample
 // SeriesRecord labels one simulation's epoch series for export.
 type SeriesRecord = experiments.SeriesRecord
 
-// TraceRecord labels one simulation's execution timeline for export.
-type TraceRecord = experiments.TraceRecord
-
 // SimTrace is one finalized simulation execution timeline: engine
 // phases, epochs and per-bank controller events in kernel ticks.
 type SimTrace = xtrace.SimTrace
