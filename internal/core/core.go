@@ -97,7 +97,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 
 // RunObserved runs the phase-aware engine with the given observation
 // options, returning the result plus the epoch time series (nil unless
-// opts.Collect). Results are bit-identical to RunContext regardless of
+// opts.Epoch > 0). Results are bit-identical to RunContext regardless of
 // the observers attached.
 func (s *System) RunObserved(ctx context.Context, opts engine.Options) (Result, []engine.EpochSample, error) {
 	out, err := s.Engine(opts).Run(ctx)
@@ -127,7 +127,7 @@ func (s *System) resultOf(out engine.Outcome) Result {
 
 // Run is the one-call entry point: build a fresh system for workload w
 // and run it under spec with cfg and the given observation options. It
-// returns the result plus the epoch series (nil unless opts.Collect);
+// returns the result plus the epoch series (nil unless opts.Epoch > 0);
 // the result is bit-identical whatever observers opts attaches.
 // Resolve a builtin name with trace.ByName first.
 func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workload, opts engine.Options) (Result, []engine.EpochSample, error) {

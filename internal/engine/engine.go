@@ -1,23 +1,26 @@
 // Package engine owns the simulation run pipeline: the warmup →
 // detailed → drain phasing that used to live inline in core.Run, plus an
-// epoch-probe observer layer that turns a run from an opaque black box
-// into a live, interval-resolved time series.
+// epoch probe that turns a run from an opaque black box into an
+// interval-resolved time series.
 //
 // The paper's mechanisms are all periodic — the LLC useless-position
 // profiler rotates and Wear Quota re-budgets every 500 µs — so the
 // engine samples on the same clock: a sim.Kernel probe fires every
-// EpochTicks of simulated time and snapshots the cheap probe counters of
-// cpu, cache and mem into an EpochSample. Probes are read-only observers
-// interleaved deterministically with the event heap, so a run with an
-// epoch probe attached produces bit-identical results to one without,
-// and the series itself is deterministic: same (config, policy,
-// workload, seed, epoch) → same samples, byte for byte.
+// Options.Epoch ticks of simulated time and snapshots the cheap probe
+// counters of cpu, cache and mem into an EpochSample. Probes are
+// read-only observers interleaved deterministically with the event heap,
+// so a run with an epoch probe attached produces bit-identical results
+// to one without, and the series itself is deterministic: same (config,
+// policy, workload, seed, epoch) → same samples, byte for byte.
+//
+// A run has one live feed: each closed sample is a plain value, appended
+// to the series and handed to Options.OnEpoch. The sample's Progress is
+// the run's completion fraction at its boundary, so a live observer's
+// progress steps once per epoch; there is no other progress channel.
 package engine
 
 import (
 	"context"
-	"math"
-	"sync/atomic"
 
 	"mellow/internal/cache"
 	"mellow/internal/config"
@@ -35,7 +38,7 @@ const (
 	PhaseDrain    = "drain"
 )
 
-// DefaultEpoch is the default sampling period: 500 µs of simulated time,
+// DefaultEpoch is the natural sampling period: 500 µs of simulated time,
 // matching the paper's T_sample (profiler rotation and Wear Quota
 // period), so one epoch spans exactly one re-profiling interval.
 const DefaultEpoch = sim.Tick(1_000_000) // sim.NS(500_000)
@@ -80,79 +83,22 @@ type EpochSample struct {
 
 	// Cumulative wear at the epoch boundary (normal-write units, never
 	// reset — the quantity Wear Quota budgets against).
-	MaxBankDamage float64   `json:"max_bank_damage"`
-	BankDamage    []float64 `json:"bank_damage,omitempty"`
+	MaxBankDamage float64 `json:"max_bank_damage"`
 
 	// Progress is the run's fractional completion at the boundary.
 	Progress float64 `json:"progress"`
 }
 
-// Tracker publishes a run's live telemetry — fractional progress and the
-// last closed epoch — through atomics, so a concurrent reader (an HTTP
-// status handler) can observe a simulation mid-flight without locks and
-// without perturbing it.
-type Tracker struct {
-	progress atomic.Uint64 // float64 bits, monotone non-decreasing
-	sample   atomic.Pointer[EpochSample]
-	epochs   atomic.Uint64
-}
-
-// Progress returns the last published completion fraction in [0, 1].
-func (t *Tracker) Progress() float64 {
-	return math.Float64frombits(t.progress.Load())
-}
-
-// SetProgress publishes p, clamped to [0, 1] and never moving backwards.
-func (t *Tracker) SetProgress(p float64) {
-	if p < 0 || math.IsNaN(p) {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	for {
-		old := t.progress.Load()
-		if math.Float64frombits(old) >= p {
-			return
-		}
-		if t.progress.CompareAndSwap(old, math.Float64bits(p)) {
-			return
-		}
-	}
-}
-
-// Sample returns the last closed epoch, or nil before the first one.
-// The returned sample is immutable; BankDamage must not be modified.
-func (t *Tracker) Sample() *EpochSample {
-	return t.sample.Load()
-}
-
-// Epochs returns the number of epochs closed so far.
-func (t *Tracker) Epochs() uint64 { return t.epochs.Load() }
-
-func (t *Tracker) publish(s *EpochSample) {
-	t.sample.Store(s)
-	t.epochs.Add(1)
-	t.SetProgress(s.Progress)
-}
-
 // Options configure an engine run. The zero value observes nothing: no
 // probe is registered and the run takes exactly the pre-engine path.
 type Options struct {
-	// Epoch is the sampling period in ticks. Zero disables the epoch
-	// probe unless a Tracker or OnEpoch hook is set, in which case
-	// DefaultEpoch applies.
+	// Epoch is the sampling period in ticks. A positive period observes
+	// the run: the epoch probe fires every Epoch ticks and the Outcome
+	// carries the series. Zero observes nothing.
 	Epoch sim.Tick
-	// Collect retains the full []EpochSample series in the Outcome.
-	Collect bool
-	// BankDamage includes the per-bank damage vector in every sample
-	// (off by default: it is the one per-epoch field that is O(banks)
-	// in the JSON encoding).
-	BankDamage bool
-	// Tracker, when set, receives live progress and the current epoch.
-	Tracker *Tracker
-	// OnEpoch, when set, is called synchronously with each closed
-	// sample. It must not mutate simulation state.
+	// OnEpoch, when set on an observed run, is called synchronously
+	// with each closed sample, the same value appended to the series.
+	// It is the run's live feed and must not mutate simulation state.
 	OnEpoch func(EpochSample)
 	// Metrics, when set, receives the run's component collectors: cpu,
 	// cache, mem and wear publish their counters into this per-run
@@ -168,21 +114,9 @@ type Options struct {
 	Timeline *xtrace.Recorder
 }
 
-// observing reports whether an epoch probe is wanted at all.
-func (o Options) observing() bool {
-	return o.Epoch > 0 || o.Collect || o.Tracker != nil || o.OnEpoch != nil
-}
-
-func (o Options) epoch() sim.Tick {
-	if o.Epoch > 0 {
-		return o.Epoch
-	}
-	return DefaultEpoch
-}
-
 // Outcome is the engine's measurement of one run: the end-of-run
 // aggregates every paper figure is built from, plus the epoch series
-// when Options.Collect was set.
+// of an observed run.
 type Outcome struct {
 	Instructions uint64
 	Cycles       float64
@@ -210,56 +144,18 @@ type Engine struct {
 	prevCache  cache.ProbeCounters
 	prevMem    mem.ProbeCounters
 	series     []EpochSample
-	tracker    *Tracker
-	pool       epochPool
-}
-
-// epochPool hands out EpochSamples in chunks. Tracker.publish retains a
-// pointer to the last closed sample and concurrent readers may still
-// hold older ones, so slots are pointer-stable and never recycled within
-// a run; the chunking just batches what used to be one heap allocation
-// per epoch into one per chunk of samples.
-type epochPool struct {
-	chunk []EpochSample
-	n     int
-}
-
-func (p *epochPool) alloc() *EpochSample {
-	if p.n == len(p.chunk) {
-		p.chunk = make([]EpochSample, 128)
-		p.n = 0
-	}
-	s := &p.chunk[p.n]
-	p.n++
-	return s
 }
 
 // New wires an engine over an assembled system. The components must all
 // share kernel.
 func New(kernel *sim.Kernel, hier *cache.Hierarchy, ctl *mem.Controller,
 	core *cpu.Core, run config.Run, opts Options) *Engine {
-	e := &Engine{
+	return &Engine{
 		kernel: kernel, hier: hier, ctl: ctl, core: core,
 		run: run, opts: opts,
 		totalInstr: run.WarmupInstructions + run.DetailedInstructions,
-		tracker:    opts.Tracker,
 	}
-	if e.tracker == nil {
-		e.tracker = &Tracker{}
-	}
-	return e
 }
-
-// Progress returns the run's live completion fraction in [0, 1]. Safe
-// to call from other goroutines while Run executes.
-func (e *Engine) Progress() float64 { return e.tracker.Progress() }
-
-// Tracker returns the engine's telemetry tracker (the one passed in
-// Options, or an internal one).
-func (e *Engine) Tracker() *Tracker { return e.tracker }
-
-// Phase returns the current run phase (single-threaded use only).
-func (e *Engine) Phase() string { return e.phase }
 
 // rebase re-captures the probe-counter baselines; called at start and
 // after the warmup-boundary stats reset so epoch deltas never span a
@@ -279,8 +175,7 @@ func (e *Engine) sampleEpoch(now sim.Tick) {
 	dCache := curCache.Delta(e.prevCache)
 	dMem := curMem.Delta(e.prevMem)
 
-	s := e.pool.alloc()
-	*s = EpochSample{
+	s := EpochSample{
 		Epoch:         e.epochIdx,
 		Phase:         e.phase,
 		Start:         e.prevEnd,
@@ -308,9 +203,6 @@ func (e *Engine) sampleEpoch(now sim.Tick) {
 	if dCPU.Cycles > 0 {
 		s.IPC = float64(dCPU.Instructions) / dCPU.Cycles
 	}
-	if e.opts.BankDamage {
-		s.BankDamage = dMem.BankDamage
-	}
 
 	e.opts.Timeline.Slice(xtrace.TrackEpoch, "epoch", "epoch",
 		s.Start, s.End, 0, uint64(s.Epoch))
@@ -318,12 +210,9 @@ func (e *Engine) sampleEpoch(now sim.Tick) {
 	e.epochIdx++
 	e.prevEnd = now
 	e.prevCPU, e.prevCache, e.prevMem = curCPU, curCache, curMem
-	if e.opts.Collect {
-		e.series = append(e.series, *s)
-	}
-	e.tracker.publish(s)
+	e.series = append(e.series, s)
 	if e.opts.OnEpoch != nil {
-		e.opts.OnEpoch(*s)
+		e.opts.OnEpoch(s)
 	}
 }
 
@@ -361,16 +250,8 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 	if ctx.Done() != nil {
 		cancelled = func() bool { return ctx.Err() != nil }
 	}
-	if e.opts.observing() {
-		// Progress piggybacks on the core's cancellation checkpoints
-		// (every 1024 trace ops); the poll itself never perturbs the
-		// simulation, so results remain bit-identical.
-		inner := cancelled
-		cancelled = func() bool {
-			e.tracker.SetProgress(e.progressAt(e.core.Instructions()))
-			return inner != nil && inner()
-		}
-		id := e.kernel.AddProbe(e.opts.epoch(), e.sampleEpoch)
+	if e.opts.Epoch > 0 {
+		id := e.kernel.AddProbe(e.opts.Epoch, e.sampleEpoch)
 		defer e.kernel.RemoveProbe(id)
 		e.rebase()
 	}
@@ -392,7 +273,7 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 	e.ctl.ResetStats()
 	e.core.BeginMeasurement()
 	// Counter baselines must not span the warmup-boundary reset.
-	if e.opts.observing() {
+	if e.opts.Epoch > 0 {
 		e.rebase()
 	}
 
@@ -421,14 +302,13 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 		Cache:        e.hier.Snapshot(),
 		Series:       e.series,
 	}
-	if e.opts.observing() {
+	if e.opts.Epoch > 0 {
 		// Close a final partial epoch so the series covers the whole
 		// run; skip it when the probe already sampled this exact tick.
 		if now := e.kernel.Now(); now > e.prevEnd {
 			e.sampleEpoch(now)
 			out.Series = e.series
 		}
-		e.tracker.SetProgress(1)
 	}
 	return out, nil
 }

@@ -105,8 +105,8 @@ func TestGoldenUnobserved(t *testing.T) {
 }
 
 // TestGoldenObservedBitIdentical runs the same systems with the full
-// observer stack attached (epoch probe, collection, tracker, per-bank
-// damage) and requires results bit-identical to both the golden values
+// observer stack attached (epoch probe, series, live OnEpoch feed) and
+// requires results bit-identical to both the golden values
 // and an unobserved twin run.
 func TestGoldenObservedBitIdentical(t *testing.T) {
 	for _, g := range golden {
@@ -117,10 +117,8 @@ func TestGoldenObservedBitIdentical(t *testing.T) {
 		var epochs int
 		observed, series, err := newSystem(t, g.workload, g.policy).RunObserved(
 			context.Background(), engine.Options{
-				Collect:    true,
-				BankDamage: true,
-				Tracker:    &engine.Tracker{},
-				OnEpoch:    func(engine.EpochSample) { epochs++ },
+				Epoch:   engine.DefaultEpoch,
+				OnEpoch: func(engine.EpochSample) { epochs++ },
 			})
 		if err != nil {
 			t.Fatalf("%s/%s observed: %v", g.workload, g.policy, err)
@@ -140,7 +138,7 @@ func TestGoldenObservedBitIdentical(t *testing.T) {
 func TestSeriesDeterministic(t *testing.T) {
 	run := func() []engine.EpochSample {
 		_, series, err := newSystem(t, "gups", "BE-Mellow+SC+WQ").RunObserved(
-			context.Background(), engine.Options{Collect: true, BankDamage: true})
+			context.Background(), engine.Options{Epoch: engine.DefaultEpoch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +159,7 @@ func TestOnEpochSamplesMatchSeries(t *testing.T) {
 	var live []engine.EpochSample
 	_, series, err := newSystem(t, "stream", "BE-Mellow+SC").RunObserved(
 		context.Background(), engine.Options{
-			Collect: true, BankDamage: true,
+			Epoch:   engine.DefaultEpoch,
 			OnEpoch: func(s engine.EpochSample) { live = append(live, s) },
 		})
 	if err != nil {
@@ -179,9 +177,8 @@ func TestOnEpochSamplesMatchSeries(t *testing.T) {
 // run: consecutive indexes, strictly increasing end ticks, adjacent
 // intervals, known phases, and monotone progress reaching 1.
 func TestSeriesContract(t *testing.T) {
-	tr := &engine.Tracker{}
 	_, series, err := newSystem(t, "GemsFDTD", "BE-Mellow+SC").RunObserved(
-		context.Background(), engine.Options{Collect: true, Tracker: tr})
+		context.Background(), engine.Options{Epoch: engine.DefaultEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +211,8 @@ func TestSeriesContract(t *testing.T) {
 		}
 		prevProgress = s.Progress
 	}
-	if got := tr.Progress(); got != 1 {
-		t.Errorf("tracker progress after run = %v, want 1", got)
-	}
-	if got := tr.Epochs(); got != uint64(len(series)) {
-		t.Errorf("tracker epochs = %d, series has %d", got, len(series))
-	}
-	if last := tr.Sample(); last == nil || last.Epoch != len(series)-1 {
-		t.Errorf("tracker sample = %+v, want last epoch %d", last, len(series)-1)
+	if got := series[len(series)-1].Progress; got != 1 {
+		t.Errorf("final sample progress = %v, want 1", got)
 	}
 }
 
@@ -229,7 +220,7 @@ func TestSeriesContract(t *testing.T) {
 // enforces its validation rules.
 func TestSeriesJSONRoundTrip(t *testing.T) {
 	_, series, err := newSystem(t, "gups", "Norm").RunObserved(
-		context.Background(), engine.Options{Collect: true, BankDamage: true})
+		context.Background(), engine.Options{Epoch: engine.DefaultEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,31 +257,11 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTrackerClamp checks the tracker's monotone [0,1] clamp.
-func TestTrackerClamp(t *testing.T) {
-	tr := &engine.Tracker{}
-	tr.SetProgress(0.5)
-	tr.SetProgress(0.25) // backwards: ignored
-	if got := tr.Progress(); got != 0.5 {
-		t.Errorf("progress = %v after backwards set, want 0.5", got)
-	}
-	tr.SetProgress(7)
-	if got := tr.Progress(); got != 1 {
-		t.Errorf("progress = %v after overshoot, want 1", got)
-	}
-	tr2 := &engine.Tracker{}
-	tr2.SetProgress(math.NaN())
-	tr2.SetProgress(-3)
-	if got := tr2.Progress(); got != 0 {
-		t.Errorf("progress = %v after NaN/negative sets, want 0", got)
-	}
-}
-
 // TestCancellation checks the engine aborts with ctx's error.
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := newSystem(t, "gups", "Norm").RunObserved(ctx, engine.Options{Collect: true})
+	_, _, err := newSystem(t, "gups", "Norm").RunObserved(ctx, engine.Options{Epoch: engine.DefaultEpoch})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -299,12 +270,12 @@ func TestCancellation(t *testing.T) {
 // TestExplicitEpochPeriod checks a custom epoch controls sample density.
 func TestExplicitEpochPeriod(t *testing.T) {
 	_, coarse, err := newSystem(t, "gups", "Norm").RunObserved(
-		context.Background(), engine.Options{Collect: true, Epoch: engine.DefaultEpoch * 4})
+		context.Background(), engine.Options{Epoch: engine.DefaultEpoch * 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, fine, err := newSystem(t, "gups", "Norm").RunObserved(
-		context.Background(), engine.Options{Collect: true, Epoch: engine.DefaultEpoch / 4})
+		context.Background(), engine.Options{Epoch: engine.DefaultEpoch / 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,9 @@ func TestGoldenTracedBitIdentical(t *testing.T) {
 		rec2 := xtrace.NewRecorder(0)
 		both, series2, err := newSystem(t, g.workload, g.policy).RunObserved(
 			context.Background(), engine.Options{
-				Collect:    true,
-				BankDamage: true,
-				Tracker:    &engine.Tracker{},
-				Timeline:   rec2,
+				Epoch:    engine.DefaultEpoch,
+				OnEpoch:  func(engine.EpochSample) {},
+				Timeline: rec2,
 			})
 		if err != nil {
 			t.Fatalf("%s/%s traced+observed: %v", g.workload, g.policy, err)

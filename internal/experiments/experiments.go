@@ -113,19 +113,18 @@ func ByID(id string) (Experiment, error) {
 // on its result label plus the content hash of its trace.Spec, so a
 // builtin and an inline spec with the same name and parameterization
 // share one entry; a mix keys on every core's label and hash, in core
-// order. Observed runs key on their sampling period and per-bank-damage
-// flag too: the stored epoch series is part of the memoised value, and
-// equal keys must yield equal bytes.
+// order. Observed runs key on their sampling period too: the stored
+// epoch series is part of the memoised value, and equal keys must yield
+// equal bytes.
 type runKey struct {
-	cfg        string // canonical JSON of the config
-	policy     string
-	workload   string   // result label; a mix's labels joined by NUL
-	spec       string   // content hash of the trace.Spec; a mix's joined by NUL
-	mix        int      // cores of a multiprogrammed mix, 0 for one workload
-	epoch      sim.Tick // 0 for unobserved runs
-	bankDamage bool
-	metrics    bool // per-run metrics snapshot stored with the value
-	trace      bool // execution timeline stored with the value
+	cfg      string // canonical JSON of the config
+	policy   string
+	workload string   // result label; a mix's labels joined by NUL
+	spec     string   // content hash of the trace.Spec; a mix's joined by NUL
+	mix      int      // cores of a multiprogrammed mix, 0 for one workload
+	epoch    sim.Tick // 0 for unobserved runs
+	metrics  bool     // per-run metrics snapshot stored with the value
+	trace    bool     // execution timeline stored with the value
 }
 
 func keyFor(c Cell, ob Observation) (runKey, error) {
@@ -150,7 +149,7 @@ func keyFor(c Cell, ob Observation) (runKey, error) {
 	}
 	return runKey{cfg: string(b), policy: c.Spec.Name,
 		workload: strings.Join(names, "\x00"), spec: strings.Join(hashes, "\x00"), mix: len(c.Mix),
-		epoch: ob.Epoch, bankDamage: ob.BankDamage, metrics: ob.Metrics, trace: ob.Trace}, nil
+		epoch: ob.Epoch, metrics: ob.Metrics, trace: ob.Trace}, nil
 }
 
 // DefaultCacheCap bounds the memoisation cache so a long-lived process
@@ -424,20 +423,15 @@ type Observation struct {
 	// Epoch, when positive, is the sampling period in ticks at which the
 	// run collects its epoch series (0: an unobserved run).
 	Epoch sim.Tick
-	// BankDamage includes the per-bank damage vector in every sample.
-	BankDamage bool
-	// Tracker, when set, receives the run's live progress and epochs.
-	// A memo hit or a joined in-flight run only reports completion (the
-	// simulating caller's tracker sees the intermediate samples).
-	Tracker *engine.Tracker
-	// OnEpoch, when set, is called synchronously with every epoch sample
-	// the run closes, in order — the live feed behind mellowd's SSE
-	// streaming. Like Tracker it is a per-caller observer that never
-	// enters the memo key; a memo hit or a joined in-flight run sees no
-	// live samples (callers stream the memoised series on completion
-	// instead). The samples delivered here are the same values collected
-	// into the returned series, so a live consumer and a reader of the
-	// final result observe byte-identical data.
+	// OnEpoch, when set on an observed run, is called synchronously with
+	// every epoch sample the run closes, in order — the one live feed,
+	// behind mellowd's SSE streaming and live progress. It is a
+	// per-caller observer that never enters the memo key; a memo hit or
+	// a joined in-flight run sees no live samples (callers stream the
+	// memoised series on completion instead). The samples delivered here
+	// are the same values collected into the returned series, so a live
+	// consumer and a reader of the final result observe byte-identical
+	// data.
 	OnEpoch func(engine.EpochSample)
 	// Metrics, when set, attaches a per-run metrics registry: cpu,
 	// cache, mem and wear publish their counters as collectors and the
@@ -487,13 +481,7 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 			m, err := core.RunMix(ctx, c.Cfg, c.Spec, c.Mix)
 			return cached{mix: &m}, err
 		}
-		opts := engine.Options{
-			Epoch:      ob.Epoch,
-			Collect:    ob.Epoch > 0,
-			BankDamage: ob.BankDamage,
-			Tracker:    ob.Tracker,
-			OnEpoch:    ob.OnEpoch,
-		}
+		opts := engine.Options{Epoch: ob.Epoch, OnEpoch: ob.OnEpoch}
 		var reg *metrics.Registry
 		if ob.Metrics {
 			reg = metrics.NewRegistry()
@@ -521,11 +509,6 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 	})
 	if err != nil {
 		return Instrumented{}, err
-	}
-	if ob.Tracker != nil {
-		// Covers the memo-hit and joined-flight paths; a no-op when this
-		// caller ran the simulation itself.
-		ob.Tracker.SetProgress(1)
 	}
 	return Instrumented{Result: ch.res, Series: ch.series, Metrics: ch.met, Trace: ch.trace, Mix: ch.mix}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 
 	"mellow/internal/sched"
@@ -63,6 +64,24 @@ func TestExperimentObservers(t *testing.T) {
 			}
 			if r.done != total {
 				t.Fatalf("Done fired %d times for %d cells", r.done, total)
+			}
+			// Each planned cell is a distinct simulation: a repeated
+			// (variant, workload or mix, policy) would count twice in
+			// progress and repeat its series in an observed report.
+			seen := map[[3]string]bool{}
+			for _, c := range r.cells {
+				names := []string{c.Workload.Name}
+				if len(c.Mix) > 0 {
+					names = names[:0]
+					for _, w := range c.Mix {
+						names = append(names, w.Name)
+					}
+				}
+				k := [3]string{c.Variant, strings.Join(names, "+"), c.Spec.Name}
+				if seen[k] {
+					t.Errorf("cell %v planned twice", k)
+				}
+				seen[k] = true
 			}
 			want := total
 			if e.ID == "ext6" {

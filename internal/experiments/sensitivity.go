@@ -105,7 +105,7 @@ func fig19Statics() []policy.Spec {
 func runFig19(o Options) error {
 	statics := fig19Statics()
 	ours := policy.BEMellow().WithSC().WithWQ()
-	res, err := runMatrices(o, o.base(append(statics, ours, policy.Norm())...))
+	res, err := runMatrices(o, o.base(append(statics, ours)...))
 	if err != nil {
 		return err
 	}

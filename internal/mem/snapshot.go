@@ -187,10 +187,8 @@ type ProbeCounters struct {
 	// epoch base — the engine diffs consecutive snapshots.
 	WritesFast uint64
 	WritesSlow uint64
-	// BankDamage is cumulative per-bank wear in normal-write units
-	// (never reset: Wear Quota needs damage from time zero).
-	BankDamage []float64
-	// MaxBankDamage is the worst entry of BankDamage.
+	// MaxBankDamage is the worst bank's cumulative wear in normal-write
+	// units (never reset: Wear Quota needs damage from time zero).
 	MaxBankDamage float64
 	// Queue occupancy and drain mode at the probe instant.
 	ReadQueue  int
@@ -203,7 +201,6 @@ type ProbeCounters struct {
 func (c *Controller) ProbeCounters() ProbeCounters {
 	p := ProbeCounters{
 		Counters:   c.counts,
-		BankDamage: make([]float64, len(c.banks)),
 		ReadQueue:  c.readQ.size,
 		WriteQueue: c.writeQ.size,
 		EagerQueue: c.eagerQ.size,
@@ -211,11 +208,7 @@ func (c *Controller) ProbeCounters() ProbeCounters {
 	}
 	for b := range c.banks {
 		m := c.meters[b]
-		d := m.Damage()
-		p.BankDamage[b] = d
-		if d > p.MaxBankDamage {
-			p.MaxBankDamage = d
-		}
+		p.MaxBankDamage = max(p.MaxBankDamage, m.Damage())
 		p.WritesFast += m.TotalCompleted() - m.SlowCompleted()
 		p.WritesSlow += m.SlowCompleted()
 	}

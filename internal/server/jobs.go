@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"mellow/internal/core"
@@ -18,8 +18,8 @@ import (
 
 // jobState is one submitted job's lifecycle record. Mutable fields are
 // guarded by the owning Server's mutex; done closes on completion. The
-// progress tracker is lock-free so the status handler can read it while
-// the job runs.
+// progress has its own lock so the status handler can read it while the
+// job runs.
 type jobState struct {
 	id    string
 	key   string
@@ -52,59 +52,47 @@ type jobState struct {
 	traces []*xtrace.SimTrace
 }
 
-// jobProgress is a job's live completion state: simulations attempted
-// out of the job's total, plus the live trackers of every simulation
-// the job is running in parallel. Workers write concurrently; status
+// jobProgress is a job's live completion state: one completion fraction
+// per matrix cell plus the freshest epoch sample any cell published. A
+// running observed cell's fraction is the progress of its last sample;
+// a retired cell counts as 1 — failed and cancelled ones too, so a
+// failed job's fraction accounts for all work the job tried rather than
+// freezing at an arbitrary value. Cells write concurrently; status
 // readers see a monotone non-decreasing fraction through the maxSeen
-// clamp (tracker handoffs between simulations could otherwise read a
-// hair backwards). Failed and cancelled simulations count as attempted
-// too, so a failed job's fraction accounts for all work the job tried
-// rather than freezing at an arbitrary value.
+// clamp.
 type jobProgress struct {
-	totalSims atomic.Uint64
-	doneSims  atomic.Uint64
-	active    engine.TrackerSet
-	last      atomic.Pointer[engine.EpochSample]
-	maxSeen   atomic.Uint64 // float64 bits
+	mu      sync.Mutex
+	cells   []float64
+	last    engine.EpochSample // valid once hasLast
+	hasLast bool
+	maxSeen float64
 }
 
+// setTotal sizes the job to its n cells, none of them started.
 func (p *jobProgress) setTotal(n int) {
-	if n > 0 {
-		p.totalSims.Store(uint64(n))
-	}
+	p.mu.Lock()
+	p.cells = make([]float64, n)
+	p.mu.Unlock()
 }
 
-// beginSim registers a starting simulation's tracker (nil for
-// unobserved runs, which contribute progress only on completion).
-// Several simulations may be live at once — the job matrix runs in
-// parallel under the process-wide scheduler.
-func (p *jobProgress) beginSim(tr *engine.Tracker) { p.active.Add(tr) }
-
-// endSim retires one simulation: its freshest epoch sample is kept for
-// the status, its tracker leaves the active set, and the attempted
-// count advances — on success, failure and cancellation alike.
-func (p *jobProgress) endSim(tr *engine.Tracker) {
-	if tr != nil {
-		if s := tr.Sample(); s != nil {
-			p.keepLast(s)
-		}
-		p.active.Remove(tr)
+// epoch records a sample cell i's running simulation just closed.
+// Parallel cells publish in any order, so the freshest sample is the
+// one with the greatest end tick.
+func (p *jobProgress) epoch(i int, s engine.EpochSample) {
+	p.mu.Lock()
+	p.cells[i] = max(p.cells[i], s.Progress)
+	if !p.hasLast || s.End > p.last.End {
+		p.last, p.hasLast = s, true
 	}
-	p.doneSims.Add(1)
+	p.mu.Unlock()
 }
 
-// keepLast retains the freshest (greatest end tick) retired sample;
-// parallel simulations retire in any order.
-func (p *jobProgress) keepLast(s *engine.EpochSample) {
-	for {
-		old := p.last.Load()
-		if old != nil && old.End >= s.End {
-			return
-		}
-		if p.last.CompareAndSwap(old, s) {
-			return
-		}
-	}
+// retire counts cell i as complete — on success, failure and
+// cancellation alike.
+func (p *jobProgress) retire(i int) {
+	p.mu.Lock()
+	p.cells[i] = 1
+	p.mu.Unlock()
 }
 
 // finish pins the fraction at 1 (job completed successfully).
@@ -116,43 +104,41 @@ func (p *jobProgress) clamp(f float64) float64 {
 	if f < 0 || math.IsNaN(f) {
 		f = 0
 	}
-	if f > 1 {
-		f = 1
-	}
-	for {
-		old := p.maxSeen.Load()
-		if math.Float64frombits(old) >= f {
-			return math.Float64frombits(old)
-		}
-		if p.maxSeen.CompareAndSwap(old, math.Float64bits(f)) {
-			return f
-		}
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.maxSeen = max(p.maxSeen, min(f, 1))
+	return p.maxSeen
 }
 
 // fraction returns the job's completion in [0, 1], monotone across
-// calls: attempted simulations plus the summed fractions of every
-// simulation currently in flight, over the job's total.
+// calls: the mean of its cells' fractions.
 func (p *jobProgress) fraction() float64 {
-	total := p.totalSims.Load()
-	if total == 0 {
-		return p.clamp(0)
+	p.mu.Lock()
+	var f float64
+	for _, c := range p.cells {
+		f += c
 	}
-	f := float64(p.doneSims.Load()) + p.active.SumProgress()
-	return p.clamp(f / float64(total))
+	if n := len(p.cells); n > 0 {
+		f /= float64(n)
+	}
+	p.mu.Unlock()
+	return p.clamp(f)
 }
 
-// sample returns the freshest epoch sample: the furthest-along running
-// simulation's, or the last one a finished simulation left behind.
+// sample returns a copy of the freshest epoch sample, or nil before any
+// cell closed one.
 func (p *jobProgress) sample() *engine.EpochSample {
-	if s := p.active.Freshest(); s != nil {
-		return s
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.hasLast {
+		return nil
 	}
-	return p.last.Load()
+	s := p.last
+	return &s
 }
 
 // status renders the job for the API. Callers hold the server mutex;
-// the progress fields are read through their own atomics.
+// the progress fields are read under their own lock.
 func (j *jobState) status(deduped bool) JobStatus {
 	st := JobStatus{
 		ID:       j.id,
@@ -182,7 +168,8 @@ func (j *jobState) status(deduped bool) JobStatus {
 // runJob executes one job's simulations through the memoised harness,
 // so identical sub-simulations across different jobs run once. A
 // positive interval_ns runs them observed: per-epoch series land in the
-// result and the jobState's progress trackers feed the status API live.
+// result, and the same OnEpoch feed that streams them drives the status
+// API's live progress.
 //
 // Every kind is one RunCells batch observed by the same hooks: an
 // experiment job runs its experiment's declared matrix, every other kind
@@ -206,10 +193,9 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		refs = sc.Cells()
 	}
 	var (
-		cells    []experiments.Cell
-		ins      []experiments.Instrumented
-		trackers []*engine.Tracker
-		starts   []time.Time
+		cells  []experiments.Cell
+		ins    []experiments.Instrumented
+		starts []time.Time
 		// streamed counts each cell's live epoch events. OnEpoch only
 		// fires when the cell executes the simulation itself; a memo hit
 		// or a joined in-flight run streams nothing live and flushes the
@@ -231,7 +217,7 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		Plan: func(cs []experiments.Cell) {
 			n := len(cs)
 			cells, ins, streamed = cs, make([]experiments.Instrumented, n), make([]int, n)
-			trackers, starts = make([]*engine.Tracker, n), make([]time.Time, n)
+			starts = make([]time.Time, n)
 			js.progress.setTotal(n)
 			if canon.Trace {
 				js.traces = make([]*xtrace.SimTrace, n)
@@ -240,30 +226,26 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		Start: func(i int) experiments.Observation {
 			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
 			if epoch > 0 {
-				trackers[i] = &engine.Tracker{}
-				ob.Tracker = trackers[i]
-				if js.stream != nil {
-					lb := label(i)
-					ob.OnEpoch = func(s engine.EpochSample) {
-						streamed[i]++
-						js.stream.epoch(i, lb, s)
-					}
+				lb := label(i)
+				ob.OnEpoch = func(s engine.EpochSample) {
+					streamed[i]++
+					js.progress.epoch(i, s)
+					js.stream.epoch(i, lb, s)
 				}
 			}
-			js.progress.beginSim(trackers[i])
 			starts[i] = time.Now()
 			return ob
 		},
-		// Every cell retires through endSim, failed and cancelled ones
-		// too, so a failed job's progress accounts for all attempted
-		// work instead of freezing mid-matrix.
+		// Every cell retires, failed and cancelled ones too, so a failed
+		// job's progress accounts for all attempted work instead of
+		// freezing mid-matrix.
 		Done: func(i int, in experiments.Instrumented, err error) {
 			rec := label(i)
 			if !starts[i].IsZero() {
 				js.spans.Span("sim "+rec.Workload+"/"+rec.Policy, "cell", starts[i], time.Now(),
 					"workload", rec.Workload, "policy", rec.Policy)
 			}
-			js.progress.endSim(trackers[i])
+			js.progress.retire(i)
 			if err != nil {
 				return
 			}

@@ -211,7 +211,7 @@ func TestFailedJobProgressCoherent(t *testing.T) {
 	}
 	if got := js.progress.fraction(); got != 1 {
 		t.Fatalf("failed job fraction = %v, want 1 (all %d attempts retired)",
-			got, js.progress.totalSims.Load())
+			got, len(js.progress.cells))
 	}
 }
 
