@@ -21,13 +21,14 @@ import (
 )
 
 func main() {
+	def := mellow.DefaultConfig().Run
 	var (
 		workload = flag.String("workload", "stream", "workload name (see -list)")
 		traceIn  = flag.String("trace", "", "replay a textual trace file instead of a synthetic workload")
 		scenPath = flag.String("scenario", "", "run one declarative scenario file and print its result document")
 		policyNm = flag.String("policy", "BE-Mellow+SC", "write policy, e.g. Norm, Slow, B-Mellow+SC, BE-Mellow+SC+WQ")
-		instrs   = flag.Uint64("instructions", 0, "detailed instructions (0 = default 20M)")
-		warmup   = flag.Uint64("warmup", 0, "warmup instructions (0 = default 6M)")
+		instrs   = flag.Uint64("instructions", 0, fmt.Sprintf("detailed instructions (0 = default %gM)", float64(def.DetailedInstructions)/1e6))
+		warmup   = flag.Uint64("warmup", 0, fmt.Sprintf("warmup instructions (0 = default %gM)", float64(def.WarmupInstructions)/1e6))
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		banks    = flag.Int("banks", 16, "total banks (4, 8 or 16)")
 		expo     = flag.Float64("expo", 2.0, "latency/endurance ExpoFactor (1.0-3.0)")

@@ -6,11 +6,17 @@
 // selection (Figure 8). Lines stay in the way they were filled into;
 // each set's LRU order is one packed word of way indices, at most 16
 // ways per set.
+//
+// A level's arrays are recycled: Hierarchy.Release hands them to a pool
+// keyed by the level's geometry, and the next New of that geometry
+// resets and reuses them instead of allocating. Only whoever built a
+// hierarchy releases it, once, after the run's outputs are built.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"mellow/internal/config"
 )
@@ -22,8 +28,9 @@ import (
 // (§IV-B1) — with a SWAR search of that word, and moving a line to MRU
 // is two masks, a shift and an OR, so no line data moves on a touch or
 // a fill. The word holds 16 ways, which is why config rejects a wider
-// level. The whole level is three allocations: tags, recency clocks and
-// per-set state.
+// level. The level's storage is three flat arrays — tags, recency
+// clocks and per-set state — taken from the geometry's pool by New and
+// handed back by release.
 //
 // A tag is the full line address (byte address >> 6) shifted left over a
 // valid bit, so find makes one compare per way and an invalid way (tag
@@ -39,6 +46,8 @@ type Cache struct {
 	tags []uint64 // line address<<1 | 1 per valid way, 0 per invalid way
 	last []uint64 // access-clock value at last demand use, per way
 	sets []set
+
+	arrays *arrays // the pooled storage tags, last and sets alias
 
 	hits     uint64
 	misses   uint64
@@ -65,30 +74,81 @@ const (
 	nibbleTops = 0x8888888888888888
 )
 
-// New builds a cache level from its configuration. It panics on more
+// arrays is one level's storage, the unit the pool recycles.
+type arrays struct {
+	tags, last []uint64
+	sets       []set
+}
+
+// geometry keys the pools: levels with equal set and way counts can
+// share storage.
+type geometry struct{ sets, ways int }
+
+var (
+	poolsMu sync.Mutex
+	pools   = map[geometry]*sync.Pool{}
+)
+
+// poolFor returns the pool of arrays shaped for g, creating it on first
+// use.
+func poolFor(g geometry) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[g]
+	if p == nil {
+		p = &sync.Pool{New: func() any {
+			return &arrays{
+				tags: make([]uint64, g.sets*g.ways),
+				last: make([]uint64, g.sets*g.ways),
+				sets: make([]set, g.sets),
+			}
+		}}
+		pools[g] = p
+	}
+	return p
+}
+
+// New builds a cache level from its configuration, on arrays another
+// level of the same geometry released or on fresh ones; either way the
+// level starts empty, exactly as if newly allocated. It panics on more
 // than config.MaxCacheWays ways, which Config.Validate rejects.
 func New(cfg config.Cache) *Cache {
 	if cfg.Ways > config.MaxCacheWays {
 		panic(fmt.Sprintf("cache: %d ways exceed %d", cfg.Ways, config.MaxCacheWays))
 	}
 	nsets := cfg.Sets()
+	a := poolFor(geometry{nsets, cfg.Ways}).Get().(*arrays)
+	clear(a.tags)
+	clear(a.last)
 	var identity uint64 // way p at stack position p
 	for w := cfg.Ways - 1; w >= 0; w-- {
 		identity = identity<<4 | uint64(w)
 	}
-	sets := make([]set, nsets)
-	for i := range sets {
-		sets[i] = set{order: identity, holes: uint8(cfg.Ways)}
+	for i := range a.sets {
+		a.sets[i] = set{order: identity, holes: uint8(cfg.Ways)}
 	}
 	return &Cache{
 		cfg:     cfg,
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
-		tags:    make([]uint64, nsets*cfg.Ways),
-		last:    make([]uint64, nsets*cfg.Ways),
-		sets:    sets,
+		tags:    a.tags,
+		last:    a.last,
+		sets:    a.sets,
+		arrays:  a,
 	}
+}
+
+// release hands the level's arrays back to its pool and drops its own
+// references, so any later access panics instead of reading arrays
+// another level may now own. The counters stay readable. A second
+// release panics.
+func (c *Cache) release() {
+	if c.arrays == nil {
+		panic("cache: level released twice")
+	}
+	poolFor(geometry{c.nsets, c.ways}).Put(c.arrays)
+	c.arrays, c.tags, c.last, c.sets = nil, nil, nil, nil
 }
 
 // locate returns the index of the set holding addr and its first way.
@@ -137,12 +197,6 @@ func (c *Cache) Config() config.Cache { return c.cfg }
 // Hits and Misses return demand access counts since the last ResetStats.
 func (c *Cache) Hits() uint64   { return c.hits }
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// Accesses returns total demand accesses.
-func (c *Cache) Accesses() uint64 { return c.acc }
-
-// DirtyEvictions returns the count of dirty victims produced.
-func (c *Cache) DirtyEvictions() uint64 { return c.dirtyEv }
 
 // lookup performs a demand access. On a hit the line moves to MRU and a
 // write dirties it.
@@ -255,15 +309,6 @@ func (c *Cache) contains(addr uint64) bool {
 // are left alone: the profiler follows its own sampling periods.
 func (c *Cache) ResetStats() {
 	c.hits, c.misses, c.acc, c.fills, c.evicts, c.dirtyEv = 0, 0, 0, 0, 0, 0
-}
-
-// DirtyLines counts dirty lines currently resident (tests).
-func (c *Cache) DirtyLines() int {
-	n := 0
-	for _, s := range c.sets {
-		n += bits.OnesCount16(s.dirty)
-	}
-	return n
 }
 
 func (c *Cache) String() string {

@@ -64,6 +64,17 @@ func NewHierarchy(cfg config.Hierarchy, src *rng.Source) *Hierarchy {
 	return h
 }
 
+// Release hands the three levels' arrays back for reuse by the next
+// hierarchy of the same geometry. Only whoever built the hierarchy
+// releases it, once, and only after everything it reports has been
+// read: counters, snapshots and metrics collectors still work, but any
+// access or candidate pick panics.
+func (h *Hierarchy) Release() {
+	h.L1.release()
+	h.L2.release()
+	h.L3.release()
+}
+
 // Access performs one demand access at a byte address. The returned
 // slice aliases internal scratch and is only valid until the next call.
 func (h *Hierarchy) Access(byteAddr uint64, write bool) Access {

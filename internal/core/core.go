@@ -107,6 +107,13 @@ func (s *System) RunObserved(ctx context.Context, opts engine.Options) (Result, 
 	return s.resultOf(out), out.Series, nil
 }
 
+// Release hands the system's cache arrays back for reuse by the next
+// system of the same geometry. Only the caller that built the system
+// releases it, once, after it has read every output it needs; a metrics
+// registry attached to the run can still be snapshotted afterwards. A
+// caller that keeps the system simply never releases it.
+func (s *System) Release() { s.Hier.Release() }
+
 // resultOf labels an engine outcome with this system's identity and
 // derives the per-instruction metrics.
 func (s *System) resultOf(out engine.Outcome) Result {
@@ -128,12 +135,14 @@ func (s *System) resultOf(out engine.Outcome) Result {
 // Run is the one-call entry point: build a fresh system for workload w
 // and run it under spec with cfg and the given observation options. It
 // returns the result plus the epoch series (nil unless opts.Epoch > 0);
-// the result is bit-identical whatever observers opts attaches.
-// Resolve a builtin name with trace.ByName first.
+// the result is bit-identical whatever observers opts attaches. The
+// system is released once the run returns. Resolve a builtin name with
+// trace.ByName first.
 func Run(ctx context.Context, cfg config.Config, spec policy.Spec, w trace.Workload, opts engine.Options) (Result, []engine.EpochSample, error) {
 	sys, err := NewSystem(cfg, spec, w)
 	if err != nil {
 		return Result{}, nil, fmt.Errorf("core: %w", err)
 	}
+	defer sys.Release()
 	return sys.RunObserved(ctx, opts)
 }

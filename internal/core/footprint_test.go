@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"mellow/internal/config"
+	"mellow/internal/engine"
 	"mellow/internal/policy"
 	"mellow/internal/trace"
 	"mellow/internal/wear"
@@ -55,4 +57,56 @@ func BenchmarkNewSystem(b *testing.B) {
 			}
 		})
 	}
+}
+
+// shortRunCfg is a mellowd service job's size: 100 k instructions, no
+// warm-up.
+func shortRunCfg() config.Config {
+	cfg := config.Default()
+	cfg.Run.WarmupInstructions = 0
+	cfg.Run.DetailedInstructions = 100_000
+	return cfg
+}
+
+// TestShortRunFootprint pins what a short run allocates once the cache
+// pools are warm: a fresh hierarchy alone is ~650 KB of tags, clocks
+// and set state, which a run on recycled arrays does not allocate.
+func TestShortRunFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops values at random")
+	}
+	cfg := shortRunCfg()
+	spec := policy.BEMellow().WithSC().WithWQ()
+	mustRun(t, cfg, spec, "lbm") // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustRun(t, cfg, spec, "mcf")
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("short run allocated %.0f KB", float64(got)/(1<<10))
+	if got > 256<<10 {
+		t.Errorf("short run allocated %.0f KB, want <= 256 KB", float64(got)/(1<<10))
+	}
+}
+
+// BenchmarkShortRun measures back-to-back short runs, a mellowd
+// service job each, rotating over the builtin workloads: building the
+// system, simulating and releasing it. With recycled cache arrays a run
+// allocates what its simulation needs, not a new hierarchy.
+func BenchmarkShortRun(b *testing.B) {
+	cfg := shortRunCfg()
+	spec := policy.BEMellow().WithSC().WithWQ()
+	ws := trace.All()
+	var instrs, ticks float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, _, err := Run(context.Background(), cfg, spec, ws[i%len(ws)], engine.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += float64(r.Instructions)
+		ticks += r.Cycles
+	}
+	b.ReportMetric(instrs/float64(b.N), "instrs/op")
+	b.ReportMetric(ticks/float64(b.N), "simticks/op")
 }

@@ -59,8 +59,8 @@ type mixCore struct {
 // local time advances, so no core submits requests into another's past.
 // The loop polls ctx every mixCancelCheck steps and returns ctx's error
 // once it is cancelled or times out; a mix that is never cancelled gives
-// the same result whatever ctx is. Resolve builtin names with
-// trace.ByName first.
+// the same result whatever ctx is. The per-core hierarchies are released
+// once the mix returns. Resolve builtin names with trace.ByName first.
 func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads []trace.Workload) (MixResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MixResult{}, err
@@ -78,6 +78,11 @@ func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads 
 		gen := w.New(cfg.Run.Seed + uint64(i)*1001)
 		cores[i] = &mixCore{name: w.Name, hier: hier, core: cpu.New(cfg, hier, ctl, gen)}
 	}
+	defer func() {
+		for _, c := range cores {
+			c.hier.Release()
+		}
+	}()
 
 	// The eager source drains candidates from the private LLCs round-
 	// robin, so no program monopolises the eager queue.

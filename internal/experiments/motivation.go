@@ -41,6 +41,7 @@ func runTable4(o Options) error {
 			h.Access(op.Addr, op.Write)
 		}
 		mpki := float64(h.Snapshot().LLCMisses) / (float64(instr) / 1000)
+		h.Release()
 		t.AddRow(name, stats.F(w.TargetMPKI, 2), stats.F(mpki, 2))
 	}
 	return t.Fprint(o.Out)

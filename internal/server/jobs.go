@@ -245,6 +245,12 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 				js.spans.Span("sim "+rec.Workload+"/"+rec.Policy, "cell", starts[i], time.Now(),
 					"workload", rec.Workload, "policy", rec.Policy)
 			}
+			// A memo hit or a joined run streamed no epoch live, so its
+			// series' last sample is offered here; for a live cell it
+			// is the sample OnEpoch already published.
+			if err == nil && len(in.Series) > 0 {
+				js.progress.epoch(i, in.Series[len(in.Series)-1])
+			}
 			js.progress.retire(i)
 			if err != nil {
 				return

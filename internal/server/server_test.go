@@ -650,6 +650,42 @@ func TestJobProgressMonotone(t *testing.T) {
 	}
 }
 
+// TestMemoHitReportsEpoch: an observed sim job whose one cell an
+// earlier observed compare job already simulated is served from the
+// memo, streams no epoch live, and must still report the cell's last
+// sample as its status epoch.
+func TestMemoHitReportsEpoch(t *testing.T) {
+	experiments.ResetCache()
+	_, ts := newTestServer(t, Config{Workers: 1, BaseConfig: tinyBase(97)})
+
+	st, code := postJob(t, ts, `{"kind":"compare","workload":"gups","policies":["Norm","BE-Mellow+SC"],"interval_ns":20000}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("compare code = %d", code)
+	}
+	if fin := waitDone(t, ts, st.ID); fin.State != StateDone || fin.Epoch == nil {
+		t.Fatalf("compare job: state %s (%s), epoch %v", fin.State, fin.Error, fin.Epoch)
+	}
+
+	st, code = postJob(t, ts, `{"kind":"sim","workload":"gups","policy":"Norm","interval_ns":20000}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("sim code = %d", code)
+	}
+	fin := waitDone(t, ts, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("sim job: state %s (%s)", fin.State, fin.Error)
+	}
+	if len(fin.Result.Series) != 1 || len(fin.Result.Series[0].Series) == 0 {
+		t.Fatalf("sim job carries %d series records, want 1 non-empty", len(fin.Result.Series))
+	}
+	samples := fin.Result.Series[0].Series
+	if fin.Epoch == nil {
+		t.Fatal("memo-hit sim job reports no epoch")
+	}
+	if last := samples[len(samples)-1]; *fin.Epoch != last {
+		t.Errorf("status epoch = %+v, want the series' last sample %+v", *fin.Epoch, last)
+	}
+}
+
 // TestResultEviction bounds the finished-job cache.
 func TestResultEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16, MaxResults: 2, BaseConfig: tinyBase(83)})
