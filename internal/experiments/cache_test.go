@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
-	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"mellow/internal/config"
 	"mellow/internal/core"
+	"mellow/internal/engine"
 	"mellow/internal/policy"
 	"mellow/internal/trace"
 )
@@ -176,11 +178,11 @@ func TestRunCancellation(t *testing.T) {
 // TestCacheEvictionOrder pins oldest-first eviction as the insertion
 // ring wraps many times, and after the cap shrinks.
 func TestCacheEvictionOrder(t *testing.T) {
-	key := func(i int) runKey { return runKey{policy: fmt.Sprint(i)} }
+	key := func(i int) runKey { return seedKey(t, uint64(i)) }
 	c := newSimCache(3)
 	const inserts = 100 // the ring's buffer is far smaller: it wraps
 	for i := 0; i < inserts; i++ {
-		c.insert(key(i), cached{})
+		c.insert(key(i), &cached{})
 		for j := i - 4; j <= i; j++ {
 			_, held := c.entries[key(j)]
 			if want := j >= 0 && j > i-3; held != want {
@@ -195,9 +197,9 @@ func TestCacheEvictionOrder(t *testing.T) {
 		t.Errorf("ring grew to %d slots at cap 3", len(c.order.buf))
 	}
 	// Re-inserting a held key neither reorders nor evicts.
-	c.insert(key(inserts-3), cached{})
+	c.insert(key(inserts-3), &cached{})
 	c.cap = 2
-	c.insert(key(inserts), cached{})
+	c.insert(key(inserts), &cached{})
 	for _, j := range []int{inserts - 1, inserts} {
 		if _, ok := c.entries[key(j)]; !ok {
 			t.Errorf("after shrinking to cap 2: newest key %d evicted", j)
@@ -205,5 +207,71 @@ func TestCacheEvictionOrder(t *testing.T) {
 	}
 	if st := c.stats(); st.Evictions != inserts-1 || st.Entries != 2 {
 		t.Fatalf("after shrink: evictions=%d entries=%d, want %d/2", st.Evictions, st.Entries, inserts-1)
+	}
+}
+
+// TestMemoFootprint pins what a memo at DefaultCacheCap keeps live per
+// plain entry: its key, its map and ring slots and its result, each
+// result a copy of a real run's with its own per-bank slice. An entry
+// keeps ~1.3 KB; a key holding the config's JSON, or a map slot holding
+// the value, brings it back to ~2.2 KB and fails the 1.5 KB bound.
+func TestMemoFootprint(t *testing.T) {
+	w, err := trace.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := core.Run(context.Background(), tinyConfig(1), policy.Norm(), w, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]runKey, DefaultCacheCap)
+	for i := range keys {
+		keys[i] = seedKey(t, uint64(i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := newSimCache(DefaultCacheCap)
+	for _, k := range keys {
+		e := &cached{res: r}
+		e.res.Mem.BankUtilization = slices.Clone(r.Mem.BankUtilization)
+		c.insert(k, e)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := c.stats(); st.Entries != DefaultCacheCap || st.Evictions != 0 {
+		t.Fatalf("entries=%d evictions=%d, want %d/0", st.Entries, st.Evictions, DefaultCacheCap)
+	}
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / DefaultCacheCap
+	t.Logf("%d entries keep %.2f MB, %.0f B an entry", DefaultCacheCap, per*DefaultCacheCap/1e6, per)
+	if per > 1536 {
+		t.Errorf("a memo entry keeps %.0f B, want <= 1.5 KB", per)
+	}
+	runtime.KeepAlive(c)
+}
+
+// BenchmarkMemoHit measures a one-cell RunCells batch whose cell is
+// already memoised: the key digest, the memo lookup and the matrix
+// runner's own bookkeeping, with no simulation.
+func BenchmarkMemoHit(b *testing.B) {
+	ResetCache()
+	defer ResetCache()
+	cells, err := grid(tinyConfig(1), []string{"stream"}, []policy.Spec{policy.Norm()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := RunCells(context.Background(), cells, Hooks{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCells(context.Background(), cells, Hooks{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := CacheSnapshot(); st.Misses != 1 {
+		b.Fatalf("misses = %d, want the one memoising run", st.Misses)
 	}
 }

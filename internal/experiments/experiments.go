@@ -7,11 +7,12 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 
 	"mellow/internal/config"
@@ -109,31 +110,40 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
 
-// runKey identifies one simulation for memoisation. The workload keys
-// on its result label plus the content hash of its trace.Spec, so a
-// builtin and an inline spec with the same name and parameterization
-// share one entry; a mix keys on every core's label and hash, in core
-// order. Observed runs key on their sampling period too: the stored
-// epoch series is part of the memoised value, and equal keys must yield
-// equal bytes.
+// runKey identifies one simulation for memoisation: a SHA-256 digest of
+// everything the simulation's bytes depend on, plus the mix core count
+// the scheduler weighs it by. The workload enters as its result label
+// plus the content hash of its trace.Spec, so a builtin and an inline
+// spec with the same name and parameterization share one entry; a mix
+// enters as every core's label and hash, in core order. Observed runs
+// key on their sampling period too: the stored epoch series is part of
+// the memoised value, and equal keys must yield equal bytes. The key is
+// a fixed 40 bytes however large the config, so a memo entry costs its
+// value, not its key.
 type runKey struct {
-	cfg      string // canonical JSON of the config
-	policy   string
-	workload string   // result label; a mix's labels joined by NUL
-	spec     string   // content hash of the trace.Spec; a mix's joined by NUL
-	mix      int      // cores of a multiprogrammed mix, 0 for one workload
-	epoch    sim.Tick // 0 for unobserved runs
-	metrics  bool     // per-run metrics snapshot stored with the value
-	trace    bool     // execution timeline stored with the value
+	sum [sha256.Size]byte
+	mix int // cores of a multiprogrammed mix, 0 for one workload
 }
 
+// keyFor digests a cell's identity: the canonical config JSON, the
+// policy name, the mix core count, each workload's label and spec hash
+// in core order, the epoch and the metrics and trace flags. Every
+// variable-length field is length-prefixed and the number of workloads
+// follows from the core count, so no two different cells encode to the
+// same bytes. Cell.Variant only labels records and stays out.
 func keyFor(c Cell, ob Observation) (runKey, error) {
 	ws := c.Mix
 	if len(ws) == 0 {
 		ws = []trace.Workload{c.Workload}
 	}
-	names, hashes := make([]string, len(ws)), make([]string, len(ws))
-	for i, w := range ws {
+	cfg, err := c.Cfg.CanonicalJSON()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: config not serialisable: %v", err))
+	}
+	enc := appendField(make([]byte, 0, len(cfg)+256), cfg)
+	enc = appendField(enc, c.Spec.Name)
+	enc = binary.AppendUvarint(enc, uint64(len(c.Mix)))
+	for _, w := range ws {
 		if w.Spec == nil {
 			return runKey{}, fmt.Errorf("experiments: workload %q has no spec", w.Name)
 		}
@@ -141,20 +151,30 @@ func keyFor(c Cell, ob Observation) (runKey, error) {
 		if err != nil {
 			return runKey{}, err
 		}
-		names[i], hashes[i] = w.Name, h
+		enc = appendField(appendField(enc, w.Name), h)
 	}
-	b, err := c.Cfg.CanonicalJSON()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: config not serialisable: %v", err))
+	enc = binary.AppendUvarint(enc, uint64(ob.Epoch))
+	enc = append(enc, boolByte(ob.Metrics), boolByte(ob.Trace))
+	return runKey{sum: sha256.Sum256(enc), mix: len(c.Mix)}, nil
+}
+
+// appendField appends f to b behind its length.
+func appendField[T string | []byte](b []byte, f T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(f))), f...)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
 	}
-	return runKey{cfg: string(b), policy: c.Spec.Name,
-		workload: strings.Join(names, "\x00"), spec: strings.Join(hashes, "\x00"), mix: len(c.Mix),
-		epoch: ob.Epoch, metrics: ob.Metrics, trace: ob.Trace}, nil
+	return 0
 }
 
 // DefaultCacheCap bounds the memoisation cache so a long-lived process
-// (the mellowd daemon) does not grow without limit. At ~1 KB a result,
-// the default costs a few MB.
+// (the mellowd daemon) does not grow without limit. At the cap a plain
+// entry keeps ~1.3 KB live, almost all of it the result, so the default
+// costs ~5.2 MB (TestMemoFootprint). Keyed by the config's canonical
+// JSON and stored by value, an entry kept ~2.2 KB, ~9.2 MB at the cap.
 const DefaultCacheCap = 4096
 
 // CacheStats reports the memoisation cache's behaviour. A "hit" counts
@@ -177,7 +197,8 @@ type CacheStats struct {
 // cached is one memoised simulation: the result, plus the epoch series
 // for observed runs, the per-run metrics snapshot for instrumented runs,
 // the execution timeline for traced runs and the mix result of a mix
-// (nil otherwise). Entries are immutable once stored.
+// (nil otherwise). Entries are immutable once stored, and the memo holds
+// them by pointer, so its map slots stay key-sized.
 type cached struct {
 	res    core.Result
 	series []engine.EpochSample
@@ -189,7 +210,7 @@ type cached struct {
 // flight is one in-progress simulation that concurrent callers join.
 type flight struct {
 	done chan struct{}
-	res  cached
+	res  *cached
 	err  error
 }
 
@@ -198,7 +219,7 @@ type flight struct {
 type simCache struct {
 	mu       sync.Mutex
 	cap      int
-	entries  map[runKey]cached
+	entries  map[runKey]*cached
 	order    keyRing // insertion order, for eviction
 	inflight map[runKey]*flight
 	hits     uint64
@@ -212,7 +233,7 @@ type simCache struct {
 func newSimCache(cap int) *simCache {
 	return &simCache{
 		cap:      cap,
-		entries:  map[runKey]cached{},
+		entries:  map[runKey]*cached{},
 		inflight: map[runKey]*flight{},
 	}
 }
@@ -235,7 +256,7 @@ var memo = newSimCache(DefaultCacheCap)
 // with that error (and joiners retry as above). A panic in fn fails the
 // flight with a stable error: it is not memoised and every joiner sees
 // it.
-func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)) (cached, error) {
+func (c *simCache) do(ctx context.Context, key runKey, fn func() (*cached, error)) (*cached, error) {
 	for {
 		c.mu.Lock()
 		if r, ok := c.entries[key]; ok {
@@ -256,7 +277,7 @@ func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)
 			}
 			return f.res, f.err
 		case <-ctx.Done():
-			return cached{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	c.misses++
@@ -280,10 +301,10 @@ func (c *simCache) do(ctx context.Context, key runKey, fn func() (cached, error)
 // error; the slots and the running count are released on every path.
 // A mix models key.mix cores against one memory system, so it holds
 // that many slots; every other simulation holds one.
-func (c *simCache) run(ctx context.Context, key runKey, fn func() (cached, error)) (res cached, err error) {
+func (c *simCache) run(ctx context.Context, key runKey, fn func() (*cached, error)) (res *cached, err error) {
 	release, err := sched.Default().Acquire(ctx, int64(max(key.mix, 1)))
 	if err != nil {
-		return cached{}, err
+		return nil, err
 	}
 	c.noteRunning(+1)
 	defer func() {
@@ -293,7 +314,7 @@ func (c *simCache) run(ctx context.Context, key runKey, fn func() (cached, error
 			c.mu.Lock()
 			c.panics++
 			c.mu.Unlock()
-			res, err = cached{}, fmt.Errorf("experiments: simulation panicked: %v", p)
+			res, err = nil, fmt.Errorf("experiments: simulation panicked: %v", p)
 		}
 	}()
 	return fn()
@@ -317,7 +338,7 @@ func (c *simCache) noteRunning(d int) {
 
 // insert stores a finished result, evicting oldest-first past the cap.
 // Callers hold c.mu.
-func (c *simCache) insert(key runKey, r cached) {
+func (c *simCache) insert(key runKey, r *cached) {
 	if _, ok := c.entries[key]; ok {
 		c.entries[key] = r
 		return
@@ -374,7 +395,7 @@ func (c *simCache) reset(cap int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = cap
-	c.entries = map[runKey]cached{}
+	c.entries = map[runKey]*cached{}
 	c.order = keyRing{}
 	c.hits, c.misses, c.evicted, c.panics = 0, 0, 0, 0
 	c.peakRun = c.running
@@ -476,10 +497,10 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 	if err != nil {
 		return Instrumented{}, err
 	}
-	ch, err := memo.do(ctx, key, func() (cached, error) {
+	ch, err := memo.do(ctx, key, func() (*cached, error) {
 		if len(c.Mix) > 0 {
 			m, err := core.RunMix(ctx, c.Cfg, c.Spec, c.Mix)
-			return cached{mix: &m}, err
+			return &cached{mix: &m}, err
 		}
 		opts := engine.Options{Epoch: ob.Epoch, OnEpoch: ob.OnEpoch}
 		var reg *metrics.Registry
@@ -495,9 +516,9 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 		}
 		r, series, err := core.Run(ctx, c.Cfg, c.Spec, c.Workload, opts)
 		if err != nil {
-			return cached{}, err
+			return nil, err
 		}
-		ch := cached{res: r, series: series}
+		ch := &cached{res: r, series: series}
 		if reg != nil {
 			snap := reg.Snapshot()
 			ch.met = &snap

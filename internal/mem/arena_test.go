@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 
 	"mellow/internal/config"
@@ -183,4 +184,55 @@ func TestStaleCompletionAfterSlotReuse(t *testing.T) {
 		t.Errorf("drained at %d, before W2's pulse ends at %d", k.Now(), end)
 	}
 	checkCensus(t, c, held, "at Drain")
+}
+
+// TestRecycledArenaStartsFresh fills an arena past one chunk with dirty
+// requests, a third of them back on the free list, recycles it, and
+// wants each chunk the next arena takes zeroed exactly as a fresh one,
+// whether or not it is a recycled one. Most rounds do get them (the race
+// detector's pool drops some). A recycled arena resolves no index.
+func TestRecycledArenaStartsFresh(t *testing.T) {
+	const rounds, fill = 8, 1<<reqChunkBits + 100
+	reused := 0
+	var released []*reqChunk
+	for round := 0; round < rounds; round++ {
+		var a reqArena
+		reqs := make([]*Request, fill)
+		for i := range reqs {
+			r := a.alloc()
+			if r.idx&(1<<reqChunkBits-1) == 0 {
+				c := a.chunks[len(a.chunks)-1]
+				if slices.Contains(released, c) {
+					reused++
+				}
+				for j := range c {
+					want := Request{}
+					if j == 0 {
+						want.idx = r.idx // stamped by this alloc
+					}
+					if c[j] != want {
+						t.Fatalf("round %d: slot %d of a new chunk holds %+v, want %+v", round, j, c[j], want)
+					}
+				}
+			}
+			*r = Request{Kind: KindWrite, Line: 7, Bank: 3, done: true, attempts: 2, idx: r.idx, gen: 5, holds: 1, next: r, prev: r}
+			reqs[i] = r
+		}
+		for i := 0; i < fill; i += 3 {
+			a.release(reqs[i])
+		}
+		released = a.chunks
+		a.recycle()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a recycled arena resolved an index")
+				}
+			}()
+			a.at(0)
+		}()
+	}
+	if reused == 0 {
+		t.Errorf("no round of %d reused a recycled chunk", rounds)
+	}
 }

@@ -422,6 +422,13 @@ func (c *Controller) Release(r *Request) {
 	}
 }
 
+// ReleaseArena hands the controller's request storage back for reuse
+// by the next controller. Only whoever built the controller releases it,
+// once, after it has read every output it needs: snapshots and metrics
+// collectors still work, but no request may be submitted or looked up
+// afterwards.
+func (c *Controller) ReleaseArena() { c.arena.recycle() }
+
 // SubmitWrite enqueues an LLC dirty write-back at time t. If the write
 // queue is full the submission blocks until space frees (the drain
 // machinery guarantees progress). It returns the acceptance time.
@@ -833,24 +840,4 @@ func (c *Controller) Occupancy() Occupancy {
 		}
 	}
 	return o
-}
-
-// bankIdle reports whether every bank is idle (no in-flight operation).
-func (c *Controller) bankIdle() bool {
-	for b := range c.banks {
-		if c.banks[b].cur != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// Drain runs the memory system until every queued request has completed
-// and every bank is idle. Housekeeping timers (Wear Quota periods, the
-// eager pump) are kernel daemon events, so they never keep Drain alive —
-// this terminates for every policy, including +WQ and Eager.
-func (c *Controller) Drain() {
-	c.k.AdvanceUntil(func() bool {
-		return c.readQ.size == 0 && c.writeQ.size == 0 && c.eagerQ.size == 0 && c.bankIdle()
-	})
 }

@@ -1,6 +1,10 @@
 package mem
 
-import "mellow/internal/sim"
+import (
+	"sync"
+
+	"mellow/internal/sim"
+)
 
 // This file holds the controller's indexed request containers: a chunked
 // request arena with a free list (so the hot path never allocates per
@@ -10,6 +14,13 @@ import "mellow/internal/sim"
 // reqChunkBits sizes the arena chunks: 512 requests (~64 KB) each.
 const reqChunkBits = 9
 
+// reqChunk is one arena chunk, the unit a released arena recycles.
+type reqChunk [1 << reqChunkBits]Request
+
+// reqChunks holds the zeroed chunks of released arenas: a run's first
+// chunk is most of what a short simulation would otherwise allocate.
+var reqChunks = sync.Pool{New: func() any { return new(reqChunk) }}
+
 // reqArena hands out Requests from chunks that never move, so a
 // *Request stays valid while its slot is in use, and recycles slots
 // through a free list linked by Request.next. A run's arena therefore
@@ -17,7 +28,7 @@ const reqChunkBits = 9
 // traffic. The ownership rules that decide when a slot returns to the
 // list are the controller's (see Controller.Release).
 type reqArena struct {
-	chunks [][]Request
+	chunks []*reqChunk
 	n      uint32   // slots ever handed out
 	free   *Request // recycled slots, most recently freed first
 	nfree  int
@@ -34,7 +45,7 @@ func (a *reqArena) alloc() *Request {
 	}
 	ci, off := int(a.n>>reqChunkBits), int(a.n&(1<<reqChunkBits-1))
 	if off == 0 {
-		a.chunks = append(a.chunks, make([]Request, 1<<reqChunkBits))
+		a.chunks = append(a.chunks, reqChunks.Get().(*reqChunk))
 	}
 	r := &a.chunks[ci][off]
 	r.idx = a.n
@@ -48,6 +59,16 @@ func (a *reqArena) release(r *Request) {
 	r.next, r.prev = a.free, nil
 	a.free = r
 	a.nfree++
+}
+
+// recycle zeroes the slots the arena handed out and returns its chunks
+// to the pool, leaving the arena empty: any later lookup panics.
+func (a *reqArena) recycle() {
+	for i, c := range a.chunks {
+		clear(c[:min(int(a.n)-i<<reqChunkBits, len(c))])
+		reqChunks.Put(c)
+	}
+	a.chunks, a.free = nil, nil
 }
 
 // inUse counts slots handed out and not yet released.

@@ -285,11 +285,6 @@ func (c *Controller) CollectMetrics(g *metrics.Gatherer) {
 	wear.CollectLevelers(g, c.levs)
 }
 
-// QueueDepths reports current queue occupancy (tests, debugging).
-func (c *Controller) QueueDepths() (read, write, eager int) {
-	return c.readQ.size, c.writeQ.size, c.eagerQ.size
-}
-
 // Draining reports whether the controller is in write-drain mode.
 func (c *Controller) Draining() bool { return c.draining }
 
