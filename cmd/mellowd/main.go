@@ -66,7 +66,7 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 15*time.Minute, "per-job execution cap")
 		drain      = flag.Duration("drain", 10*time.Minute, "graceful-shutdown drain budget")
 		maxResults = flag.Int("max-results", 1024, "finished jobs kept addressable")
-		simCache   = flag.Int("sim-cache", experiments.DefaultCacheCap, "memoised simulations kept, ~1.3 KB each for a plain run (<=0 unbounded)")
+		simCache   = flag.Int("sim-cache", experiments.DefaultCacheCap, "memoised simulations kept, ~580 B each for a plain run plus ~65 B per epoch sample of an observed one (<=0 unbounded)")
 		joblogPath = flag.String("joblog", "", "write-ahead job log path; admissions are fsynced and replayed after a crash (empty: no durability)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: disabled)")
 		quick      = flag.Bool("quick", false, "scale default run lengths down ~10x")

@@ -353,12 +353,6 @@ func (c Config) WithChannels(channels int) (Config, error) {
 	return c, c.Validate()
 }
 
-// UnmarshalJSON decodes into the receiver with the default struct codec.
-func (c *Config) UnmarshalJSON(b []byte) error {
-	type plain Config
-	return json.Unmarshal(b, (*plain)(c))
-}
-
 // CanonicalJSON renders the configuration in its canonical byte form:
 // the stdlib encoding with fields in declaration order and no insigni-
 // ficant whitespace. Two Configs with equal values produce identical

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -182,7 +181,7 @@ func TestCacheEvictionOrder(t *testing.T) {
 	c := newSimCache(3)
 	const inserts = 100 // the ring's buffer is far smaller: it wraps
 	for i := 0; i < inserts; i++ {
-		c.insert(key(i), &cached{})
+		c.insert(key(i), &entry{})
 		for j := i - 4; j <= i; j++ {
 			_, held := c.entries[key(j)]
 			if want := j >= 0 && j > i-3; held != want {
@@ -197,9 +196,9 @@ func TestCacheEvictionOrder(t *testing.T) {
 		t.Errorf("ring grew to %d slots at cap 3", len(c.order.buf))
 	}
 	// Re-inserting a held key neither reorders nor evicts.
-	c.insert(key(inserts-3), &cached{})
+	c.insert(key(inserts-3), &entry{})
 	c.cap = 2
-	c.insert(key(inserts), &cached{})
+	c.insert(key(inserts), &entry{})
 	for _, j := range []int{inserts - 1, inserts} {
 		if _, ok := c.entries[key(j)]; !ok {
 			t.Errorf("after shrinking to cap 2: newest key %d evicted", j)
@@ -210,44 +209,63 @@ func TestCacheEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestMemoFootprint pins what a memo at DefaultCacheCap keeps live per
-// plain entry: its key, its map and ring slots and its result, each
-// result a copy of a real run's with its own per-bank slice. An entry
-// keeps ~1.3 KB; a key holding the config's JSON, or a map slot holding
-// the value, brings it back to ~2.2 KB and fails the 1.5 KB bound.
-func TestMemoFootprint(t *testing.T) {
-	w, err := trace.ByName("stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _, err := core.Run(context.Background(), tinyConfig(1), policy.Norm(), w, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]runKey, DefaultCacheCap)
+// memoKeeps fills a memo with n packed copies of ins under distinct
+// keys and returns the heap it keeps live per entry: the key, the map
+// and ring slots, the entry and its packed bytes.
+func memoKeeps(t *testing.T, ins Instrumented, n int) float64 {
+	t.Helper()
+	keys := make([]runKey, n)
 	for i := range keys {
 		keys[i] = seedKey(t, uint64(i))
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c := newSimCache(DefaultCacheCap)
+	c := newSimCache(n)
 	for _, k := range keys {
-		e := &cached{res: r}
-		e.res.Mem.BankUtilization = slices.Clone(r.Mem.BankUtilization)
+		e, err := packEntry(&ins)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c.insert(k, e)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if st := c.stats(); st.Entries != DefaultCacheCap || st.Evictions != 0 {
-		t.Fatalf("entries=%d evictions=%d, want %d/0", st.Entries, st.Evictions, DefaultCacheCap)
-	}
-	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / DefaultCacheCap
-	t.Logf("%d entries keep %.2f MB, %.0f B an entry", DefaultCacheCap, per*DefaultCacheCap/1e6, per)
-	if per > 1536 {
-		t.Errorf("a memo entry keeps %.0f B, want <= 1.5 KB", per)
+	if st := c.stats(); st.Entries != n || st.Evictions != 0 {
+		t.Fatalf("entries=%d evictions=%d, want %d/0", st.Entries, st.Evictions, n)
 	}
 	runtime.KeepAlive(c)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+}
+
+// TestMemoFootprint pins what a memo keeps live per entry. A plain
+// entry at DefaultCacheCap keeps ~580 B, its result packed into ~370
+// bytes; held unpacked, the result alone was ~1 KB and an entry ~1.3 KB,
+// which fails the 640 B bound. An observed entry adds ~65 B a sample
+// of its epoch series, which held unpacked costs 200 B a sample.
+func TestMemoFootprint(t *testing.T) {
+	w, err := trace.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, series, err := core.Run(context.Background(), tinyConfig(1), policy.Norm(), w, engine.Options{Epoch: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := memoKeeps(t, Instrumented{Result: r}, DefaultCacheCap)
+	t.Logf("%d plain entries keep %.2f MB, %.0f B an entry", DefaultCacheCap, plain*DefaultCacheCap/1e6, plain)
+	if plain > 640 {
+		t.Errorf("a plain memo entry keeps %.0f B, want <= 640 B", plain)
+	}
+	if len(series) < 50 {
+		t.Fatalf("the observed run has %d samples, want >= 50", len(series))
+	}
+	observed := memoKeeps(t, Instrumented{Result: r, Series: series}, 512)
+	perSample := (observed - plain) / float64(len(series))
+	t.Logf("an observed entry of %d samples keeps %.0f B, %.0f B a sample", len(series), observed, perSample)
+	if perSample > 80 {
+		t.Errorf("an observed memo entry keeps %.0f B a sample, want <= 80 B", perSample)
+	}
 }
 
 // BenchmarkMemoHit measures a one-cell RunCells batch whose cell is

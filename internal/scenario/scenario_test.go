@@ -204,6 +204,16 @@ func writeScenario(t *testing.T, dir, name, body string) string {
 	return path
 }
 
+// TestLoadConfigStrict: a misspelled field inside a scenario's config
+// fails the load like one at the top level.
+func TestLoadConfigStrict(t *testing.T) {
+	p := writeScenario(t, t.TempDir(), "misspelled",
+		`{"name":"misspelled","workloads":[{"name":"gups"}],"policies":["Norm"],"config":{"Run":{"Sed":3}}}`)
+	if _, err := Load(p); err == nil || !strings.Contains(err.Error(), `unknown field "Sed"`) {
+		t.Errorf("misspelled config field: err = %v", err)
+	}
+}
+
 func TestLoadStrictAndLoadDir(t *testing.T) {
 	dir := t.TempDir()
 

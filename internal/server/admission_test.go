@@ -217,6 +217,17 @@ func requestFor(c canonicalJob) JobRequest {
 	return req
 }
 
+// TestConfigFieldsStrict: the strict request decoder reaches into the
+// config object, so a misspelled config field is a 400 rather than a
+// setting silently dropped.
+func TestConfigFieldsStrict(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, BaseConfig: tinyBase(1)})
+	body := `{"kind":"sim","workload":"stream","policy":"Norm","config":{"Run":{"Sed":3}}}`
+	if code, msg, raw := post(t, ts, "/v1/jobs", body); code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "Sed"`) {
+		t.Errorf("POST /v1/jobs = %d %s, want 400 naming the unknown field", code, raw)
+	}
+}
+
 // FuzzNormalize: admission never panics on any request body. An
 // accepted request is canonical: it keeps its key through the
 // admit-record round trip joblog replay takes, and the request rebuilt

@@ -63,41 +63,3 @@ func MeasureLeveling(blocks int64, psi int, writes uint64, pattern func() int64)
 	}
 	return res
 }
-
-// MeasureLevelerWear drives any Leveler backend with a synthetic write
-// stream and measures the achieved leveling of demand wear. Unlike
-// MeasureLeveling (which knows Start-Gap's rewritten block exactly),
-// the Leveler contract reports remap work as a count, so copy writes
-// appear in GapWrites and Overhead but are not attributed to individual
-// physical blocks; remap targets rotate across the bank under every
-// backend, so their omission shifts Efficiency by at most the Overhead
-// fraction.
-func MeasureLevelerWear(lv Leveler, writes uint64, pattern func() int64) LevelingResult {
-	wearPerBlock := make([]uint64, lv.PhysBlocks())
-	var copyWrites uint64
-	for i := uint64(0); i < writes; i++ {
-		l := pattern()
-		wearPerBlock[lv.Map(l)]++
-		copyWrites += uint64(lv.Observe(l).CopyWrites)
-	}
-	var max, sum uint64
-	for _, w := range wearPerBlock {
-		if w > max {
-			max = w
-		}
-		sum += w
-	}
-	res := LevelingResult{
-		Writes:        writes,
-		GapWrites:     copyWrites,
-		MaxBlockWear:  float64(max),
-		MeanBlockWear: float64(sum) / float64(lv.PhysBlocks()),
-	}
-	if max > 0 {
-		res.Efficiency = res.MeanBlockWear / res.MaxBlockWear
-	}
-	if writes > 0 {
-		res.Overhead = float64(copyWrites) / float64(writes)
-	}
-	return res
-}

@@ -217,18 +217,6 @@ func LifetimeYears(damage float64, blocks int64, enduranceBlk, eff float64, wind
 	return lifetimeSeconds / policy.SecondsPerYear
 }
 
-// SystemLifetimeYears returns the minimum lifetime across banks — the
-// paper's "time until one cell reaches its wear limit".
-func SystemLifetimeYears(meters []*Meter, blocksPerBank int64, enduranceBlk, eff float64, window sim.Tick) float64 {
-	min := math.Inf(1)
-	for _, m := range meters {
-		if y := LifetimeYears(m.Damage(), blocksPerBank, enduranceBlk, eff, window); y < min {
-			min = y
-		}
-	}
-	return min
-}
-
 // CollectMeters publishes per-bank wear into a per-run metrics
 // registry: damage gauges by bank, plus totals for migration writes and
 // the worst bank. Read-only over the meters, like every collector.
