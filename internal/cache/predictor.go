@@ -46,6 +46,3 @@ func (c *Cache) EagerCandidateDecay(src *rng.Source, threshold uint64) (addr uin
 	s.eager |= 1 << best
 	return c.tags[base+best] >> 1, true
 }
-
-// Touches returns the cache's logical access clock (tests).
-func (c *Cache) Touches() uint64 { return c.touches }

@@ -29,13 +29,6 @@ func NewProfiler(ways int, ratio float64) *Profiler {
 	return &Profiler{hit: make([]uint64, ways), ratio: ratio, eagerPos: ways}
 }
 
-// EagerPos returns the current eager LRU position; stack positions at or
-// beyond it are useless until the next rotation.
-func (p *Profiler) EagerPos() int { return p.eagerPos }
-
-// Rotations returns how many sampling periods have completed.
-func (p *Profiler) Rotations() uint64 { return p.rotations }
-
 // Rotate closes a sampling period: recompute the eager position from the
 // counters, then reset them.
 func (p *Profiler) Rotate() {

@@ -39,51 +39,82 @@ type Result struct {
 // LifetimeYears is shorthand for the §V lifetime metric.
 func (r Result) LifetimeYears() float64 { return r.Mem.LifetimeYears }
 
-// System is a fully wired simulator instance.
+// System is a fully wired simulator instance: one front per program,
+// each a private cache hierarchy and core, over one kernel and one
+// memory controller.
 type System struct {
 	Cfg    config.Config
 	Spec   policy.Spec
 	Kernel *sim.Kernel
-	Hier   *cache.Hierarchy
 	Ctl    *mem.Controller
-	Core   *cpu.Core
+	Fronts []engine.Front
 
-	workload trace.Workload
+	workload trace.Workload // a single run's, which RunObserved reports
+	next     int            // the front the eager source asks first
 }
 
 // NewSystem builds and wires a system for one workload and policy.
 func NewSystem(cfg config.Config, spec policy.Spec, w trace.Workload) (*System, error) {
+	return wire(cfg, spec, []trace.Workload{w}, false)
+}
+
+// wire builds a system with one front per workload. The fronts share
+// the controller's eager queue round-robin and the profiler's rotation
+// clock. A single run's front draws its hierarchy from branch 1 of the
+// run's seed and its trace from the seed itself; mix core i draws from
+// branch i and seed+1001·i, so two copies of one workload in a mix
+// issue distinct streams.
+func wire(cfg config.Config, spec policy.Spec, ws []trace.Workload, mix bool) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	src := rng.New(cfg.Run.Seed)
-	hier := cache.NewHierarchy(cfg.Caches, src.Branch(1))
 	ctl := mem.New(k, cfg.Memory, spec)
-	ctl.SetEagerSource(hier.EagerCandidate)
-	gen := w.New(cfg.Run.Seed)
-	core := cpu.New(cfg, hier, ctl, gen)
-
+	src := rng.New(cfg.Run.Seed)
+	s := &System{
+		Cfg: cfg, Spec: spec, Kernel: k, Ctl: ctl,
+		Fronts: make([]engine.Front, len(ws)), workload: ws[0],
+	}
+	for i, w := range ws {
+		branch, seed := uint64(1), cfg.Run.Seed
+		if mix {
+			branch, seed = uint64(i), cfg.Run.Seed+uint64(i)*1001
+		}
+		hier := cache.NewHierarchy(cfg.Caches, src.Branch(branch))
+		s.Fronts[i] = engine.Front{Hier: hier, Core: cpu.New(cfg, hier, ctl, w.New(seed))}
+	}
+	ctl.SetEagerSource(s.eagerCandidate)
 	// The LLC's useless-position profiler rotates every T_sample
 	// (§IV-B1), driven by the memory clock.
 	var rotate sim.Event
 	rotate = func(sim.Tick) {
-		hier.RotateProfile()
+		for _, f := range s.Fronts {
+			f.Hier.RotateProfile()
+		}
 		k.After(cfg.Caches.ProfilePeriod, rotate)
 	}
 	k.After(cfg.Caches.ProfilePeriod, rotate)
+	return s, nil
+}
 
-	return &System{
-		Cfg: cfg, Spec: spec, Kernel: k,
-		Hier: hier, Ctl: ctl, Core: core,
-		workload: w,
-	}, nil
+// eagerCandidate is the controller's eager source: it drains candidates
+// from the private LLCs round-robin, so no program monopolises the
+// eager queue.
+func (s *System) eagerCandidate() (uint64, bool) {
+	for range s.Fronts {
+		h := s.Fronts[s.next].Hier
+		s.next = (s.next + 1) % len(s.Fronts)
+		if line, ok := h.EagerCandidate(); ok {
+			return line, true
+		}
+	}
+	return 0, false
 }
 
 // Engine builds the phase-aware run engine for this system with the
 // given observation options. The engine is single-use.
 func (s *System) Engine(opts engine.Options) *engine.Engine {
-	return engine.New(s.Kernel, s.Hier, s.Ctl, s.Core, s.Cfg.Run, opts)
+	return engine.New(s.Kernel, s.Ctl, s.Fronts, s.Cfg.Run, opts)
 }
 
 // RunContext warms the system up, measures the detailed window and
@@ -100,11 +131,13 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 // opts.Epoch > 0). Results are bit-identical to RunContext regardless of
 // the observers attached.
 func (s *System) RunObserved(ctx context.Context, opts engine.Options) (Result, []engine.EpochSample, error) {
-	out, err := s.Engine(opts).Run(ctx)
+	series, err := s.Engine(opts).Run(ctx)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return s.resultOf(out), out.Series, nil
+	r := result(s.workload.Name, s.Spec.Name, s.Fronts[0])
+	r.Mem = s.Ctl.Snapshot()
+	return r, series, nil
 }
 
 // Release hands the system's cache arrays, kernel and request arena
@@ -113,25 +146,27 @@ func (s *System) RunObserved(ctx context.Context, opts engine.Options) (Result, 
 // metrics registry attached to the run can still be snapshotted
 // afterwards. A caller that keeps the system simply never releases it.
 func (s *System) Release() {
-	s.Hier.Release()
+	for _, f := range s.Fronts {
+		f.Hier.Release()
+	}
 	s.Ctl.ReleaseArena()
 	s.Kernel.Release()
 }
 
-// resultOf labels an engine outcome with this system's identity and
-// derives the per-instruction metrics.
-func (s *System) resultOf(out engine.Outcome) Result {
+// result measures one front's window after a run, labelled with its
+// workload and policy. Mem is left for the caller: the memory system is
+// shared by every front.
+func result(workload, policy string, f engine.Front) Result {
 	r := Result{
-		Workload:     s.workload.Name,
-		Policy:       s.Spec.Name,
-		IPC:          out.IPC,
-		Instructions: out.Instructions,
-		Cycles:       out.Cycles,
-		Mem:          out.Mem,
-		Cache:        out.Cache,
+		Workload:     workload,
+		Policy:       policy,
+		IPC:          f.Core.IPC(),
+		Instructions: f.Core.MeasuredInstructions(),
+		Cycles:       f.Core.MeasuredCycles(),
+		Cache:        f.Hier.Snapshot(),
 	}
 	if r.Instructions > 0 {
-		r.MPKI = float64(out.Cache.LLCMisses) / (float64(r.Instructions) / 1000)
+		r.MPKI = float64(r.Cache.LLCMisses) / (float64(r.Instructions) / 1000)
 	}
 	return r
 }

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"mellow/internal/cache"
 	"mellow/internal/config"
-	"mellow/internal/cpu"
+	"mellow/internal/engine"
 	"mellow/internal/mem"
 	"mellow/internal/policy"
-	"mellow/internal/rng"
-	"mellow/internal/sim"
 	"mellow/internal/trace"
 )
 
@@ -40,144 +37,33 @@ func (m MixResult) WeightedIPC() float64 {
 	return sum
 }
 
-// mixCancelCheck is how many core steps RunMix takes between polls of
-// its context, the granularity cpu.Core.RunCancellable uses.
-const mixCancelCheck = 1 << 10
-
-// mixCore bundles one program's private front end.
-type mixCore struct {
-	name string
-	hier *cache.Hierarchy
-	core *cpu.Core
-	done bool
-}
-
 // RunMix simulates the workloads on one core each (private L1/L2/LLC
 // per program — a multiprogrammed, not shared-cache, CMP) against a
-// single shared memory controller under the given policy. Cores
-// co-simulate conservatively: at every step the core with the smallest
-// local time advances, so no core submits requests into another's past.
-// The loop polls ctx every mixCancelCheck steps and returns ctx's error
-// once it is cancelled or times out; a mix that is never cancelled gives
-// the same result whatever ctx is. The per-core hierarchies, the kernel
-// and the controller's arena are released once the mix returns. Resolve
-// builtin names with trace.ByName first.
-func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads []trace.Workload) (MixResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return MixResult{}, err
-	}
+// single shared memory controller under the given policy, through the
+// same engine as a single run: every core runs each phase to its own
+// instruction count, the cores co-simulating in local-time order. It
+// returns the result plus the epoch series (nil unless opts.Epoch > 0),
+// whose core and LLC fields sum over the cores; the result is
+// bit-identical whatever observers opts attaches, and a mix that is
+// never cancelled gives the same result whatever ctx is. The per-core
+// hierarchies, the kernel and the controller's arena are released once
+// the mix returns. Resolve builtin names with trace.ByName first.
+func RunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloads []trace.Workload, opts engine.Options) (MixResult, []engine.EpochSample, error) {
 	if len(workloads) == 0 {
-		return MixResult{}, fmt.Errorf("core: empty workload mix")
+		return MixResult{}, nil, fmt.Errorf("core: empty workload mix")
 	}
-	k := sim.NewKernel()
-	ctl := mem.New(k, cfg.Memory, spec)
-	src := rng.New(cfg.Run.Seed)
-
-	cores := make([]*mixCore, len(workloads))
-	for i, w := range workloads {
-		hier := cache.NewHierarchy(cfg.Caches, src.Branch(uint64(i)))
-		gen := w.New(cfg.Run.Seed + uint64(i)*1001)
-		cores[i] = &mixCore{name: w.Name, hier: hier, core: cpu.New(cfg, hier, ctl, gen)}
+	sys, err := wire(cfg, spec, workloads, true)
+	if err != nil {
+		return MixResult{}, nil, fmt.Errorf("core: %w", err)
 	}
-	defer func() {
-		for _, c := range cores {
-			c.hier.Release()
-		}
-		ctl.ReleaseArena()
-		k.Release()
-	}()
-
-	// The eager source drains candidates from the private LLCs round-
-	// robin, so no program monopolises the eager queue.
-	next := 0
-	ctl.SetEagerSource(func() (uint64, bool) {
-		for tries := 0; tries < len(cores); tries++ {
-			h := cores[next].hier
-			next = (next + 1) % len(cores)
-			if line, ok := h.EagerCandidate(); ok {
-				return line, true
-			}
-		}
-		return 0, false
-	})
-	var rotate sim.Event
-	rotate = func(sim.Tick) {
-		for _, c := range cores {
-			c.hier.RotateProfile()
-		}
-		k.After(cfg.Caches.ProfilePeriod, rotate)
+	defer sys.Release()
+	series, err := sys.Engine(opts).Run(ctx)
+	if err != nil {
+		return MixResult{}, nil, err
 	}
-	k.After(cfg.Caches.ProfilePeriod, rotate)
-
-	steps := 0
-	runPhase := func(target uint64) error {
-		for ; ; steps++ {
-			if steps%mixCancelCheck == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			// Advance the laggard that still has work.
-			var pick *mixCore
-			for _, c := range cores {
-				if c.done {
-					continue
-				}
-				if c.core.Instructions() >= target {
-					c.done = true
-					continue
-				}
-				if pick == nil || c.core.Cycles() < pick.core.Cycles() {
-					pick = c
-				}
-			}
-			if pick == nil {
-				return nil
-			}
-			pick.core.Step()
-		}
+	res := MixResult{Policy: spec.Name, Cores: make([]Result, len(workloads)), Mem: sys.Ctl.Snapshot()}
+	for i, f := range sys.Fronts {
+		res.Cores[i] = result(workloads[i].Name, spec.Name, f)
 	}
-
-	if err := runPhase(cfg.Run.WarmupInstructions); err != nil {
-		return MixResult{}, err
-	}
-	for _, c := range cores {
-		c.done = false
-		c.hier.ResetStats()
-		c.core.BeginMeasurement()
-	}
-	ctl.ResetStats()
-	if err := runPhase(cfg.Run.WarmupInstructions + cfg.Run.DetailedInstructions); err != nil {
-		return MixResult{}, err
-	}
-
-	// Align the memory clock with the slowest core.
-	var maxT sim.Tick
-	for _, c := range cores {
-		if t := sim.Tick(c.core.Cycles()); t > maxT {
-			maxT = t
-		}
-	}
-	if maxT > ctl.Now() {
-		ctl.AdvanceTo(maxT)
-	}
-
-	res := MixResult{Policy: spec.Name}
-	for _, c := range cores {
-		cs := c.hier.Snapshot()
-		r := Result{
-			Workload:     c.name,
-			Policy:       spec.Name,
-			IPC:          c.core.IPC(),
-			Instructions: c.core.MeasuredInstructions(),
-			Cycles:       c.core.MeasuredCycles(),
-			Cache:        cs,
-		}
-		if r.Instructions > 0 {
-			r.MPKI = float64(cs.LLCMisses) / (float64(r.Instructions) / 1000)
-		}
-		res.Cores = append(res.Cores, r)
-	}
-	res.Mem = ctl.Snapshot()
-	return res, nil
+	return res, series, nil
 }

@@ -1,21 +1,32 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
+	"mellow/internal/config"
+	"mellow/internal/engine"
+	"mellow/internal/metrics"
 	"mellow/internal/policy"
 	"mellow/internal/trace"
+	"mellow/internal/xtrace"
 )
+
+// maxRecordInstrs bounds one trace record (gap plus access): a core
+// retires whole records, so its window ends at the first record boundary
+// at or past the configured length.
+const maxRecordInstrs = 256
 
 func mustMix(t *testing.T, spec policy.Spec, workloads ...string) MixResult {
 	t.Helper()
 	cfg := quickCfg()
 	cfg.Run.WarmupInstructions = 500_000
 	cfg.Run.DetailedInstructions = 2_000_000
-	m, err := RunMix(context.Background(), cfg, spec, resolveAll(t, workloads...))
+	m, _, err := RunMix(context.Background(), cfg, spec, resolveAll(t, workloads...), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +56,10 @@ func TestMixBasics(t *testing.T) {
 		if c.IPC <= 0 {
 			t.Errorf("%s IPC = %v", c.Workload, c.IPC)
 		}
-		// The warmup phase overshoots by at most one op, so the measured
-		// window can be a few instructions short of the nominal target.
-		if c.Instructions < 1_990_000 {
-			t.Errorf("%s measured %d instructions", c.Workload, c.Instructions)
+		// Each core measures its own window: the configured length,
+		// overshot by less than one trace record.
+		if c.Instructions < 2_000_000 || c.Instructions-2_000_000 >= maxRecordInstrs {
+			t.Errorf("%s measured %d instructions, want [2000000, %d)", c.Workload, c.Instructions, 2_000_000+maxRecordInstrs)
 		}
 	}
 	if m.Mem.TotalWrites() == 0 {
@@ -61,12 +72,12 @@ func TestMixBasics(t *testing.T) {
 
 func TestMixErrors(t *testing.T) {
 	cfg := quickCfg()
-	if _, err := RunMix(context.Background(), cfg, policy.Norm(), nil); err == nil {
+	if _, _, err := RunMix(context.Background(), cfg, policy.Norm(), nil, engine.Options{}); err == nil {
 		t.Error("empty mix accepted")
 	}
 	bad := cfg
 	bad.CPU.IssueWidth = 0
-	if _, err := RunMix(context.Background(), bad, policy.Norm(), resolveAll(t, "stream")); err == nil {
+	if _, _, err := RunMix(context.Background(), bad, policy.Norm(), resolveAll(t, "stream"), engine.Options{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -128,11 +139,100 @@ func TestMixHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunMix(ctx, cfg, policy.BEMellow().WithSC(), resolveAll(t, "lbm", "mcf"))
+	_, _, err := RunMix(ctx, cfg, policy.BEMellow().WithSC(), resolveAll(t, "lbm", "mcf"), engine.Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the deadline", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("cancelled mix returned after %v", d)
+	}
+}
+
+// mixBytes encodes a mix result, failing the test on an error.
+func mixBytes(t *testing.T, m MixResult, err error) []byte {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMixMatchesReference: a mix through the engine gives the bytes of
+// refRunMix, the per-step laggard scan, across mixes of two to four
+// cores, policies with and without eager writes and Wear Quota, two
+// seeds, and a run with no warmup.
+func TestMixMatchesReference(t *testing.T) {
+	mixes := [][]string{{"lbm", "mcf"}, {"stream", "gups"}, {"GemsFDTD", "milc", "gups"}, {"gups", "gups"}}
+	specs := []policy.Spec{policy.Norm(), policy.BEMellow().WithSC(), policy.BEMellow().WithSC().WithWQ()}
+	for _, seed := range []uint64{1, 2} {
+		cfg := config.Default()
+		cfg.Run.Seed = seed
+		cfg.Run.WarmupInstructions = 40_000 * (2 - seed) // seed 2 runs without warmup
+		cfg.Run.DetailedInstructions = 120_000
+		for _, mix := range mixes {
+			ws := resolveAll(t, mix...)
+			for _, spec := range specs {
+				ref, err := refRunMix(context.Background(), cfg, spec, ws)
+				want := mixBytes(t, ref, err)
+				m, _, err := RunMix(context.Background(), cfg, spec, ws, engine.Options{})
+				if got := mixBytes(t, m, err); !bytes.Equal(got, want) {
+					t.Errorf("seed %d %v %s: engine mix differs from the reference\n got %s\nwant %s",
+						seed, mix, spec.Name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestObservedMixMatchesPlain: observing a mix with an epoch probe, a
+// metrics registry and a timeline leaves its result bytes alone, and
+// the observers see the whole run: a series that ends at progress 1,
+// every core's collectors and a timeline.
+func TestObservedMixMatchesPlain(t *testing.T) {
+	cfg := config.Default()
+	cfg.Run.WarmupInstructions = 50_000
+	cfg.Run.DetailedInstructions = 200_000
+	spec := policy.BEMellow().WithSC().WithWQ()
+	ws := resolveAll(t, "lbm", "mcf", "gups")
+	plain, _, err := RunMix(context.Background(), cfg, spec, ws, engine.Options{})
+	want := mixBytes(t, plain, err)
+
+	reg := metrics.NewRegistry()
+	rec := xtrace.NewRecorder(0)
+	live := 0
+	observed, series, err := RunMix(context.Background(), cfg, spec, ws, engine.Options{
+		Epoch: engine.DefaultEpoch / 10, OnEpoch: func(engine.EpochSample) { live++ },
+		Metrics: reg, Timeline: rec,
+	})
+	if got := mixBytes(t, observed, err); !bytes.Equal(got, want) {
+		t.Errorf("observed mix differs from the plain one\n got %s\nwant %s", got, want)
+	}
+	if len(series) < 2 || live != len(series) {
+		t.Fatalf("%d samples, %d delivered live", len(series), live)
+	}
+	var instrs uint64
+	for _, s := range series {
+		instrs += s.Instructions
+	}
+	var ran uint64
+	for _, c := range observed.Cores {
+		ran += c.Instructions
+	}
+	if last := series[len(series)-1]; last.Progress != 1 || instrs < ran {
+		t.Errorf("series ends at progress %v and sums %d instructions, want 1 and at least the %d measured",
+			last.Progress, instrs, ran)
+	}
+	snap := reg.Snapshot()
+	for _, f := range snap.Families {
+		if f.Name == "sim_cpu_instructions_total" && len(f.Cells) != len(ws) {
+			t.Errorf("%s has %d cells, want one per core", f.Name, len(f.Cells))
+		}
+	}
+	if tr := rec.Finalize("lbm+mcf+gups", spec.Name, cfg.Memory.Banks()); tr == nil || len(tr.Events) == 0 {
+		t.Error("the timeline recorded nothing")
 	}
 }

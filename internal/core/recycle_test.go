@@ -102,7 +102,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 
 	t.Run("mix", func(t *testing.T) {
 		mix := func(names ...string) []byte {
-			m, err := RunMix(context.Background(), shortCfg(), spec, resolveAll(t, names...))
+			m, _, err := RunMix(context.Background(), shortCfg(), spec, resolveAll(t, names...), engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

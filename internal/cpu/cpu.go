@@ -256,35 +256,10 @@ func (c *Core) stallFor(t sim.Tick) {
 	}
 }
 
-// Run executes n instructions (dispatch-counted) and returns.
-func (c *Core) Run(n uint64) { c.RunCancellable(n, nil) }
-
-// cancelCheckMask sets the cancellation-checkpoint granularity: the run
-// loop polls cancelled once per 1024 trace ops, keeping the overhead
-// invisible next to the per-op simulation work.
-const cancelCheckMask = 1<<10 - 1
-
-// RunCancellable executes n instructions like Run but polls cancelled
-// (if non-nil) at checkpoints, returning false as soon as it reports
-// true. Instruction accounting is identical to Run, so a run that is
-// never cancelled produces bit-identical results.
-func (c *Core) RunCancellable(n uint64, cancelled func() bool) bool {
-	end := c.instrs + n
-	for steps := 0; c.instrs < end; steps++ {
-		if cancelled != nil && steps&cancelCheckMask == 0 && cancelled() {
-			return false
-		}
-		c.step()
-	}
-	return true
-}
-
-// Step consumes exactly one trace op (its gap plus one access). Multi-
-// core co-simulation drives cores step-by-step in local-time order.
-func (c *Core) Step() { c.step() }
-
-// step consumes one trace op: its gap instructions plus one access.
-func (c *Core) step() {
+// Step consumes exactly one trace op: its gap instructions plus one
+// access. The engine steps cores one op at a time, in local-time order
+// when several share a memory system.
+func (c *Core) Step() {
 	op := c.gen.Next()
 
 	// Dispatch bandwidth for the gap and the access itself.

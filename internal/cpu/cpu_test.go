@@ -165,7 +165,7 @@ func TestMSHRBoundsRespected(t *testing.T) {
 	gen := &randGen{src: rng.New(11), gap: 0}
 	c, _ := newRig(t, gen)
 	for i := 0; i < 50_000; i++ {
-		c.step()
+		c.Step()
 		if got := c.loadsOutstanding(); got > c.loadMSHRs {
 			t.Fatalf("outstanding loads %d exceeds L1 MSHRs %d", got, c.loadMSHRs)
 		}
@@ -196,7 +196,7 @@ func TestMonotonicCycles(t *testing.T) {
 	c, _ := newRig(t, gen)
 	prev := 0.0
 	for i := 0; i < 20_000; i++ {
-		c.step()
+		c.Step()
 		if c.cycles < prev {
 			t.Fatalf("cycle cursor went backwards at step %d", i)
 		}

@@ -1,7 +1,10 @@
 // Package engine owns the simulation run pipeline: the warmup →
 // detailed → drain phasing that used to live inline in core.Run, plus an
 // epoch probe that turns a run from an opaque black box into an
-// interval-resolved time series.
+// interval-resolved time series. The engine steps a slice of fronts,
+// each a private cache hierarchy and core, over one shared kernel and
+// memory controller: a single run is one front, a multiprogrammed mix
+// one per program. It is the only code that steps a core.
 //
 // The paper's mechanisms are all periodic — the LLC useless-position
 // profiler rotates and Wear Quota re-budgets every 500 µs — so the
@@ -21,6 +24,7 @@ package engine
 
 import (
 	"context"
+	"math"
 
 	"mellow/internal/cache"
 	"mellow/internal/config"
@@ -93,8 +97,8 @@ type EpochSample struct {
 // probe is registered and the run takes exactly the pre-engine path.
 type Options struct {
 	// Epoch is the sampling period in ticks. A positive period observes
-	// the run: the epoch probe fires every Epoch ticks and the Outcome
-	// carries the series. Zero observes nothing.
+	// the run: the epoch probe fires every Epoch ticks and Run returns
+	// the series. Zero observes nothing.
 	Epoch sim.Tick
 	// OnEpoch, when set on an observed run, is called synchronously
 	// with each closed sample, the same value appended to the series.
@@ -114,65 +118,97 @@ type Options struct {
 	Timeline *xtrace.Recorder
 }
 
-// Outcome is the engine's measurement of one run: the end-of-run
-// aggregates every paper figure is built from, plus the epoch series
-// of an observed run.
-type Outcome struct {
-	Instructions uint64
-	Cycles       float64
-	IPC          float64
-	Mem          mem.Snapshot
-	Cache        cache.Stats
-	Series       []EpochSample
+// Front is one program's private front end: its cache hierarchy and the
+// core that drives it. A single run has one front; a multiprogrammed mix
+// has one per program, all sharing one kernel and one controller.
+type Front struct {
+	Hier *cache.Hierarchy
+	Core *cpu.Core
 }
 
-// Engine drives one wired system through the run phases. It owns no
-// model state — construction is cheap and an Engine is single-use.
+// front is a Front with the engine's bookkeeping for it.
+type front struct {
+	Front
+	target    uint64 // the instruction count that ends its current phase
+	prevCPU   cpu.ProbeCounters
+	prevCache cache.ProbeCounters
+}
+
+// pollMask sets how often the step loop polls its context: once per
+// 1024 core steps, invisible next to the per-step simulation work.
+const pollMask = 1<<10 - 1
+
+// Engine drives the fronts of one wired system through the run phases.
+// It owns no model state — construction is cheap and an Engine is
+// single-use.
 type Engine struct {
 	kernel *sim.Kernel
-	hier   *cache.Hierarchy
 	ctl    *mem.Controller
-	core   *cpu.Core
+	fronts []front
 	run    config.Run
 	opts   Options
 
 	phase      string
-	totalInstr uint64 // warmup + detailed, for progress accounting
+	steps      uint64 // core steps taken, for the context poll
+	totalInstr uint64 // fronts × (warmup + detailed), for progress
 	epochIdx   int
 	prevEnd    sim.Tick
-	prevCPU    cpu.ProbeCounters
-	prevCache  cache.ProbeCounters
 	prevMem    mem.ProbeCounters
 	series     []EpochSample
 }
 
-// New wires an engine over an assembled system. The components must all
-// share kernel.
-func New(kernel *sim.Kernel, hier *cache.Hierarchy, ctl *mem.Controller,
-	core *cpu.Core, run config.Run, opts Options) *Engine {
-	return &Engine{
-		kernel: kernel, hier: hier, ctl: ctl, core: core,
+// New wires an engine over an assembled system: one or more fronts over
+// one controller, all sharing kernel.
+func New(kernel *sim.Kernel, ctl *mem.Controller, fronts []Front, run config.Run, opts Options) *Engine {
+	e := &Engine{
+		kernel: kernel, ctl: ctl, fronts: make([]front, len(fronts)),
 		run: run, opts: opts,
-		totalInstr: run.WarmupInstructions + run.DetailedInstructions,
+		totalInstr: uint64(len(fronts)) * (run.WarmupInstructions + run.DetailedInstructions),
 	}
+	for i, f := range fronts {
+		e.fronts[i].Front = f
+	}
+	return e
 }
 
 // rebase re-captures the probe-counter baselines; called at start and
 // after the warmup-boundary stats reset so epoch deltas never span a
 // counter reset.
 func (e *Engine) rebase() {
-	e.prevCPU = e.core.ProbeCounters()
-	e.prevCache = e.hier.ProbeCounters()
+	for i := range e.fronts {
+		f := &e.fronts[i]
+		f.prevCPU, f.prevCache = f.Core.ProbeCounters(), f.Hier.ProbeCounters()
+	}
 	e.prevMem = e.ctl.ProbeCounters()
 }
 
 // sampleEpoch is the probe callback: close the interval ending at now.
+// Core and LLC fields sum the fronts' deltas; memory fields are the
+// shared controller's.
 func (e *Engine) sampleEpoch(now sim.Tick) {
-	curCPU := e.core.ProbeCounters()
-	curCache := e.hier.ProbeCounters()
+	var dCPU cpu.ProbeCounters
+	var dCache cache.ProbeCounters
+	var instrs uint64
+	for i := range e.fronts {
+		f := &e.fronts[i]
+		curCPU, curCache := f.Core.ProbeCounters(), f.Hier.ProbeCounters()
+		c, h := curCPU.Delta(f.prevCPU), curCache.Delta(f.prevCache)
+		if i == 0 {
+			// The sum starts from front 0's deltas, not from zero, so a
+			// single run's sample is its own counters' bit for bit.
+			dCPU, dCache = c, h
+		} else {
+			dCPU.Instructions += c.Instructions
+			dCPU.Cycles += c.Cycles
+			dCache.LLCHits += h.LLCHits
+			dCache.LLCMisses += h.LLCMisses
+			dCache.LLCEvictions += h.LLCEvictions
+			dCache.EagerIssued += h.EagerIssued
+		}
+		instrs += curCPU.Instructions
+		f.prevCPU, f.prevCache = curCPU, curCache
+	}
 	curMem := e.ctl.ProbeCounters()
-	dCPU := curCPU.Delta(e.prevCPU)
-	dCache := curCache.Delta(e.prevCache)
 	dMem := curMem.Delta(e.prevMem)
 
 	s := EpochSample{
@@ -198,7 +234,7 @@ func (e *Engine) sampleEpoch(now sim.Tick) {
 		EagerQueue:    dMem.EagerQueue,
 		Draining:      dMem.Draining,
 		MaxBankDamage: dMem.MaxBankDamage,
-		Progress:      e.progressAt(curCPU.Instructions),
+		Progress:      e.progressAt(instrs),
 	}
 	if dCPU.Cycles > 0 {
 		s.IPC = float64(dCPU.Instructions) / dCPU.Cycles
@@ -209,14 +245,14 @@ func (e *Engine) sampleEpoch(now sim.Tick) {
 
 	e.epochIdx++
 	e.prevEnd = now
-	e.prevCPU, e.prevCache, e.prevMem = curCPU, curCache, curMem
+	e.prevMem = curMem
 	e.series = append(e.series, s)
 	if e.opts.OnEpoch != nil {
 		e.opts.OnEpoch(s)
 	}
 }
 
-// progressAt maps a cumulative instruction count to a run fraction.
+// progressAt maps the fronts' total instruction count to a run fraction.
 func (e *Engine) progressAt(instrs uint64) float64 {
 	if e.totalInstr == 0 {
 		return 0
@@ -228,27 +264,77 @@ func (e *Engine) progressAt(instrs uint64) float64 {
 	return p
 }
 
+// runPhase steps every front until it has run n instructions past where
+// it stood when the phase began. Fronts co-simulate conservatively: the
+// live front with the fewest cycles steps next, the lowest index on a
+// tie, so no core submits requests into another's past. The picked
+// front keeps stepping while its (cycles, index) stays below the least
+// such pair among the other live fronts; a lone front has none to
+// compare against, so a single run is one tight loop. A cancelled or
+// expired ctx ends the phase with its error.
+func (e *Engine) runPhase(ctx context.Context, n uint64) error {
+	for i := range e.fronts {
+		e.fronts[i].target = e.fronts[i].Core.Instructions() + n
+	}
+	for {
+		pick, next := -1, len(e.fronts)
+		for i := range e.fronts {
+			f := &e.fronts[i]
+			if f.Core.Instructions() >= f.target {
+				continue
+			}
+			switch cyc := f.Core.Cycles(); {
+			case pick < 0:
+				pick = i
+			case cyc < e.fronts[pick].Core.Cycles():
+				pick, next = i, pick
+			case next == len(e.fronts) || cyc < e.fronts[next].Core.Cycles():
+				next = i
+			}
+		}
+		if pick < 0 {
+			return nil
+		}
+		bound := math.Inf(1)
+		if next < len(e.fronts) {
+			bound = e.fronts[next].Core.Cycles()
+		}
+		f := &e.fronts[pick]
+		for c := f.Core; c.Instructions() < f.target; {
+			if cyc := c.Cycles(); cyc > bound || cyc == bound && pick > next {
+				break
+			}
+			if e.steps&pollMask == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			e.steps++
+			c.Step()
+		}
+	}
+}
+
 // Run executes the phases: warmup (statistics frozen), detailed (the
 // measured window), and drain (the memory clock catches up with the
-// core before the final snapshot). With no observation options set it
-// is bit-identical to the pre-engine pipeline; with an epoch probe the
-// results are still identical and a deterministic time series is
-// produced on the side. Cancellation aborts at the next checkpoint with
-// ctx's error.
-func (e *Engine) Run(ctx context.Context) (Outcome, error) {
+// slowest core). Every front runs each phase to its own instruction
+// count. Run returns the epoch series of an observed run (nil
+// otherwise) and leaves the system quiescent, its components holding
+// the measured window for the caller to snapshot. With no observation
+// options set the run is bit-identical to the pre-engine pipeline; with
+// an epoch probe the results are still identical and a deterministic
+// time series is produced on the side. Cancellation aborts within 1024
+// core steps with ctx's error.
+func (e *Engine) Run(ctx context.Context) ([]EpochSample, error) {
 	if reg := e.opts.Metrics; reg != nil {
 		// The collectors are registered up front but evaluated only when
 		// the registry is snapshotted — typically after Run returns, when
 		// the system is quiescent, so the snapshot is deterministic.
-		reg.RegisterCollector(e.core.CollectMetrics)
-		reg.RegisterCollector(e.hier.CollectMetrics)
+		for _, f := range e.fronts {
+			reg.RegisterCollector(f.Core.CollectMetrics)
+			reg.RegisterCollector(f.Hier.CollectMetrics)
+		}
 		reg.RegisterCollector(e.ctl.CollectMetrics)
-	}
-	// context.Background and friends have a nil Done channel; skip the
-	// per-checkpoint poll entirely for them.
-	var cancelled func() bool
-	if ctx.Done() != nil {
-		cancelled = func() bool { return ctx.Err() != nil }
 	}
 	if e.opts.Epoch > 0 {
 		id := e.kernel.AddProbe(e.opts.Epoch, e.sampleEpoch)
@@ -263,15 +349,15 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 
 	e.phase = PhaseWarmup
 	phaseStart := e.kernel.Now()
-	if e.run.WarmupInstructions > 0 {
-		if !e.core.RunCancellable(e.run.WarmupInstructions, cancelled) {
-			return Outcome{}, ctx.Err()
-		}
+	if err := e.runPhase(ctx, e.run.WarmupInstructions); err != nil {
+		return nil, err
 	}
 	tl.Slice(xtrace.TrackPhase, PhaseWarmup, "phase", phaseStart, e.kernel.Now(), 0, 0)
-	e.hier.ResetStats()
+	for _, f := range e.fronts {
+		f.Hier.ResetStats()
+		f.Core.BeginMeasurement()
+	}
 	e.ctl.ResetStats()
-	e.core.BeginMeasurement()
 	// Counter baselines must not span the warmup-boundary reset.
 	if e.opts.Epoch > 0 {
 		e.rebase()
@@ -279,36 +365,31 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 
 	e.phase = PhaseDetailed
 	phaseStart = e.kernel.Now()
-	if !e.core.RunCancellable(e.run.DetailedInstructions, cancelled) {
-		return Outcome{}, ctx.Err()
+	if err := e.runPhase(ctx, e.run.DetailedInstructions); err != nil {
+		return nil, err
 	}
 	tl.Slice(xtrace.TrackPhase, PhaseDetailed, "phase", phaseStart, e.kernel.Now(), 0, 0)
 
-	// Drain: align the memory clock with the core before snapshotting so
-	// utilization windows match the measured cycles.
+	// Drain: align the memory clock with the slowest core before
+	// snapshotting so utilization windows match the measured cycles.
 	e.phase = PhaseDrain
 	phaseStart = e.kernel.Now()
-	if t := sim.Tick(e.core.Cycles()); t > e.ctl.Now() {
-		e.ctl.AdvanceTo(t)
+	var end sim.Tick
+	for _, f := range e.fronts {
+		end = max(end, sim.Tick(f.Core.Cycles()))
+	}
+	if end > e.ctl.Now() {
+		e.ctl.AdvanceTo(end)
 	}
 	tl.Slice(xtrace.TrackPhase, PhaseDrain, "phase", phaseStart, e.kernel.Now(), 0, 0)
 	e.ctl.FlushTrace()
 
-	out := Outcome{
-		Instructions: e.core.MeasuredInstructions(),
-		Cycles:       e.core.MeasuredCycles(),
-		IPC:          e.core.IPC(),
-		Mem:          e.ctl.Snapshot(),
-		Cache:        e.hier.Snapshot(),
-		Series:       e.series,
-	}
 	if e.opts.Epoch > 0 {
 		// Close a final partial epoch so the series covers the whole
 		// run; skip it when the probe already sampled this exact tick.
 		if now := e.kernel.Now(); now > e.prevEnd {
 			e.sampleEpoch(now)
-			out.Series = e.series
 		}
 	}
-	return out, nil
+	return e.series, nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"mellow/internal/config"
@@ -491,9 +492,9 @@ type Instrumented struct {
 // per-run metrics snapshot when ob.Metrics and an execution timeline
 // when ob.Trace are all stored with the memoised value (every observer
 // is deterministic or, for the timeline, read-only, so equal keys still
-// yield equal result bytes). A mix cell runs through core.RunMix and
-// takes none of these three. Resolve builtin names with trace.ByName
-// first.
+// yield equal result bytes). A mix cell is observed like any other: its
+// series sums the cores' counters. Resolve builtin names with
+// trace.ByName first.
 func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 	var ins Instrumented
 	err := runInto(ctx, c, ob, &ins)
@@ -504,18 +505,11 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 // zero on failure. RunCells passes each cell's result slot, so a memo
 // hit unpacks straight into it.
 func runInto(ctx context.Context, c Cell, ob Observation, dst *Instrumented) error {
-	if len(c.Mix) > 0 && (ob.Epoch > 0 || ob.Metrics || ob.Trace) {
-		return errors.New("experiments: a mix cell cannot be observed")
-	}
 	key, err := keyFor(c, ob)
 	if err != nil {
 		return err
 	}
 	return memo.do(ctx, key, dst, func() (Instrumented, error) {
-		if len(c.Mix) > 0 {
-			m, err := core.RunMix(ctx, c.Cfg, c.Spec, c.Mix)
-			return Instrumented{Mix: &m}, err
-		}
 		opts := engine.Options{Epoch: ob.Epoch, OnEpoch: ob.OnEpoch}
 		var reg *metrics.Registry
 		if ob.Metrics {
@@ -528,17 +522,24 @@ func runInto(ctx context.Context, c Cell, ob Observation, dst *Instrumented) err
 			opts.Timeline = rec
 			defer rec.Discard() // a no-op once finalized
 		}
-		r, series, err := core.Run(ctx, c.Cfg, c.Spec, c.Workload, opts)
+		var ins Instrumented
+		var err error
+		if len(c.Mix) > 0 {
+			var m core.MixResult
+			m, ins.Series, err = core.RunMix(ctx, c.Cfg, c.Spec, c.Mix, opts)
+			ins.Mix = &m
+		} else {
+			ins.Result, ins.Series, err = core.Run(ctx, c.Cfg, c.Spec, c.Workload, opts)
+		}
 		if err != nil {
 			return Instrumented{}, err
 		}
-		ins := Instrumented{Result: r, Series: series}
 		if reg != nil {
 			snap := reg.Snapshot()
 			ins.Metrics = &snap
 		}
 		if rec != nil {
-			ins.Trace = rec.Finalize(c.Workload.Name, c.Spec.Name, c.Cfg.Memory.Banks())
+			ins.Trace = rec.Finalize(c.Label(), c.Spec.Name, c.Cfg.Memory.Banks())
 		}
 		return ins, nil
 	})
@@ -554,16 +555,13 @@ type SeriesRecord struct {
 	Series   []engine.EpochSample `json:"series"`
 }
 
-// Records builds an observed batch's series records: one per observed
-// cell (every cell but a mix) in cell order, labelled by the cell's
-// variant, workload and policy.
+// Records builds an observed batch's series records: one per cell in
+// cell order, labelled by the cell's variant, label and policy.
 func Records(cells []Cell, ins []Instrumented) []SeriesRecord {
-	var recs []SeriesRecord
+	recs := make([]SeriesRecord, len(cells))
 	for i, c := range cells {
-		if len(c.Mix) == 0 {
-			recs = append(recs, SeriesRecord{Variant: c.Variant, Workload: c.Workload.Name,
-				Policy: c.Spec.Name, Series: ins[i].Series})
-		}
+		recs[i] = SeriesRecord{Variant: c.Variant, Workload: c.Label(),
+			Policy: c.Spec.Name, Series: ins[i].Series}
 	}
 	return recs
 }
@@ -593,6 +591,19 @@ type Cell struct {
 	Variant string
 }
 
+// Label names the cell's simulation on its records, spans and timeline:
+// the workload's name, or the mix's core names joined by "+".
+func (c Cell) Label() string {
+	if len(c.Mix) == 0 {
+		return c.Workload.Name
+	}
+	names := make([]string, len(c.Mix))
+	for i, w := range c.Mix {
+		names[i] = w.Name
+	}
+	return strings.Join(names, "+")
+}
+
 // Hooks observe a RunCells matrix cell by cell; every hook is optional.
 type Hooks struct {
 	// Plan runs once, before any cell starts, with the whole batch in
@@ -600,9 +611,7 @@ type Hooks struct {
 	// be modified.
 	Plan func(cells []Cell)
 	// Start runs in cell i's goroutine just before its simulation and
-	// returns the cell's Observation (zero: a plain run). A mix cell has
-	// no series, metrics or timeline to collect: it runs plain whatever
-	// Start returns.
+	// returns the cell's Observation (zero: a plain run).
 	Start func(i int) Observation
 	// Done fires exactly once for every cell: after its simulation for a
 	// started cell, or with the context's error for a cell that never
@@ -642,9 +651,6 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 			var ob Observation
 			if h.Start != nil {
 				ob = h.Start(i)
-			}
-			if len(c.Mix) > 0 {
-				ob = Observation{}
 			}
 			done <- outcome{i, runInto(ctx, c, ob, &out[i])}
 		}(i, c)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"mellow/internal/cache"
 	"mellow/internal/config"
@@ -229,8 +228,8 @@ func runExt6(o Options) error {
 		Title:  "Extension 6: multiprogrammed mixes (per-core IPC sum / lifetime years / bank util)",
 		Header: append([]string{"mix"}, policy.Names(specs)...),
 	}
-	for i, mix := range mixes {
-		row := []string{strings.Join(mix, "+")}
+	for i := range mixes {
+		row := []string{cells[i*len(specs)].Label()}
 		for j := range specs {
 			m := res[i*len(specs)+j].Mix
 			row = append(row, fmt.Sprintf("%.2f/%s/%s",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"mellow/internal/policy"
@@ -13,8 +14,9 @@ import (
 
 // TestMixCellRules: a one-core mix simulates something else than a
 // single-workload run of the same workload, so the two never share a
-// memo entry; and a mix, which has no epoch series, metrics or timeline
-// to collect, refuses an observation that asks for one.
+// memo entry; and a mix is observed like any other cell, delivering a
+// series, metrics and a timeline named by its label without changing
+// its result.
 func TestMixCellRules(t *testing.T) {
 	w, err := trace.ByName("stream")
 	if err != nil {
@@ -32,9 +34,28 @@ func TestMixCellRules(t *testing.T) {
 	if single == mix {
 		t.Fatal("a one-core mix shares the single-workload memo key")
 	}
-	if _, err := Run(context.Background(), Cell{Cfg: cfg, Spec: spec, Mix: []trace.Workload{w}},
-		Observation{Epoch: 1000}); err == nil {
-		t.Error("an observed mix was accepted")
+	gups, err := trace.ByName("gups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Cell{Cfg: cfg, Spec: spec, Mix: []trace.Workload{w, gups}}
+	plain, err := Run(context.Background(), c, Observation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed, err := Run(context.Background(), c, Observation{Epoch: 1000, Metrics: true, Trace: true})
+	if err != nil {
+		t.Fatalf("observed mix: %v", err)
+	}
+	if !reflect.DeepEqual(observed.Mix, plain.Mix) {
+		t.Errorf("observing the mix changed its result:\n got %+v\nwant %+v", observed.Mix, plain.Mix)
+	}
+	if len(observed.Series) == 0 || observed.Metrics == nil || observed.Trace == nil {
+		t.Fatalf("observed mix delivered %d samples, metrics %v, trace %v", len(observed.Series),
+			observed.Metrics != nil, observed.Trace != nil)
+	}
+	if got := observed.Trace.Workload; got != "stream+gups" || c.Label() != got {
+		t.Errorf("timeline labelled %q, cell %q, want stream+gups", got, c.Label())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"strings"
 	"testing"
 
 	"mellow/internal/sched"
@@ -37,8 +36,8 @@ func (r *recorder) hooks(ob Observation) Hooks {
 // traced, and checks what its hooks see. Each experiment plans one
 // batch, so a client's total is constant, and Done reaches that total
 // only on its last call, so a client's fraction never hits 1 early.
-// Each observed cell delivers exactly one series and one trace; ext6's
-// mixes run plain whatever Start asks for, and deliver none.
+// Each observed cell, ext6's mixes included, delivers exactly one
+// series and one trace, its records named by the cell's label.
 func TestExperimentObservers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep is slow")
@@ -70,36 +69,26 @@ func TestExperimentObservers(t *testing.T) {
 			// progress and repeat its series in an observed report.
 			seen := map[[3]string]bool{}
 			for _, c := range r.cells {
-				names := []string{c.Workload.Name}
-				if len(c.Mix) > 0 {
-					names = names[:0]
-					for _, w := range c.Mix {
-						names = append(names, w.Name)
-					}
-				}
-				k := [3]string{c.Variant, strings.Join(names, "+"), c.Spec.Name}
+				k := [3]string{c.Variant, c.Label(), c.Spec.Name}
 				if seen[k] {
 					t.Errorf("cell %v planned twice", k)
 				}
 				seen[k] = true
 			}
-			want := total
-			if e.ID == "ext6" {
-				want = 0
-			}
 			series, traces := 0, 0
-			for _, rec := range Records(r.cells, r.ins) {
-				if len(rec.Series) > 0 {
+			for i, rec := range Records(r.cells, r.ins) {
+				if len(rec.Series) > 0 && rec.Workload == r.cells[i].Label() {
 					series++
 				}
 			}
-			for _, in := range r.ins {
-				if in.Trace != nil {
+			for i, in := range r.ins {
+				if in.Trace != nil && in.Trace.Workload == r.cells[i].Label() {
 					traces++
 				}
 			}
-			if series != want || traces != want {
-				t.Errorf("%d cells delivered %d series and %d traces, want %d of each", total, series, traces, want)
+			if series != total || traces != total {
+				t.Errorf("%d cells delivered %d labelled series and %d labelled traces, want %d of each",
+					total, series, traces, total)
 			}
 		})
 	}

@@ -248,9 +248,9 @@ var memoCodecs = sync.OnceValues(func() (entryCodecs, error) {
 	return c, errors.Join(errs[:]...)
 })
 
-// entry is one memoised simulation as the memo keeps it: the result,
-// the epoch series of an observed run and the mix result of a mix,
-// packed into one []byte, with the rare metrics snapshot and timeline
+// entry is one memoised simulation as the memo keeps it: the result
+// (or a mix's result) and the epoch series of an observed run, packed
+// into one []byte, with the rare metrics snapshot and timeline
 // beside it as pointers. The result's workload and policy labels stay
 // outside the bytes, so a hit unpacks them without allocating. Entries
 // are immutable once stored.
@@ -261,9 +261,10 @@ type entry struct {
 	trace            *xtrace.SimTrace
 }
 
-// Leading byte of an entry's packed bytes.
+// Leading byte of an entry's packed bytes, which then hold the result
+// and the series.
 const (
-	packedRun byte = iota // a Result, then its series
+	packedRun byte = iota // a Result
 	packedMix             // a MixResult
 )
 
@@ -285,8 +286,8 @@ func packEntry(ins *Instrumented) (*entry, error) {
 		r.Workload, r.Policy = "", ""
 		p.b = append(p.b, packedRun)
 		codecs.result.pack(&p, reflect.ValueOf(&r).Elem())
-		codecs.series.pack(&p, reflect.ValueOf(&ins.Series).Elem())
 	}
+	codecs.series.pack(&p, reflect.ValueOf(&ins.Series).Elem())
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -311,7 +312,7 @@ func (e *entry) unpack(ins *Instrumented) {
 	} else {
 		codecs.result.unpack(u, reflect.ValueOf(&ins.Result).Elem())
 		ins.Result.Workload, ins.Result.Policy = e.workload, e.policy
-		codecs.series.unpack(u, reflect.ValueOf(&ins.Series).Elem())
 	}
+	codecs.series.unpack(u, reflect.ValueOf(&ins.Series).Elem())
 	ins.Metrics, ins.Trace = e.met, e.trace
 }

@@ -118,8 +118,8 @@ func roundTrip(t *testing.T, ins Instrumented) Instrumented {
 	return got
 }
 
-// TestPackRoundTrip: a result, an epoch series and a mix result, every
-// field set, unpack equal to what was packed.
+// TestPackRoundTrip: a result and a mix result, each with an epoch
+// series and every field set, unpack equal to what was packed.
 func TestPackRoundTrip(t *testing.T) {
 	var n uint64
 	var run Instrumented
@@ -130,6 +130,7 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 	mix := Instrumented{Mix: new(core.MixResult)}
 	fill(reflect.ValueOf(mix.Mix).Elem(), counter(&n))
+	fill(reflect.ValueOf(&mix.Series).Elem(), counter(&n))
 	got := roundTrip(t, mix)
 	if !reflect.DeepEqual(got, mix) {
 		t.Errorf("mix round trip:\n got %+v\nwant %+v", got, mix)
@@ -266,8 +267,8 @@ func FuzzMemoPack(f *testing.F) {
 			fill(reflect.ValueOf(ins.Mix).Elem(), src)
 		} else {
 			fill(reflect.ValueOf(&ins.Result).Elem(), src)
-			fill(reflect.ValueOf(&ins.Series).Elem(), src)
 		}
+		fill(reflect.ValueOf(&ins.Series).Elem(), src)
 		e, err := packEntry(&ins)
 		if err != nil {
 			t.Fatal(err)

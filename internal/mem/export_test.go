@@ -24,3 +24,6 @@ func (c *Controller) Drain() {
 		return c.readQ.size == 0 && c.writeQ.size == 0 && c.eagerQ.size == 0 && c.bankIdle()
 	})
 }
+
+// Attempts returns how many times the request started on a bank.
+func (r *Request) Attempts() int { return r.attempts }

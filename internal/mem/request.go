@@ -76,11 +76,5 @@ type Request struct {
 	next, prev *Request
 }
 
-// Done reports completion; DoneAt is valid once Done is true.
+// Done reports completion.
 func (r *Request) Done() bool { return r.done }
-
-// DoneAt returns the completion time.
-func (r *Request) DoneAt() sim.Tick { return r.doneAt }
-
-// Attempts returns how many times the request started on a bank.
-func (r *Request) Attempts() int { return r.attempts }

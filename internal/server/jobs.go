@@ -207,7 +207,7 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	// the request spelled it.
 	label := func(i int) experiments.SeriesRecord {
 		c := cells[i]
-		rec := experiments.SeriesRecord{Variant: c.Variant, Workload: c.Workload.Name, Policy: c.Spec.Name}
+		rec := experiments.SeriesRecord{Variant: c.Variant, Workload: c.Label(), Policy: c.Spec.Name}
 		if refs != nil {
 			rec.Policy = refs[i].Policy
 		}
@@ -256,7 +256,7 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 				return
 			}
 			ins[i] = in
-			rec.Series = in.Series // nil for an unobserved run or a mix
+			rec.Series = in.Series // nil for an unobserved run
 			js.stream.flushSeries(i, rec, streamed[i])
 			if canon.Trace {
 				js.traces[i] = in.Trace

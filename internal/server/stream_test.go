@@ -368,3 +368,56 @@ func TestStreamLogNilSafe(t *testing.T) {
 	l.flushSeries(0, experiments.SeriesRecord{}, 0)
 	l.finish("")
 }
+
+// TestObservedMixJob: an observed, traced ext6 job streams epoch events
+// for its mixes and records their cell spans and timelines under the
+// mix's label, the core names joined by "+", as its report's records
+// are named.
+func TestObservedMixJob(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Config{Workers: 1, SimBudget: 2, BaseConfig: tinyBase(421)})
+	st, code := postJob(t, ts, `{"kind":"experiment","experiment":"ext6","interval_ns":40000,"trace":true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	fin := waitDone(t, ts, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("job failed: %s", fin.Error)
+	}
+	recs := resultSeries(t, fin)
+	if len(recs) != 12 {
+		t.Fatalf("ext6 job carries %d series records, want 12", len(recs))
+	}
+	epochs := 0
+	for _, ev := range readEvents(t, ts, st.ID) {
+		if ev.Type != EventEpoch {
+			continue
+		}
+		if r := recs[ev.Cell]; ev.Workload != r.Workload || ev.Policy != r.Policy {
+			t.Fatalf("cell %d event labelled %s/%s, record %s/%s", ev.Cell, ev.Workload, ev.Policy, r.Workload, r.Policy)
+		}
+		if ev.Workload == "lbm+mcf" {
+			epochs++
+		}
+	}
+	if epochs == 0 {
+		t.Error("no epoch event labelled lbm+mcf")
+	}
+	resp, body := getTrace(t, ts.URL+"/v1/jobs/"+st.ID+"/trace")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace fetch = %d: %s", resp.StatusCode, body)
+	}
+	var doc chromeTrace
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "b" && strings.HasPrefix(e.Name, "sim ") {
+			spans[e.Name] = true
+		}
+	}
+	if len(spans) != len(recs) || !spans["sim lbm+mcf/Norm"] || spans["sim /Norm"] {
+		t.Errorf("cell spans %v, want one per cell, sim lbm+mcf/Norm among them", spans)
+	}
+}

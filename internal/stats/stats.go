@@ -43,9 +43,6 @@ func (b *BusyMeter) Utilization(now sim.Tick) float64 {
 	return float64(b.accum) / float64(now-b.start)
 }
 
-// Busy returns the accumulated busy time.
-func (b *BusyMeter) Busy() sim.Tick { return b.accum }
-
 // Reset zeroes the meter and starts a new window at now. Busy intervals
 // that began before now must be re-reported by the caller if they extend
 // past it (the memory model reports completion-time intervals, so a
@@ -76,9 +73,6 @@ func (t *Toggle) Set(on bool, now sim.Tick) {
 	t.on = on
 	t.since = now
 }
-
-// On reports the current state.
-func (t *Toggle) On() bool { return t.on }
 
 // Total returns accumulated on-time through now.
 func (t *Toggle) Total(now sim.Tick) sim.Tick {

@@ -18,11 +18,6 @@ import (
 // deliberately trivial so traces can be produced by any tool (Pin,
 // DynamoRIO, gem5, a debugger script) and inspected by eye.
 
-// WriteOps exports trace records in the textual format.
-func WriteOps(w io.Writer, ops []Op) error {
-	return encode(w, len(ops), func(i int) Op { return ops[i] })
-}
-
 // Record exports the next n records of a generator.
 func Record(w io.Writer, g Generator, n int) error {
 	return encode(w, n, func(int) Op { return g.Next() })

@@ -17,3 +17,6 @@ func SystemLifetimeYears(meters []*Meter, blocksPerBank int64, enduranceBlk, eff
 	}
 	return min
 }
+
+// Bound returns the per-period wear bound (for tests and reports).
+func (q *Quota) Bound() float64 { return q.bound }

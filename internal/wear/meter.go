@@ -194,9 +194,6 @@ func (q *Quota) StartPeriod(cumulativeDamage float64) (flipped bool) {
 // Exceeded reports whether only slow writes may issue this period.
 func (q *Quota) Exceeded() bool { return q.exceed }
 
-// Bound returns the per-period wear bound (for tests and reports).
-func (q *Quota) Bound() float64 { return q.bound }
-
 // Periods returns the number of periods started.
 func (q *Quota) Periods() uint64 { return q.periods }
 

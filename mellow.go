@@ -113,7 +113,8 @@ func RunMix(cfg Config, p Policy, workloads ...string) (MixResult, error) {
 		}
 		ws[i] = w
 	}
-	return core.RunMix(context.Background(), cfg, p, ws)
+	m, _, err := core.RunMix(context.Background(), cfg, p, ws, engine.Options{})
+	return m, err
 }
 
 // RecordTrace writes n records of a named workload's trace to w in the
