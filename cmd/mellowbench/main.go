@@ -24,9 +24,10 @@
 // done/failed event. The feed replays from the start, so following a
 // finished job prints its complete series.
 //
-// -interval, -progress and -trace observe each experiment's batch of
-// simulations through one experiments.Hooks value, exactly as mellowd
-// observes an experiment job. -interval samples every simulation at the
+// Each experiment runs as mellowd runs an experiment job: its declared
+// cells go through one experiments.RunCells batch, then it renders their
+// results. -interval, -progress and -trace observe that batch through
+// one experiments.Hooks value. -interval samples every simulation at the
 // given period of simulated time (the paper's T_sample is 500us; the
 // bounds are mellowd's interval_ns admission check) and dumps one JSON
 // series record per simulated cell, in cell order and labelled by
@@ -78,8 +79,7 @@ func runScenarioCorpus(ctx context.Context, cfg mellow.Config, dir string, updat
 		}
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mellowbench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("[%d scenarios, %d failed, %v]\n", len(outcomes), failed, time.Since(start).Round(time.Millisecond))
 	if failed > 0 {
@@ -111,8 +111,7 @@ func main() {
 
 	if *follow != "" {
 		if err := followJob(*serverURL, *follow); err != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return
 	}
@@ -120,8 +119,7 @@ func main() {
 	// The bounds mellowd enforces on interval_ns at admission.
 	intervalNS := uint64(max(interval.Nanoseconds(), 0))
 	if err := server.ValidateInterval(intervalNS); err != nil {
-		fmt.Fprintf(os.Stderr, "mellowbench: -interval %v: %v\n", *interval, err)
-		os.Exit(1)
+		fatal(fmt.Errorf("-interval %v: %v", *interval, err))
 	}
 	// All simulations in the process share one scheduler: its budget is
 	// the hard cap on concurrency however wide the sweeps fan out.
@@ -139,8 +137,7 @@ func main() {
 	if *leveler != "" {
 		cfg.Memory.WearLeveler = *leveler
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	if *quick {
@@ -170,8 +167,7 @@ func main() {
 	} else {
 		e, err := mellow.ExperimentByID(*exp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		todo = []mellow.Experiment{e}
 	}
@@ -187,27 +183,30 @@ func main() {
 			fmt.Println()
 		}
 		start := time.Now()
-		var cells []experiments.Cell
-		var ins []experiments.Instrumented
+		var buf bytes.Buffer
+		opts := experiments.Options{Cfg: cfg, Out: os.Stdout, Workloads: suite}
+		if *jsonOut {
+			opts.Out = &buf
+		}
+		cells, err := e.Cells(opts)
 		done := 0
 		hooks := experiments.Hooks{
-			Plan:  func(cs []experiments.Cell) { cells, ins = cs, make([]experiments.Instrumented, len(cs)) },
 			Start: func(int) experiments.Observation { return ob },
-			Done: func(i int, in experiments.Instrumented, _ error) {
-				ins[i] = in
+			Done: func(int, experiments.Instrumented, error) {
 				if done++; *progress {
 					fmt.Fprintf(os.Stderr, "mellowbench: %s: %d/%d simulations\n", e.ID, done, len(cells))
 				}
 			},
 		}
-		var buf bytes.Buffer
-		opts := experiments.Options{Ctx: ctx, Cfg: cfg, Out: os.Stdout, Workloads: suite, Hooks: hooks}
-		if *jsonOut {
-			opts.Out = &buf
+		var ins []experiments.Instrumented
+		if err == nil {
+			ins, err = experiments.RunCells(ctx, cells, hooks)
 		}
-		if err := e.Run(opts); err != nil {
-			fmt.Fprintf(os.Stderr, "mellowbench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+		if err == nil {
+			err = e.Render(opts, cells, ins)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("%s: %v", e.ID, err))
 		}
 		for _, in := range ins {
 			if in.Trace != nil && !seenTrace[in.Trace] {
@@ -226,8 +225,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		for _, rec := range rep.Series {
 			if err := enc.Encode(rec); err != nil {
-				fmt.Fprintln(os.Stderr, "mellowbench:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 		fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
@@ -235,8 +233,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		doc := &mellow.TraceDoc{Sims: simTraces}
 		werr := doc.WriteChrome(f)
@@ -244,8 +241,7 @@ func main() {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", werr)
-			os.Exit(1)
+			fatal(werr)
 		}
 		fmt.Fprintf(os.Stderr, "mellowbench: wrote %d simulation timelines to %s\n",
 			len(simTraces), *traceOut)
@@ -273,13 +269,16 @@ func main() {
 			}{Reports: reports, Metrics: snap}
 		}
 		if err := enc.Encode(payload); err != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	} else if snap != nil {
 		if err := enc.Encode(snap); err != nil {
-			fmt.Fprintln(os.Stderr, "mellowbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "mellowbench:", err)
+	os.Exit(1)
 }

@@ -1,6 +1,7 @@
 // Command mellowplot renders the paper's main evaluation figures as SVG
 // bar charts (the plain-text analogues live in mellowbench). It runs the
-// Figures 10–16 policy sweep once and writes one file per figure.
+// Figures 10–16 policy sweep (experiments.EvalSweep) once and writes
+// one file per figure.
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,11 +44,15 @@ func main() {
 	if *workloads != "" {
 		suite = strings.Split(*workloads, ",")
 	}
-	o := experiments.Options{Cfg: cfg, Out: os.Stdout, Workloads: suite}
-	res, specs, err := experiments.EvalSweep(o)
+	cells, err := experiments.EvalSweep(experiments.Options{Cfg: cfg, Workloads: suite})
 	if err != nil {
 		fatal(err)
 	}
+	ins, err := experiments.RunCells(context.Background(), cells, experiments.Hooks{})
+	if err != nil {
+		fatal(err)
+	}
+	res, specs := experiments.NewSweep(cells, ins), policy.EvaluationSet()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)

@@ -11,7 +11,7 @@ import (
 
 func init() {
 	registry = append(registry,
-		Experiment{"claims", "Headline-claim verification (paper vs this reproduction)", runClaims})
+		Experiment{"claims", "Headline-claim verification (paper vs this reproduction)", EvalSweep, renderClaims})
 }
 
 // claim is one falsifiable statement from the paper, checked against the
@@ -201,13 +201,9 @@ func claims() []claim {
 	}
 }
 
-// runClaims evaluates every headline claim against the standard sweep
-// and prints a pass/fail table.
-func runClaims(o Options) error {
-	sweep, _, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
+// renderClaims evaluates every headline claim against the evaluation
+// sweep and prints a pass/fail table.
+func renderClaims(o Options, sweep Sweep) error {
 	t := stats.Table{
 		Title:  "Headline claims: paper statement vs this reproduction",
 		Header: []string{"id", "claim", "paper", "measured", "verdict"},

@@ -12,16 +12,6 @@ import (
 // the value a summary row averages, and the rendered text.
 type tableCell = func(r, base core.Result) (value float64, text string)
 
-// suiteTable runs specs over the active suite and renders the results
-// with policyTable.
-func suiteTable(o Options, specs []policy.Spec, title, summary string, cell tableCell) error {
-	res, err := runMatrices(o, o.base(specs...))
-	if err != nil {
-		return err
-	}
-	return policyTable(o, res, specs, title, summary, cell)
-}
-
 // policyTable renders a one-configuration sweep as a table: a column per
 // policy, a row per workload, plus a geomean row labelled summary unless
 // summary is empty.
@@ -51,20 +41,16 @@ func policyTable(o Options, res Sweep, specs []policy.Spec, title, summary strin
 	return t.Fprint(o.Out)
 }
 
-func runFig10(o Options) error {
-	return suiteTable(o, policy.EvaluationSet(), "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
+func renderFig10(o Options, s Sweep) error {
+	return policyTable(o, s, policy.EvaluationSet(), "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.IPC / base.IPC
 			return v, stats.F(v, 3)
 		})
 }
 
-func runFig11(o Options) error {
-	res, specs, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
-	if err := policyTable(o, res, specs, "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
+func renderFig11(o Options, s Sweep) error {
+	if err := policyTable(o, s, policy.EvaluationSet(), "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			y := r.LifetimeYears()
 			return y, formatYears(y)
@@ -75,8 +61,8 @@ func runFig11(o Options) error {
 	// comparison that way for the default suite.
 	bars := &stats.Bars{Title: "Figure 11 (log scale): Norm vs BE-Mellow+SC lifetime", Log: true}
 	for _, w := range o.workloads() {
-		n := res.At("", "Norm", w).LifetimeYears()
-		b := res.At("", "BE-Mellow+SC", w).LifetimeYears()
+		n := s.At("", "Norm", w).LifetimeYears()
+		b := s.At("", "BE-Mellow+SC", w).LifetimeYears()
 		bars.Add(w+" Norm", n, formatYears(n)+"y")
 		bars.Add(w+" BE-Mellow+SC", b, formatYears(b)+"y")
 	}
@@ -84,26 +70,26 @@ func runFig11(o Options) error {
 	return bars.Fprint(o.Out)
 }
 
-func runFig12(o Options) error {
-	return suiteTable(o, policy.EvaluationSet(), "Figure 12: average bank utilization by write policy", "geomean",
+func renderFig12(o Options, s Sweep) error {
+	return policyTable(o, s, policy.EvaluationSet(), "Figure 12: average bank utilization by write policy", "geomean",
 		func(r, base core.Result) (float64, string) {
 			u := r.Mem.AvgUtilization
 			return u, stats.Pct(u)
 		})
 }
 
-func runFig13(o Options) error {
-	return suiteTable(o, policy.EvaluationSet(), "Figure 13: fraction of time in write drain", "",
+func renderFig13(o Options, s Sweep) error {
+	return policyTable(o, s, policy.EvaluationSet(), "Figure 13: fraction of time in write drain", "",
 		func(r, base core.Result) (float64, string) {
 			f := r.Mem.DrainFraction
 			return f, stats.Pct(f)
 		})
 }
 
-// runFig14 shows the LLC-side request mix: demand fetches, ordinary
+// renderFig14 shows the LLC-side request mix: demand fetches, ordinary
 // dirty write-backs, and eager write-backs, normalized to Norm's total.
-func runFig14(o Options) error {
-	return suiteTable(o, policy.EvaluationSet(), "Figure 14: memory requests from LLC, normalized to Norm total "+
+func renderFig14(o Options, s Sweep) error {
+	return policyTable(o, s, policy.EvaluationSet(), "Figure 14: memory requests from LLC, normalized to Norm total "+
 		"(read / writeback / eager)", "",
 		func(r, base core.Result) (float64, string) {
 			c, b := r.Cache, base.Cache
@@ -113,18 +99,18 @@ func runFig14(o Options) error {
 		})
 }
 
-// runFig15 shows requests actually serviced by banks — including
+// renderFig15 shows requests actually serviced by banks — including
 // cancelled write attempts and Start-Gap migrations — normalized to Norm.
-func runFig15(o Options) error {
-	return suiteTable(o, policy.EvaluationSet(), "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
+func renderFig15(o Options, s Sweep) error {
+	return policyTable(o, s, policy.EvaluationSet(), "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := float64(r.Mem.BankAttempts) / float64(base.Mem.BankAttempts)
 			return v, stats.F(v, 3)
 		})
 }
 
-func runFig16(o Options) error {
-	return suiteTable(o, policy.EvaluationSet(), "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
+func renderFig16(o Options, s Sweep) error {
+	return policyTable(o, s, policy.EvaluationSet(), "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.Mem.EnergyPJ / base.Mem.EnergyPJ
 			return v, stats.F(v, 3)

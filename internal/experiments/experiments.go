@@ -1,17 +1,19 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §5 for the index). Each experiment runs the
-// required (workload, policy, config) simulations — in parallel, with
-// per-process memoisation so figures sharing a sweep reuse it — and
-// prints the same rows/series the paper reports.
+// evaluation (see DESIGN.md §5 for the index). Each experiment declares
+// the (workload, policy, config) simulations it needs — they run in
+// parallel, with per-process memoisation so figures sharing a sweep
+// reuse it — and renders the same rows/series the paper reports.
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,11 +29,8 @@ import (
 	"mellow/internal/xtrace"
 )
 
-// Options control an experiment run.
+// Options control how an experiment declares and renders its cells.
 type Options struct {
-	// Ctx cancels the run: simulations abort at their next checkpoint
-	// and the experiment returns ctx's error (default: Background).
-	Ctx context.Context
 	// Cfg is the base configuration; experiments override policy- or
 	// sweep-specific fields (banks, ExpoFactor) but keep run lengths.
 	Cfg config.Config
@@ -39,17 +38,6 @@ type Options struct {
 	Out io.Writer
 	// Workloads restricts the benchmark suite (default: all 11).
 	Workloads []string
-	// Hooks observe the experiment's simulations. Every simulating
-	// experiment runs its matrix as one RunCells batch, so an experiment
-	// is observed exactly like a sim, compare or scenario matrix.
-	Hooks Hooks
-}
-
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
 }
 
 // workloads resolves the active suite.
@@ -60,33 +48,54 @@ func (o Options) workloads() []string {
 	return trace.Names()
 }
 
-// Experiment is one reproducible artifact of the paper.
+// Experiment is one reproducible artifact of the paper: a declaration
+// of the cells it simulates and a renderer of their results. Every
+// caller runs it in three steps: Cells, then RunCells on those cells,
+// then Render on their results.
 type Experiment struct {
 	// ID is the short handle, e.g. "fig11" or "tab4".
 	ID string
 	// Title names the paper artifact.
 	Title string
-	// Run executes the experiment and renders its output.
-	Run func(Options) error
+	// declare lists the cells under o (nil: the experiment simulates
+	// nothing).
+	declare func(o Options) ([]Cell, error)
+	// render writes the output to o.Out, reading the results by cell.
+	render func(o Options, s Sweep) error
+}
+
+// Cells declares e's simulations under o, in the order Render reads
+// their results. A static table declares none.
+func (e Experiment) Cells(o Options) ([]Cell, error) {
+	if e.declare == nil {
+		return nil, nil
+	}
+	return e.declare(o)
+}
+
+// Render writes e's output to o.Out from res, the results of the cells
+// Cells declared under the same o, in cell order.
+func (e Experiment) Render(o Options, cells []Cell, res []Instrumented) error {
+	return e.render(o, NewSweep(cells, res))
 }
 
 // registry lists all experiments in paper order.
 var registry = []Experiment{
-	{"tab4", "Table IV: workload MPKI with a 2 MB LLC", runTable4},
-	{"tab6", "Table VI: energy per operation of memristive main memory", runTable6},
-	{"fig1", "Figure 1: write latency / endurance trade-off", runFig1},
-	{"fig2", "Figure 2: IPC and lifetime under static write latencies", runFig2},
-	{"fig3", "Figure 3: bank utilization with normal writes", runFig3},
-	{"fig10", "Figure 10: IPC by write policy", runFig10},
-	{"fig11", "Figure 11: memory lifetime by write policy (years)", runFig11},
-	{"fig12", "Figure 12: bank utilization by write policy", runFig12},
-	{"fig13", "Figure 13: write drain time by write policy", runFig13},
-	{"fig14", "Figure 14: memory requests from the LLC", runFig14},
-	{"fig15", "Figure 15: requests issued to memory banks", runFig15},
-	{"fig16", "Figure 16: main memory energy consumption", runFig16},
-	{"fig17", "Figure 17: lifetime sensitivity to ExpoFactor", runFig17},
-	{"fig18", "Figure 18: sensitivity to bank-level parallelism (GemsFDTD)", runFig18},
-	{"fig19", "Figure 19: BE-Mellow+SC+WQ vs static policies", runFig19},
+	{"tab4", "Table IV: workload MPKI with a 2 MB LLC", nil, renderTable4},
+	{"tab6", "Table VI: energy per operation of memristive main memory", nil, renderTable6},
+	{"fig1", "Figure 1: write latency / endurance trade-off", nil, renderFig1},
+	{"fig2", "Figure 2: IPC and lifetime under static write latencies", onSuite(fig2Specs), renderFig2},
+	{"fig3", "Figure 3: bank utilization with normal writes", onSuite(normOnly), renderFig3},
+	{"fig10", "Figure 10: IPC by write policy", EvalSweep, renderFig10},
+	{"fig11", "Figure 11: memory lifetime by write policy (years)", EvalSweep, renderFig11},
+	{"fig12", "Figure 12: bank utilization by write policy", EvalSweep, renderFig12},
+	{"fig13", "Figure 13: write drain time by write policy", EvalSweep, renderFig13},
+	{"fig14", "Figure 14: memory requests from the LLC", EvalSweep, renderFig14},
+	{"fig15", "Figure 15: requests issued to memory banks", EvalSweep, renderFig15},
+	{"fig16", "Figure 16: main memory energy consumption", EvalSweep, renderFig16},
+	{"fig17", "Figure 17: lifetime sensitivity to ExpoFactor", fig17Cells, renderFig17},
+	{"fig18", "Figure 18: sensitivity to bank-level parallelism (GemsFDTD)", fig18Cells, renderFig18},
+	{"fig19", "Figure 19: BE-Mellow+SC+WQ vs static policies", onSuite(fig19Specs), renderFig19},
 }
 
 // All returns every experiment in paper order.
@@ -131,7 +140,8 @@ type runKey struct {
 // in core order, the epoch and the metrics and trace flags. Every
 // variable-length field is length-prefixed and the number of workloads
 // follows from the core count, so no two different cells encode to the
-// same bytes. Cell.Variant only labels records and stays out.
+// same bytes. Cell.Variant and Cell.Policy only label records and stay
+// out.
 func keyFor(c Cell, ob Observation) (runKey, error) {
 	ws := c.Mix
 	if len(ws) == 0 {
@@ -556,12 +566,12 @@ type SeriesRecord struct {
 }
 
 // Records builds an observed batch's series records: one per cell in
-// cell order, labelled by the cell's variant, label and policy.
+// cell order, each the cell's Record carrying its series.
 func Records(cells []Cell, ins []Instrumented) []SeriesRecord {
 	recs := make([]SeriesRecord, len(cells))
 	for i, c := range cells {
-		recs[i] = SeriesRecord{Variant: c.Variant, Workload: c.Label(),
-			Policy: c.Spec.Name, Series: ins[i].Series}
+		recs[i] = c.Record()
+		recs[i].Series = ins[i].Series
 	}
 	return recs
 }
@@ -586,9 +596,10 @@ type Cell struct {
 	// Mix, when set, runs one core per workload against a shared memory
 	// system instead of Workload.
 	Mix []trace.Workload
-	// Variant labels the cell's configuration within its matrix; it
-	// names the cell's records and never enters the memo key.
-	Variant string
+	// Variant labels the cell's configuration within its matrix, and
+	// Policy its policy as the declaration spelled it ("": Spec.Name).
+	// They name the cell's records and never enter the memo key.
+	Variant, Policy string
 }
 
 // Label names the cell's simulation on its records, spans and timeline:
@@ -604,12 +615,14 @@ func (c Cell) Label() string {
 	return strings.Join(names, "+")
 }
 
+// Record is the cell's series record before it has a series: its
+// variant, its Label and its policy as declared.
+func (c Cell) Record() SeriesRecord {
+	return SeriesRecord{Variant: c.Variant, Workload: c.Label(), Policy: cmp.Or(c.Policy, c.Spec.Name)}
+}
+
 // Hooks observe a RunCells matrix cell by cell; every hook is optional.
 type Hooks struct {
-	// Plan runs once, before any cell starts, with the whole batch in
-	// cell order: its total and each cell's labels. The cells must not
-	// be modified.
-	Plan func(cells []Cell)
 	// Start runs in cell i's goroutine just before its simulation and
 	// returns the cell's Observation (zero: a plain run).
 	Start func(i int) Observation
@@ -620,7 +633,7 @@ type Hooks struct {
 	Done func(i int, ins Instrumented, err error)
 }
 
-// RunCells is the one matrix runner behind the figure sweeps, scenarios
+// RunCells is the one matrix runner behind the experiments, scenarios
 // and the mellowd service. Every cell runs through Run in its own
 // goroutine, so the memo, singleflight and the process-wide scheduler
 // budget (not the fan-out) govern what simulates when. Results land in
@@ -628,9 +641,6 @@ type Hooks struct {
 // returned and cancels the sibling cells; once ctx is done no further
 // cell starts.
 func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error) {
-	if h.Plan != nil {
-		h.Plan(cells)
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -672,58 +682,60 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 	return out, nil
 }
 
-// variant is one labelled configuration of a declared matrix.
+// variant is one labelled configuration of a matrix.
 type variant struct {
 	label string
 	cfg   config.Config
 }
 
-// matrix declares simulations: every variant × workload × policy.
-type matrix struct {
-	variants  []variant
-	workloads []string
-	specs     []policy.Spec
+// cross is the one cell enumerator behind every experiment and every
+// compiled scenario: each workload × variant × policy, in that order.
+// A workload entry of several workloads runs them as one mix.
+func cross(workloads [][]trace.Workload, variants []variant, specs []policy.Spec) []Cell {
+	cells := make([]Cell, 0, len(workloads)*len(variants)*len(specs))
+	for _, ws := range workloads {
+		for _, v := range variants {
+			for _, s := range specs {
+				c := Cell{Cfg: v.cfg, Spec: s, Variant: v.label}
+				if len(ws) == 1 {
+					c.Workload = ws[0]
+				} else {
+					c.Mix = ws
+				}
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
 }
 
-// Sweep holds a matrix's results by (variant label, policy name,
-// workload). A one-configuration sweep labels its variant "".
-type Sweep map[sweepKey]core.Result
-
-type sweepKey struct{ variant, policy, workload string }
-
-// At returns one cell's result (zero if the matrix has no such cell).
-func (s Sweep) At(variant, policy, workload string) core.Result {
-	return s[sweepKey{variant, policy, workload}]
+// grid declares specs over the named builtin workloads, under each of
+// variants (none: o.Cfg alone, labelled "").
+func (o Options) grid(names []string, specs []policy.Spec, variants ...variant) ([]Cell, error) {
+	mixes := make([][]string, len(names))
+	for i, name := range names {
+		mixes[i] = []string{name}
+	}
+	return o.mixes(mixes, specs, variants...)
 }
 
-// runMatrices simulates an experiment's matrices as one RunCells batch
-// under o's hooks, so its observers see every cell of the experiment.
-func runMatrices(o Options, ms ...matrix) (Sweep, error) {
-	var cells []Cell
-	var keys []sweepKey
-	for _, m := range ms {
-		for _, name := range m.workloads {
+// mixes is grid over multiprogrammed mixes of builtin workloads: each
+// entry of names lists a mix's cores, and a single core runs alone.
+func (o Options) mixes(names [][]string, specs []policy.Spec, variants ...variant) ([]Cell, error) {
+	ws := make([][]trace.Workload, len(names))
+	for i, mix := range names {
+		for _, name := range mix {
 			w, err := trace.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			for _, v := range m.variants {
-				for _, s := range m.specs {
-					cells = append(cells, Cell{Cfg: v.cfg, Spec: s, Workload: w, Variant: v.label})
-					keys = append(keys, sweepKey{v.label, s.Name, name})
-				}
-			}
+			ws[i] = append(ws[i], w)
 		}
 	}
-	res, err := RunCells(o.ctx(), cells, o.Hooks)
-	if err != nil {
-		return nil, err
+	if len(variants) == 0 {
+		variants = []variant{{cfg: o.Cfg}}
 	}
-	out := make(Sweep, len(res))
-	for i, r := range res {
-		out[keys[i]] = r.Result
-	}
-	return out, nil
+	return cross(ws, variants, specs), nil
 }
 
 // vary labels o.Cfg with set applied as one variant of a matrix.
@@ -733,15 +745,44 @@ func (o Options) vary(label string, set func(*config.Config)) variant {
 	return variant{label, cfg}
 }
 
-// base is the matrix of specs over the active suite on o.Cfg alone.
-func (o Options) base(specs ...policy.Spec) matrix {
-	return matrix{[]variant{{cfg: o.Cfg}}, o.workloads(), specs}
+// onSuite declares the specs line-up over the active suite on o.Cfg.
+func onSuite(specs func() []policy.Spec) func(Options) ([]Cell, error) {
+	return func(o Options) ([]Cell, error) { return o.grid(o.workloads(), specs()) }
 }
 
-// EvalSweep runs the Figure 10–16 policy line-up over the active suite:
-// its one-configuration Sweep, plus the line-up.
-func EvalSweep(o Options) (Sweep, []policy.Spec, error) {
-	specs := policy.EvaluationSet()
-	res, err := runMatrices(o, o.base(specs...))
-	return res, specs, err
+// EvalSweep declares the Figure 10–16 policy line-up
+// (policy.EvaluationSet) over the active suite on o.Cfg.
+func EvalSweep(o Options) ([]Cell, error) { return onSuite(policy.EvaluationSet)(o) }
+
+// Sweep holds a batch's results in cell order, and by (variant label,
+// policy name, workload). A one-configuration matrix labels its variant
+// "".
+type Sweep struct {
+	res []Instrumented
+	at  map[sweepKey]int
+	// variants lists the batch's variant labels in declared order.
+	variants []string
+}
+
+type sweepKey struct{ variant, policy, workload string }
+
+// NewSweep indexes res, the results of cells in cell order.
+func NewSweep(cells []Cell, res []Instrumented) Sweep {
+	s := Sweep{res: res, at: make(map[sweepKey]int, len(cells))}
+	for i, c := range cells {
+		if !slices.Contains(s.variants, c.Variant) {
+			s.variants = append(s.variants, c.Variant)
+		}
+		s.at[sweepKey{c.Variant, c.Spec.Name, c.Label()}] = i
+	}
+	return s
+}
+
+// At returns one cell's result (zero if the batch has no such cell).
+func (s Sweep) At(variant, policy, workload string) core.Result {
+	i, ok := s.at[sweepKey{variant, policy, workload}]
+	if !ok {
+		return core.Result{}
+	}
+	return s.res[i].Result
 }

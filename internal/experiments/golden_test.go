@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,21 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// runExperiment runs e the way every caller does: its declared cells
+// through one RunCells batch under h, then its renderer on their
+// results.
+func runExperiment(ctx context.Context, e Experiment, o Options, h Hooks) ([]Cell, []Instrumented, error) {
+	cells, err := e.Cells(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := RunCells(ctx, cells, h)
+	if err != nil {
+		return cells, nil, err
+	}
+	return cells, res, e.Render(o, cells, res)
+}
 
 // runGolden runs experiment id and compares its full rendered output
 // against testdata/<id>.golden. Regenerate with:
@@ -21,7 +37,7 @@ func runGolden(t *testing.T, o Options, id string) {
 	}
 	var buf bytes.Buffer
 	o.Out = &buf
-	if err := e.Run(o); err != nil {
+	if _, _, err := runExperiment(context.Background(), e, o, Hooks{}); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	path := filepath.Join("testdata", id+".golden")

@@ -63,15 +63,19 @@ func TestMixCellRules(t *testing.T) {
 // the same process simulates nothing.
 func TestExt6Memoises(t *testing.T) {
 	ResetCache()
+	ext6, err := ByID("ext6")
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := Options{Cfg: tinyConfig(702), Out: io.Discard}
-	if err := runExt6(o); err != nil {
+	if _, _, err := runExperiment(context.Background(), ext6, o, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	first := CacheSnapshot().Misses
 	if first == 0 {
 		t.Fatal("ext6 simulated nothing")
 	}
-	if err := runExt6(o); err != nil {
+	if _, _, err := runExperiment(context.Background(), ext6, o, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := CacheSnapshot(); st.Misses != first {
@@ -123,17 +127,22 @@ func TestExt6Cancelled(t *testing.T) {
 	ResetCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var r recorder
-	o := Options{Ctx: ctx, Cfg: tinyConfig(704), Out: io.Discard, Hooks: r.hooks(Observation{})}
-	if err := runExt6(o); !errors.Is(err, context.Canceled) {
+	ext6, err := ByID("ext6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	o := Options{Cfg: tinyConfig(704), Out: io.Discard}
+	cells, _, err := runExperiment(ctx, ext6, o, observe(Observation{}, &done))
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if st := CacheSnapshot(); st.Misses != 0 {
 		t.Errorf("a cancelled ext6 started %d mixes", st.Misses)
 	}
-	total := len(r.cells)
-	if total == 0 || r.done != total {
-		t.Errorf("progress reached %d/%d, want every cell reported", r.done, total)
+	total := len(cells)
+	if total == 0 || done != total {
+		t.Errorf("progress reached %d/%d, want every cell reported", done, total)
 	}
 
 	old := sched.Default().Stats().Budget
@@ -142,10 +151,8 @@ func TestExt6Cancelled(t *testing.T) {
 	before := sched.Default().Stats().InUse
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	o.Ctx = ctx
 	o.Cfg.Run.DetailedInstructions = 1_000_000
-	o.Hooks = Hooks{Done: func(int, Instrumented, error) { cancel() }}
-	if err := runExt6(o); !errors.Is(err, context.Canceled) {
+	if _, _, err := runExperiment(ctx, ext6, o, Hooks{Done: func(int, Instrumented, error) { cancel() }}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	st := CacheSnapshot()

@@ -12,10 +12,10 @@ import (
 	"mellow/internal/trace"
 )
 
-// runTable4 regenerates Table IV: LLC MPKI per workload, measured the
-// way the paper does — demand misses of a 2 MB LLC, no prefetcher in the
-// path (the trace drives the hierarchy functionally).
-func runTable4(o Options) error {
+// renderTable4 regenerates Table IV: LLC MPKI per workload, measured
+// the way the paper does — demand misses of a 2 MB LLC, no prefetcher in
+// the path (the trace drives the hierarchy functionally).
+func renderTable4(o Options, _ Sweep) error {
 	t := stats.Table{
 		Title:  "Table IV: workloads and their MPKI (2 MB LLC)",
 		Header: []string{"workload", "paper", "measured"},
@@ -47,8 +47,8 @@ func runTable4(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runTable6 regenerates Table VI from the nvsim-lite model.
-func runTable6(o Options) error {
+// renderTable6 regenerates Table VI from the nvsim-lite model.
+func renderTable6(o Options, _ Sweep) error {
 	t := stats.Table{
 		Title: "Table VI: energy per operation of memristive main memory",
 		Header: []string{"cell", "buffer read (pJ)", "norm write (pJ)",
@@ -65,9 +65,9 @@ func runTable6(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runFig1 regenerates Figure 1: endurance versus write-latency
+// renderFig1 regenerates Figure 1: endurance versus write-latency
 // multiplier for five ExpoFactor curves.
-func runFig1(o Options) error {
+func renderFig1(o Options, _ Sweep) error {
 	expos := []float64{1.0, 1.5, 2.0, 2.5, 3.0}
 	t := stats.Table{
 		Title:  "Figure 1: endurance vs write latency (base 150 ns, 5e6 writes)",
@@ -110,14 +110,10 @@ func fig2Specs() []policy.Spec {
 	return specs
 }
 
-// runFig2 regenerates Figure 2: normalized IPC and lifetime for static
-// write latencies, with and without write cancellation.
-func runFig2(o Options) error {
+// renderFig2 regenerates Figure 2: normalized IPC and lifetime for
+// static write latencies, with and without write cancellation.
+func renderFig2(o Options, res Sweep) error {
 	specs := fig2Specs()
-	res, err := runMatrices(o, o.base(specs...))
-	if err != nil {
-		return err
-	}
 	if err := policyTable(o, res, specs, "Figure 2 (top): IPC normalized to 1.0x writes without cancellation", "",
 		func(r, base core.Result) (float64, string) { return 0, stats.F(r.IPC/base.IPC, 3) }); err != nil {
 		return err
@@ -127,13 +123,12 @@ func runFig2(o Options) error {
 		func(r, _ core.Result) (float64, string) { return 0, formatYears(r.LifetimeYears()) })
 }
 
-// runFig3 regenerates Figure 3: average bank utilization under normal
-// writes.
-func runFig3(o Options) error {
-	res, err := runMatrices(o, o.base(policy.Norm()))
-	if err != nil {
-		return err
-	}
+// normOnly is Figure 3's line-up: normal writes alone.
+func normOnly() []policy.Spec { return []policy.Spec{policy.Norm()} }
+
+// renderFig3 regenerates Figure 3: average bank utilization under
+// normal writes.
+func renderFig3(o Options, res Sweep) error {
 	bars := &stats.Bars{Title: "Figure 3: average bank utilization with normal writes"}
 	for _, w := range o.workloads() {
 		u := res.At("", "Norm", w).Mem.AvgUtilization

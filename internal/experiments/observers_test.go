@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"testing"
@@ -9,35 +10,21 @@ import (
 	"mellow/internal/sched"
 )
 
-// recorder observes batches the way mellowd and mellowbench do: Plan
-// keeps the cells, every cell runs under one Observation, and Done
-// keeps each result in its cell's slot.
-type recorder struct {
-	plans, done int
-	cells       []Cell
-	ins         []Instrumented
-}
-
-func (r *recorder) hooks(ob Observation) Hooks {
+// observe runs every cell of a batch under ob, as mellowd and
+// mellowbench do, and counts RunCells' Done calls into *done (they come
+// one at a time).
+func observe(ob Observation, done *int) Hooks {
 	return Hooks{
-		Plan: func(cs []Cell) {
-			r.plans++
-			r.cells, r.ins = cs, make([]Instrumented, len(cs))
-		},
 		Start: func(int) Observation { return ob },
-		Done: func(i int, in Instrumented, _ error) {
-			r.done++
-			r.ins[i] = in
-		},
+		Done:  func(int, Instrumented, error) { *done++ },
 	}
 }
 
 // TestExperimentObservers runs every simulating experiment observed and
-// traced, and checks what its hooks see. Each experiment plans one
-// batch, so a client's total is constant, and Done reaches that total
-// only on its last call, so a client's fraction never hits 1 early.
-// Each observed cell, ext6's mixes included, delivers exactly one
-// series and one trace, its records named by the cell's label.
+// traced, as one batch of its declared cells, and checks what its hooks
+// see: Done fires once per cell, and each observed cell, ext6's mixes
+// included, delivers exactly one series and one trace, its records
+// named by the cell's label.
 func TestExperimentObservers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep is slow")
@@ -49,40 +36,24 @@ func TestExperimentObservers(t *testing.T) {
 			continue
 		}
 		t.Run(e.ID, func(t *testing.T) {
-			var r recorder
-			o := Options{
-				Cfg: tinyConfig(901), Out: io.Discard, Workloads: []string{"stream", "gups"},
-				Hooks: r.hooks(Observation{Epoch: 50_000, Trace: true}),
-			}
-			if err := e.Run(o); err != nil {
+			done := 0
+			o := Options{Cfg: tinyConfig(901), Out: io.Discard, Workloads: []string{"stream", "gups"}}
+			cells, ins, err := runExperiment(context.Background(), e, o, observe(Observation{Epoch: 50_000, Trace: true}, &done))
+			if err != nil {
 				t.Fatal(err)
 			}
-			total := len(r.cells)
-			if r.plans != 1 || total == 0 {
-				t.Fatalf("planned %d batches of %d cells, want one non-empty batch", r.plans, total)
-			}
-			if r.done != total {
-				t.Fatalf("Done fired %d times for %d cells", r.done, total)
-			}
-			// Each planned cell is a distinct simulation: a repeated
-			// (variant, workload or mix, policy) would count twice in
-			// progress and repeat its series in an observed report.
-			seen := map[[3]string]bool{}
-			for _, c := range r.cells {
-				k := [3]string{c.Variant, c.Label(), c.Spec.Name}
-				if seen[k] {
-					t.Errorf("cell %v planned twice", k)
-				}
-				seen[k] = true
+			total := len(cells)
+			if total == 0 || done != total {
+				t.Fatalf("Done fired %d times for %d cells, want one call per cell of a non-empty batch", done, total)
 			}
 			series, traces := 0, 0
-			for i, rec := range Records(r.cells, r.ins) {
-				if len(rec.Series) > 0 && rec.Workload == r.cells[i].Label() {
+			for i, rec := range Records(cells, ins) {
+				if len(rec.Series) > 0 && rec.Workload == cells[i].Label() {
 					series++
 				}
 			}
-			for i, in := range r.ins {
-				if in.Trace != nil && in.Trace.Workload == r.cells[i].Label() {
+			for i, in := range ins {
+				if in.Trace != nil && in.Trace.Workload == cells[i].Label() {
 					traces++
 				}
 			}
@@ -114,20 +85,20 @@ func TestObservedReportsDeterministic(t *testing.T) {
 		var first []byte
 		for run := 0; run < 2; run++ {
 			ResetCache()
-			var r recorder
 			var buf bytes.Buffer
-			o := Options{Cfg: tinyConfig(911), Out: &buf, Workloads: []string{"stream", "gups"},
-				Hooks: r.hooks(Observation{Epoch: 50_000})}
-			if err := e.Run(o); err != nil {
+			done := 0
+			o := Options{Cfg: tinyConfig(911), Out: &buf, Workloads: []string{"stream", "gups"}}
+			cells, ins, err := runExperiment(context.Background(), e, o, observe(Observation{Epoch: 50_000}, &done))
+			if err != nil {
 				t.Fatal(err)
 			}
-			rep := Report{ID: e.ID, Title: e.Title, Output: buf.String(), Series: Records(r.cells, r.ins)}
-			if len(rep.Series) != want || len(r.cells) != want {
-				t.Fatalf("%s: %d records for %d cells, want %d", id, len(rep.Series), len(r.cells), want)
+			rep := Report{ID: e.ID, Title: e.Title, Output: buf.String(), Series: Records(cells, ins)}
+			if len(rep.Series) != want || len(cells) != want {
+				t.Fatalf("%s: %d records for %d cells, want %d", id, len(rep.Series), len(cells), want)
 			}
 			triples := map[[3]string]bool{}
 			for i, rec := range rep.Series {
-				c := r.cells[i]
+				c := cells[i]
 				if rec.Variant != c.Variant || rec.Workload != c.Workload.Name || rec.Policy != c.Spec.Name {
 					t.Fatalf("%s: record %d is %s/%s/%s, cell %d is %s/%s/%s", id, i,
 						rec.Variant, rec.Workload, rec.Policy, i, c.Variant, c.Workload.Name, c.Spec.Name)

@@ -10,13 +10,14 @@ import (
 	"mellow/internal/trace"
 )
 
-// RunScenario executes one declarative scenario: the workload × leveler
-// × policy matrix runs through RunCells, and the cells land in matrix
-// order so the result document is deterministic. Each distinct workload
-// is resolved once, so its cells share one generator factory (and one
-// lazily built hot-set shape). h observes the cells, indexed in
-// sc.Cells() order.
-func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, h Hooks) (*scenario.Result, error) {
+// ScenarioCells compiles a scenario to the cell enumerator behind every
+// experiment: its workloads × levelers × policies under the effective
+// configuration, in that order. A leveler becomes a variant labelled by
+// its name ("" or none: the configuration's own backend), and each
+// cell's Policy label keeps the scenario's spelling. Each workload is
+// resolved once, so its cells share one generator factory (and one
+// lazily built hot-set shape).
+func ScenarioCells(base config.Config, sc *scenario.Scenario) ([]Cell, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -24,44 +25,64 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 	if err != nil {
 		return nil, err
 	}
-	key, err := sc.RunKey(base)
-	if err != nil {
-		return nil, err
-	}
-	workloads := make(map[string]trace.Workload, len(sc.Workloads)) // names are unique
-	for _, ref := range sc.Workloads {
+	workloads := make([][]trace.Workload, len(sc.Workloads))
+	for i, ref := range sc.Workloads {
 		w, err := resolve(ref)
 		if err != nil {
 			return nil, err
 		}
-		workloads[ref.Name] = w
+		workloads[i] = []trace.Workload{w}
 	}
-	refs := sc.Cells()
-	cells := make([]Cell, len(refs))
-	for i, ref := range refs {
-		pspec, err := policy.Parse(ref.Policy)
-		if err != nil {
+	variants := []variant{{cfg: cfg}}
+	if len(sc.Levelers) > 0 {
+		variants = make([]variant, len(sc.Levelers))
+		for i, l := range sc.Levelers {
+			variants[i] = variant{l, cfg}
+			if l != "" {
+				variants[i].cfg.Memory.WearLeveler = l
+			}
+		}
+	}
+	specs := make([]policy.Spec, len(sc.Policies))
+	for i, p := range sc.Policies {
+		if specs[i], err = policy.Parse(p); err != nil {
 			return nil, err
 		}
-		cells[i] = Cell{Cfg: cfg, Spec: pspec, Workload: workloads[ref.Workload.Name]}
-		if ref.Leveler != "" {
-			cells[i].Cfg.Memory.WearLeveler = ref.Leveler
-		}
+	}
+	cells := cross(workloads, variants, specs)
+	for i := range cells {
+		cells[i].Policy = sc.Policies[i%len(specs)]
+	}
+	return cells, nil
+}
+
+// ScenarioResult renders the scenario's result document from res, the
+// results of its ScenarioCells against base, in cell order.
+func ScenarioResult(base config.Config, sc *scenario.Scenario, cells []Cell, res []Instrumented) (*scenario.Result, error) {
+	key, err := sc.RunKey(base)
+	if err != nil {
+		return nil, err
+	}
+	out := &scenario.Result{Scenario: sc.Name, Key: key, Cells: make([]scenario.CellResult, len(cells))}
+	for i, c := range cells {
+		out.Cells[i] = scenario.CellResult{Workload: c.Label(), Leveler: c.Variant, Policy: c.Policy, Result: res[i].Result}
+	}
+	return out, nil
+}
+
+// RunScenario executes one declarative scenario: its ScenarioCells run
+// through RunCells under h and land in matrix order, so the result
+// document is deterministic.
+func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, h Hooks) (*scenario.Result, error) {
+	cells, err := ScenarioCells(base, sc)
+	if err != nil {
+		return nil, err
 	}
 	res, err := RunCells(ctx, cells, h)
 	if err != nil {
 		return nil, err
 	}
-	out := &scenario.Result{Scenario: sc.Name, Key: key, Cells: make([]scenario.CellResult, len(refs))}
-	for i, ref := range refs {
-		out.Cells[i] = scenario.CellResult{
-			Workload: ref.Workload.Name,
-			Leveler:  ref.Leveler,
-			Policy:   ref.Policy,
-			Result:   res[i].Result,
-		}
-	}
-	return out, nil
+	return ScenarioResult(base, sc, cells, res)
 }
 
 // resolve turns a scenario workload reference into a runnable workload:

@@ -57,6 +57,54 @@ func TestRunScenarioMatchesRun(t *testing.T) {
 	}
 }
 
+// ScenarioCells compiles workload-major, then leveler, then policy: a
+// leveler is the cell's variant and its configuration's backend, and
+// each cell's policy label keeps the document's spelling while its spec
+// is the parsed policy.
+func TestScenarioCellsOrder(t *testing.T) {
+	base := scenarioBase()
+	sc := &scenario.Scenario{
+		Name:      "t",
+		Workloads: []scenario.WorkloadRef{{Name: "gups"}, {Name: "stream"}},
+		Policies:  []string{"Norm", "Slow@3x"},
+		Levelers:  []string{"wolfram", "softwear"},
+	}
+	cells, err := ScenarioCells(base, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][3]string{
+		{"gups", "wolfram", "Norm"}, {"gups", "wolfram", "Slow@3x"},
+		{"gups", "softwear", "Norm"}, {"gups", "softwear", "Slow@3x"},
+		{"stream", "wolfram", "Norm"}, {"stream", "wolfram", "Slow@3x"},
+		{"stream", "softwear", "Norm"}, {"stream", "softwear", "Slow@3x"},
+	}
+	if len(cells) != len(want) {
+		t.Fatalf("len(cells) = %d, want %d", len(cells), len(want))
+	}
+	for i, c := range cells {
+		if got := [3]string{c.Label(), c.Variant, c.Policy}; got != want[i] {
+			t.Errorf("cells[%d] = %v, want %v", i, got, want[i])
+		}
+		if c.Cfg.Memory.WearLeveler != c.Variant {
+			t.Errorf("cells[%d] runs leveler %q under variant %q", i, c.Cfg.Memory.WearLeveler, c.Variant)
+		}
+		if spec := []string{"Norm", "Slow"}[i%2]; c.Spec.Name != spec {
+			t.Errorf("cells[%d] spec = %q, want %q", i, c.Spec.Name, spec)
+		}
+	}
+	// No levelers declared: one "" cell per (workload, policy) on the
+	// configuration's own backend.
+	sc.Levelers = nil
+	cells, err = ScenarioCells(base, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 4 || cells[0].Variant != "" || cells[0].Cfg.Memory.WearLeveler != base.Memory.WearLeveler {
+		t.Fatalf("leveler-less cells: %d, first variant %q on %q", len(cells), cells[0].Variant, cells[0].Cfg.Memory.WearLeveler)
+	}
+}
+
 // runSpec runs an inline workload spec under the given label through
 // the memo.
 func runSpec(t *testing.T, cfg config.Config, pspec policy.Spec, name string, spec trace.Spec) core.Result {

@@ -9,31 +9,30 @@ import (
 	"mellow/internal/stats"
 )
 
-// runFig17 regenerates Figure 17: geometric-mean lifetime of Slow+SC and
-// BE-Mellow+SC across the suite as the latency/endurance ExpoFactor
-// sweeps 1.0–3.0, with Norm as the (ExpoFactor-independent) reference.
-func runFig17(o Options) error {
-	m := matrix{
-		workloads: o.workloads(),
-		specs:     []policy.Spec{policy.Norm(), policy.Slow().WithSC(), policy.BEMellow().WithSC()},
-	}
+// fig17Cells declares Figure 17: Norm, Slow+SC and BE-Mellow+SC over
+// the suite under each latency/endurance ExpoFactor.
+func fig17Cells(o Options) ([]Cell, error) {
+	var vs []variant
 	for _, e := range []float64{1.0, 1.5, 2.0, 2.5, 3.0} {
-		m.variants = append(m.variants, o.vary(fmt.Sprintf("%.1f", e),
+		vs = append(vs, o.vary(fmt.Sprintf("%.1f", e),
 			func(c *config.Config) { c.Memory.Device.ExpoFactor = e }))
 	}
-	res, err := runMatrices(o, m)
-	if err != nil {
-		return err
-	}
+	return o.grid(o.workloads(), []policy.Spec{policy.Norm(), policy.Slow().WithSC(), policy.BEMellow().WithSC()}, vs...)
+}
+
+// renderFig17 regenerates Figure 17: geometric-mean lifetime of Slow+SC
+// and BE-Mellow+SC across the suite as the ExpoFactor sweeps 1.0–3.0,
+// with Norm as the (ExpoFactor-independent) reference.
+func renderFig17(o Options, res Sweep) error {
 	t := stats.Table{
 		Title:  "Figure 17: lifetime (geomean years) vs ExpoFactor",
 		Header: []string{"ExpoFactor", "Norm", "Slow+SC", "BE-Mellow+SC", "BE-Mellow+SC/Norm"},
 	}
-	for _, v := range m.variants {
+	for _, label := range res.variants {
 		geo := func(name string) float64 {
 			var ys []float64
-			for _, w := range m.workloads {
-				y := res.At(v.label, name, w).LifetimeYears()
+			for _, w := range o.workloads() {
+				y := res.At(label, name, w).LifetimeYears()
 				if !math.IsInf(y, 1) {
 					ys = append(ys, y)
 				}
@@ -41,41 +40,41 @@ func runFig17(o Options) error {
 			return stats.Geomean(ys)
 		}
 		norm, slow, be := geo("Norm"), geo("Slow+SC"), geo("BE-Mellow+SC")
-		t.AddRow(v.label, stats.F(norm, 2), stats.F(slow, 2),
+		t.AddRow(label, stats.F(norm, 2), stats.F(slow, 2),
 			stats.F(be, 2), stats.F(be/norm, 2)+"x")
 	}
 	return t.Fprint(o.Out)
 }
 
-// runFig18 regenerates Figure 18: GemsFDTD under 4, 8 and 16 banks —
-// (a) lifetime, (b) bank utilization, (c) eager writes, (d) writes
-// issued to banks by pulse.
-func runFig18(o Options) error {
-	const workload = "GemsFDTD"
-	m := matrix{
-		workloads: []string{workload},
-		specs:     []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()},
-	}
+// fig18Specs are the policies Figure 18 runs on GemsFDTD.
+func fig18Specs() []policy.Spec { return []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()} }
+
+// fig18Cells declares Figure 18: GemsFDTD under each bank count.
+func fig18Cells(o Options) ([]Cell, error) {
+	var vs []variant
 	for _, banks := range []int{16, 8, 4} {
 		cfg, err := o.Cfg.WithBanks(banks)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		m.variants = append(m.variants, variant{fmt.Sprintf("%d", banks), cfg})
+		vs = append(vs, variant{fmt.Sprintf("%d", banks), cfg})
 	}
-	res, err := runMatrices(o, m)
-	if err != nil {
-		return err
-	}
+	return o.grid([]string{"GemsFDTD"}, fig18Specs(), vs...)
+}
+
+// renderFig18 regenerates Figure 18: GemsFDTD under 4, 8 and 16 banks —
+// (a) lifetime, (b) bank utilization, (c) eager writes, (d) writes
+// issued to banks by pulse.
+func renderFig18(o Options, res Sweep) error {
 	t := stats.Table{
 		Title: "Figure 18: GemsFDTD vs bank-level parallelism",
 		Header: []string{"banks", "policy", "lifetime (y)", "bank util",
 			"eager writes", "normal writes", "slow writes", "cancelled"},
 	}
-	for _, v := range m.variants {
-		for _, s := range m.specs {
-			r := res.At(v.label, s.Name, workload)
-			t.AddRow(v.label, s.Name,
+	for _, banks := range res.variants {
+		for _, s := range fig18Specs() {
+			r := res.At(banks, s.Name, "GemsFDTD")
+			t.AddRow(banks, s.Name,
 				formatYears(r.LifetimeYears()),
 				stats.Pct(r.Mem.AvgUtilization),
 				fmt.Sprintf("%d", r.Mem.EagerDone),
@@ -90,25 +89,21 @@ func runFig18(o Options) error {
 // fig19Statics is the static-mechanism grid Figure 19 compares against:
 // every write latency, plain / cancellable / eager+cancellable.
 func fig19Statics() []policy.Spec {
-	var specs []policy.Spec
-	for _, s := range fig2Specs() {
-		specs = append(specs, s)
-	}
 	// Eager variants of the static policies.
-	specs = append(specs, policy.ENorm().WithNC(), policy.ESlow().WithSC())
-	return specs
+	return append(fig2Specs(), policy.ENorm().WithNC(), policy.ESlow().WithSC())
 }
 
-// runFig19 regenerates Figure 19: for each workload, find the best
+// fig19Ours is the policy Figure 19 measures against the statics.
+func fig19Ours() policy.Spec { return policy.BEMellow().WithSC().WithWQ() }
+
+// fig19Specs is Figure 19's line-up: the statics, then ours.
+func fig19Specs() []policy.Spec { return append(fig19Statics(), fig19Ours()) }
+
+// renderFig19 regenerates Figure 19: for each workload, find the best
 // static mechanism that guarantees the 8-year lifetime and compare it
 // with BE-Mellow+SC+WQ.
-func runFig19(o Options) error {
-	statics := fig19Statics()
-	ours := policy.BEMellow().WithSC().WithWQ()
-	res, err := runMatrices(o, o.base(append(statics, ours)...))
-	if err != nil {
-		return err
-	}
+func renderFig19(o Options, res Sweep) error {
+	statics, ours := fig19Statics(), fig19Ours()
 	const floor = 8.0
 	t := stats.Table{
 		Title: "Figure 19: BE-Mellow+SC+WQ vs best static mechanism " +

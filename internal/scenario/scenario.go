@@ -73,8 +73,10 @@ type Scenario struct {
 	// Description says what the scenario pins, for reviewers.
 	Description string `json:"description,omitempty"`
 	// Workloads, Policies and Levelers span the simulation matrix, in
-	// declared order. Levelers may be empty (run under the base
-	// configuration's backend); an empty-string entry means the same.
+	// declared order: workload-major, then leveler, then policy
+	// (experiments.ScenarioCells). Levelers may be empty (run under the
+	// base configuration's backend); an empty-string entry means the
+	// same.
 	Workloads []WorkloadRef `json:"workloads"`
 	Policies  []string      `json:"policies"`
 	Levelers  []string      `json:"levelers,omitempty"`
@@ -84,31 +86,6 @@ type Scenario struct {
 	// Overrides adjusts individual fields of the (possibly replaced)
 	// base configuration.
 	Overrides *Overrides `json:"overrides,omitempty"`
-}
-
-// Cell is one simulation of the scenario matrix.
-type Cell struct {
-	Workload WorkloadRef
-	Leveler  string // "" = keep the configuration's backend
-	Policy   string
-}
-
-// Cells enumerates the matrix in declared order: workload-major, then
-// leveler, then policy.
-func (s *Scenario) Cells() []Cell {
-	levelers := s.Levelers
-	if len(levelers) == 0 {
-		levelers = []string{""}
-	}
-	var out []Cell
-	for _, w := range s.Workloads {
-		for _, l := range levelers {
-			for _, p := range s.Policies {
-				out = append(out, Cell{Workload: w, Leveler: l, Policy: p})
-			}
-		}
-	}
-	return out
 }
 
 // Normalize returns a canonical copy: inline specs normalized (defaults
@@ -217,15 +194,9 @@ func (s *Scenario) EffectiveConfig(base config.Config) (config.Config, error) {
 	if o == nil {
 		o = &Overrides{}
 	}
-	if o.Seed != nil {
-		cfg.Run.Seed = *o.Seed
-	}
-	if o.Warmup != nil {
-		cfg.Run.WarmupInstructions = *o.Warmup
-	}
-	if o.Detailed != nil {
-		cfg.Run.DetailedInstructions = *o.Detailed
-	}
+	set(&cfg.Run.Seed, o.Seed)
+	set(&cfg.Run.WarmupInstructions, o.Warmup)
+	set(&cfg.Run.DetailedInstructions, o.Detailed)
 	if o.Banks != nil {
 		c, err := cfg.WithBanks(*o.Banks)
 		if err != nil {
@@ -233,12 +204,8 @@ func (s *Scenario) EffectiveConfig(base config.Config) (config.Config, error) {
 		}
 		cfg = c
 	}
-	if o.Channels != nil {
-		cfg.Memory.Channels = *o.Channels
-	}
-	if o.ExpoFactor != nil {
-		cfg.Memory.Device.ExpoFactor = *o.ExpoFactor
-	}
+	set(&cfg.Memory.Channels, o.Channels)
+	set(&cfg.Memory.Device.ExpoFactor, o.ExpoFactor)
 	if o.Cell != nil {
 		found := false
 		for _, c := range nvm.Cells() {
@@ -252,48 +219,20 @@ func (s *Scenario) EffectiveConfig(base config.Config) (config.Config, error) {
 			return cfg, fmt.Errorf("scenario %s: unknown cell %q", s.Name, *o.Cell)
 		}
 	}
-	if o.Scheduler != nil {
-		cfg.Memory.Scheduler = *o.Scheduler
-	}
-	if o.ReadQueue != nil {
-		cfg.Memory.ReadQueue = *o.ReadQueue
-	}
-	if o.WriteQueue != nil {
-		cfg.Memory.WriteQueue = *o.WriteQueue
-	}
-	if o.EagerQueue != nil {
-		cfg.Memory.EagerQueue = *o.EagerQueue
-	}
-	if o.DrainHigh != nil {
-		cfg.Memory.DrainHigh = *o.DrainHigh
-	}
-	if o.DrainLow != nil {
-		cfg.Memory.DrainLow = *o.DrainLow
-	}
-	if o.LLCBytes != nil {
-		cfg.Caches.L3.SizeBytes = *o.LLCBytes
-	}
-	if o.UselessHitRatio != nil {
-		cfg.Caches.UselessHitRatio = *o.UselessHitRatio
-	}
-	if o.EagerPredictor != nil {
-		cfg.Caches.EagerPredictor = *o.EagerPredictor
-	}
-	if o.DecayAccesses != nil {
-		cfg.Caches.DecayAccesses = *o.DecayAccesses
-	}
-	if o.StartGapPsi != nil {
-		cfg.Memory.StartGapPsi = *o.StartGapPsi
-	}
-	if o.WolframSwapPeriod != nil {
-		cfg.Memory.WolframSwapPeriod = *o.WolframSwapPeriod
-	}
-	if o.SoftWearPageBlocks != nil {
-		cfg.Memory.SoftWearPageBlocks = *o.SoftWearPageBlocks
-	}
-	if o.SoftWearEpochWrites != nil {
-		cfg.Memory.SoftWearEpochWrites = *o.SoftWearEpochWrites
-	}
+	set(&cfg.Memory.Scheduler, o.Scheduler)
+	set(&cfg.Memory.ReadQueue, o.ReadQueue)
+	set(&cfg.Memory.WriteQueue, o.WriteQueue)
+	set(&cfg.Memory.EagerQueue, o.EagerQueue)
+	set(&cfg.Memory.DrainHigh, o.DrainHigh)
+	set(&cfg.Memory.DrainLow, o.DrainLow)
+	set(&cfg.Caches.L3.SizeBytes, o.LLCBytes)
+	set(&cfg.Caches.UselessHitRatio, o.UselessHitRatio)
+	set(&cfg.Caches.EagerPredictor, o.EagerPredictor)
+	set(&cfg.Caches.DecayAccesses, o.DecayAccesses)
+	set(&cfg.Memory.StartGapPsi, o.StartGapPsi)
+	set(&cfg.Memory.WolframSwapPeriod, o.WolframSwapPeriod)
+	set(&cfg.Memory.SoftWearPageBlocks, o.SoftWearPageBlocks)
+	set(&cfg.Memory.SoftWearEpochWrites, o.SoftWearEpochWrites)
 	if err := cfg.Validate(); err != nil {
 		return cfg, fmt.Errorf("scenario %s: effective config: %v", s.Name, err)
 	}
@@ -356,4 +295,11 @@ func (s *Scenario) Resolve(dir string) error {
 		s.Workloads[i].Spec = &sp
 	}
 	return nil
+}
+
+// set overwrites *dst with *v unless v is nil.
+func set[T any](dst *T, v *T) {
+	if v != nil {
+		*dst = *v
+	}
 }

@@ -55,40 +55,6 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestCellsOrder(t *testing.T) {
-	s := &Scenario{
-		Name:      "t",
-		Workloads: []WorkloadRef{{Name: "gups"}, {Name: "stream"}},
-		Policies:  []string{"Norm", "Slow"},
-		Levelers:  []string{"startgap", "softwear"},
-	}
-	cells := s.Cells()
-	if len(cells) != 8 {
-		t.Fatalf("len(cells) = %d, want 8", len(cells))
-	}
-	// Workload-major, then leveler, then policy.
-	want := []Cell{
-		{WorkloadRef{Name: "gups"}, "startgap", "Norm"},
-		{WorkloadRef{Name: "gups"}, "startgap", "Slow"},
-		{WorkloadRef{Name: "gups"}, "softwear", "Norm"},
-		{WorkloadRef{Name: "gups"}, "softwear", "Slow"},
-		{WorkloadRef{Name: "stream"}, "startgap", "Norm"},
-		{WorkloadRef{Name: "stream"}, "startgap", "Slow"},
-		{WorkloadRef{Name: "stream"}, "softwear", "Norm"},
-		{WorkloadRef{Name: "stream"}, "softwear", "Slow"},
-	}
-	for i := range want {
-		if cells[i] != want[i] {
-			t.Errorf("cells[%d] = %+v, want %+v", i, cells[i], want[i])
-		}
-	}
-	// No levelers declared: one "" cell per (workload, policy).
-	s.Levelers = nil
-	if got := s.Cells(); len(got) != 4 || got[0].Leveler != "" {
-		t.Fatalf("leveler-less cells = %+v", got)
-	}
-}
-
 // Sparse and fully explicit spellings of the same scenario must share
 // one content address — the canonical form makes defaults explicit.
 func TestHashSparseVsExplicit(t *testing.T) {

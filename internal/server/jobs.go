@@ -11,7 +11,6 @@ import (
 	"mellow/internal/engine"
 	"mellow/internal/experiments"
 	"mellow/internal/metrics"
-	"mellow/internal/scenario"
 	"mellow/internal/sim"
 	"mellow/internal/xtrace"
 )
@@ -171,62 +170,41 @@ func (j *jobState) status(deduped bool) JobStatus {
 // result, and the same OnEpoch feed that streams them drives the status
 // API's live progress.
 //
-// Every kind is one RunCells batch observed by the same hooks: an
-// experiment job runs its experiment's declared matrix, every other kind
-// one scenario matrix (canonicalJob.matrix) through
-// experiments.RunScenario. The process-wide scheduler (internal/sched)
-// bounds total concurrent simulations across every job, and results come
-// back in cell order — the payload and the SSE cell index keep the exact
-// sequential ordering, so equal keys still yield equal bytes no matter
-// which cells finish first. Only rendering differs by kind: an
-// experiment job returns its report, a scenario job the scenario
-// document, a sim or compare job its flat Results (plus Series and
-// Metrics).
+// Every kind runs in the same three steps: plan the cells, run them as
+// one RunCells batch observed by the same hooks, render the results.
+// The kind picks only the plan and the rendering: an experiment job
+// plans its experiment's declared cells and renders its report, every
+// other kind compiles one scenario (canonicalJob.matrix) and renders
+// the scenario document or, for a sim or compare job, its flat Results
+// (plus Series and Metrics). The process-wide scheduler
+// (internal/sched) bounds total concurrent simulations across every
+// job, and results come back in cell order — the payload and the SSE
+// cell index keep the exact sequential ordering, so equal keys still
+// yield equal bytes no matter which cells finish first.
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
 	epoch := sim.NS(canon.IntervalNS)
-	var sc *scenario.Scenario
-	var refs []scenario.Cell
-	if canon.Kind != KindExperiment {
-		sc = canon.matrix()
-		refs = sc.Cells()
+	cells, render, err := planJob(canon, out)
+	if err != nil {
+		return nil, err
 	}
-	var (
-		cells  []experiments.Cell
-		ins    []experiments.Instrumented
-		starts []time.Time
-		// streamed counts each cell's live epoch events. OnEpoch only
-		// fires when the cell executes the simulation itself; a memo hit
-		// or a joined in-flight run streams nothing live and flushes the
-		// whole memoised series on completion — either way the cell's
-		// epoch-event subsequence is exactly the series the result embeds.
-		streamed []int
-	)
-	// label names cell i on its events: by its experiment's matrix, or as
-	// the request spelled it.
-	label := func(i int) experiments.SeriesRecord {
-		c := cells[i]
-		rec := experiments.SeriesRecord{Variant: c.Variant, Workload: c.Label(), Policy: c.Spec.Name}
-		if refs != nil {
-			rec.Policy = refs[i].Policy
-		}
-		return rec
+	n := len(cells)
+	// streamed counts each cell's live epoch events. OnEpoch only fires
+	// when the cell executes the simulation itself; a memo hit or a
+	// joined in-flight run streams nothing live and flushes the whole
+	// memoised series on completion — either way the cell's epoch-event
+	// subsequence is exactly the series the result embeds.
+	streamed, starts := make([]int, n), make([]time.Time, n)
+	js.progress.setTotal(n)
+	if canon.Trace {
+		js.traces = make([]*xtrace.SimTrace, n)
 	}
 	h := experiments.Hooks{
-		Plan: func(cs []experiments.Cell) {
-			n := len(cs)
-			cells, ins, streamed = cs, make([]experiments.Instrumented, n), make([]int, n)
-			starts = make([]time.Time, n)
-			js.progress.setTotal(n)
-			if canon.Trace {
-				js.traces = make([]*xtrace.SimTrace, n)
-			}
-		},
 		Start: func(i int) experiments.Observation {
 			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
 			if epoch > 0 {
-				lb := label(i)
+				lb := cells[i].Record()
 				ob.OnEpoch = func(s engine.EpochSample) {
 					streamed[i]++
 					js.progress.epoch(i, s)
@@ -240,7 +218,7 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		// job's progress accounts for all attempted work instead of
 		// freezing mid-matrix.
 		Done: func(i int, in experiments.Instrumented, err error) {
-			rec := label(i)
+			rec := cells[i].Record()
 			if !starts[i].IsZero() {
 				js.spans.Span("sim "+rec.Workload+"/"+rec.Policy, "cell", starts[i], time.Now(),
 					"workload", rec.Workload, "policy", rec.Policy)
@@ -255,7 +233,6 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 			if err != nil {
 				return
 			}
-			ins[i] = in
 			rec.Series = in.Series // nil for an unobserved run
 			js.stream.flushSeries(i, rec, streamed[i])
 			if canon.Trace {
@@ -263,49 +240,62 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 			}
 		},
 	}
-	if canon.Kind == KindExperiment {
-		e, err := experiments.ByID(canon.Experiment)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		opts := experiments.Options{Ctx: ctx, Cfg: canon.Config, Out: &buf, Workloads: canon.Workloads, Hooks: h}
-		if err := e.Run(opts); err != nil {
-			return nil, err
-		}
-		renderStart := time.Now()
-		out.Report = &experiments.Report{ID: e.ID, Title: e.Title, Output: buf.String()}
-		if epoch > 0 {
-			out.Report.Series = experiments.Records(cells, ins)
-		}
-		js.spans.Span("render", "job", renderStart, time.Now())
-		return out, nil
-	}
-	res, err := experiments.RunScenario(ctx, canon.Config, sc, h)
+	ins, err := experiments.RunCells(ctx, cells, h)
 	if err != nil {
 		return nil, err
 	}
-	if canon.Kind == KindScenario {
-		out.Scenario = res
-		return out, nil
-	}
 	renderStart := time.Now()
-	out.Results = make([]core.Result, len(ins))
-	if epoch > 0 {
-		out.Series = experiments.Records(cells, ins)
-		for i := range out.Series {
-			out.Series[i].Policy = label(i).Policy // as the request spelled it
-		}
-	}
-	if canon.Metrics {
-		out.Metrics = make([]*metrics.Snapshot, len(ins))
-	}
-	for i, in := range ins {
-		out.Results[i] = in.Result
-		if canon.Metrics {
-			out.Metrics[i] = in.Metrics
-		}
+	if err := render(ins); err != nil {
+		return nil, err
 	}
 	js.spans.Span("render", "job", renderStart, time.Now())
 	return out, nil
+}
+
+// planJob declares a job's cells and the rendering of their results
+// into out.
+func planJob(canon canonicalJob, out *JobResult) ([]experiments.Cell, func([]experiments.Instrumented) error, error) {
+	observed := canon.IntervalNS > 0
+	if canon.Kind == KindExperiment {
+		e, err := experiments.ByID(canon.Experiment)
+		if err != nil {
+			return nil, nil, err
+		}
+		var buf bytes.Buffer
+		o := experiments.Options{Cfg: canon.Config, Out: &buf, Workloads: canon.Workloads}
+		cells, err := e.Cells(o)
+		return cells, func(ins []experiments.Instrumented) error {
+			if err := e.Render(o, cells, ins); err != nil {
+				return err
+			}
+			out.Report = &experiments.Report{ID: e.ID, Title: e.Title, Output: buf.String()}
+			if observed {
+				out.Report.Series = experiments.Records(cells, ins)
+			}
+			return nil
+		}, err
+	}
+	sc := canon.matrix()
+	cells, err := experiments.ScenarioCells(canon.Config, sc)
+	return cells, func(ins []experiments.Instrumented) error {
+		if canon.Kind == KindScenario {
+			var err error
+			out.Scenario, err = experiments.ScenarioResult(canon.Config, sc, cells, ins)
+			return err
+		}
+		out.Results = make([]core.Result, len(ins))
+		if observed {
+			out.Series = experiments.Records(cells, ins)
+		}
+		if canon.Metrics {
+			out.Metrics = make([]*metrics.Snapshot, len(ins))
+		}
+		for i, in := range ins {
+			out.Results[i] = in.Result
+			if canon.Metrics {
+				out.Metrics[i] = in.Metrics
+			}
+		}
+		return nil
+	}, err
 }

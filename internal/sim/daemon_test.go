@@ -22,7 +22,7 @@ func TestDaemonEventsFireLikeNormalEvents(t *testing.T) {
 	var k Kernel
 	var order []int
 	h := &tickerHandler{k: &k, period: 1000}
-	k.AtDaemonEvent(10, h, 0, 0)
+	k.atDaemonEvent(10, h, 0, 0)
 	k.At(10, func(Tick) { order = append(order, 1) })
 	k.At(5, func(Tick) { order = append(order, 0) })
 	k.AdvanceTo(12)
@@ -40,7 +40,7 @@ func TestDaemonEventsFireLikeNormalEvents(t *testing.T) {
 func TestPendingWorkExcludesDaemons(t *testing.T) {
 	var k Kernel
 	h := &tickerHandler{k: &k, period: 50}
-	k.AtDaemonEvent(10, h, 0, 0)
+	k.atDaemonEvent(10, h, 0, 0)
 	k.At(20, func(Tick) {})
 	k.At(30, func(Tick) {})
 	if k.Pending() != 3 || k.PendingWork() != 2 {
@@ -63,7 +63,7 @@ func TestPendingWorkExcludesDaemons(t *testing.T) {
 func TestDrainTerminatesWithSelfReschedulingDaemon(t *testing.T) {
 	var k Kernel
 	h := &tickerHandler{k: &k, period: 100}
-	k.AtDaemonEvent(100, h, 0, 0)
+	k.atDaemonEvent(100, h, 0, 0)
 	work := 0
 	k.At(350, func(Tick) { work++ })
 	fired := k.Drain()
@@ -109,7 +109,7 @@ func TestDrainRunsWorkScheduledByDaemons(t *testing.T) {
 			k.AfterDaemonEvent(10, h, a+1, 0)
 		}
 	})
-	k.AtDaemonEvent(10, h, 0, 0)
+	k.atDaemonEvent(10, h, 0, 0)
 	k.At(100, func(Tick) { done++ })
 	k.Drain()
 	if done != 4 {

@@ -13,7 +13,7 @@ func scheduleMixed(k *Kernel, log *[]Tick) {
 	for i := uint64(0); i < 400; i++ {
 		k.AtEvent(Tick(i*7919%(4*wheelSlots)), h, i, 0)
 	}
-	k.AtDaemonEvent(100, &tickerHandler{k: k, period: 1000}, 0, 0)
+	k.atDaemonEvent(100, &tickerHandler{k: k, period: 1000}, 0, 0)
 	k.AdvanceTo(2 * wheelSlots)
 }
 

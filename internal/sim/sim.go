@@ -434,20 +434,20 @@ func (k *Kernel) After(d Tick, fn Event) { k.At(k.now+d, fn) }
 // and one seq counter.
 func (k *Kernel) AtEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, nil, h, a, b, false) }
 
-// AtDaemonEvent schedules a typed housekeeping event. Daemon events fire
-// exactly like AtEvent events — same clock, same seq stream, same (tick,
-// seq) ordering — but they represent periodic background work (a Wear
-// Quota period timer, the eager-pump heartbeat) rather than outstanding
-// requests, so Drain does not wait for them: once only daemon events
-// remain pending, Drain stops with those events still scheduled. A
-// self-rescheduling timer therefore keeps ticking across AdvanceTo and
-// AdvanceUntil but can never hang a drain (the bug this distinction
-// fixes: Kernel.Drain spun forever under Wear Quota policies because the
-// period timer always re-armed itself).
-func (k *Kernel) AtDaemonEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, nil, h, a, b, true) }
+// AfterDaemonEvent schedules a typed housekeeping event d ticks from
+// now. Daemon events fire exactly like AtEvent events — same clock, same
+// seq stream, same (tick, seq) ordering — but they represent periodic
+// background work (a Wear Quota period timer, the eager-pump heartbeat)
+// rather than outstanding requests, so Drain does not wait for them:
+// once only daemon events remain pending, Drain stops with those events
+// still scheduled. A self-rescheduling timer therefore keeps ticking
+// across AdvanceTo and AdvanceUntil but can never hang a drain (the bug
+// this distinction fixes: Kernel.Drain spun forever under Wear Quota
+// policies because the period timer always re-armed itself).
+func (k *Kernel) AfterDaemonEvent(d Tick, h Handler, a, b uint64) { k.atDaemonEvent(k.now+d, h, a, b) }
 
-// AfterDaemonEvent schedules a typed housekeeping event d ticks from now.
-func (k *Kernel) AfterDaemonEvent(d Tick, h Handler, a, b uint64) { k.AtDaemonEvent(k.now+d, h, a, b) }
+// atDaemonEvent schedules a typed housekeeping event at absolute time t.
+func (k *Kernel) atDaemonEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, nil, h, a, b, true) }
 
 // AddProbe registers a periodic observer: fn fires at ticks now+period,
 // now+2·period, … for as long as the kernel advances. Probes are

@@ -165,7 +165,16 @@ func RunExperimentContext(ctx context.Context, id string, cfg Config, out io.Wri
 	if err != nil {
 		return err
 	}
-	return e.Run(experiments.Options{Ctx: ctx, Cfg: cfg, Out: out, Workloads: workloads})
+	o := experiments.Options{Cfg: cfg, Out: out, Workloads: workloads}
+	cells, err := e.Cells(o)
+	if err != nil {
+		return err
+	}
+	res, err := experiments.RunCells(ctx, cells, experiments.Hooks{})
+	if err != nil {
+		return err
+	}
+	return e.Render(o, cells, res)
 }
 
 // WorkloadSpec is the declarative form of a workload generator: the
