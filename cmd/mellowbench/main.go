@@ -203,7 +203,7 @@ func main() {
 			ins, err = experiments.RunCells(ctx, cells, hooks)
 		}
 		if err == nil {
-			err = e.Render(opts, cells, ins)
+			err = e.Render(ctx, opts, cells, ins)
 		}
 		if err != nil {
 			fatal(fmt.Errorf("%s: %v", e.ID, err))

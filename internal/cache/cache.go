@@ -51,11 +51,7 @@ type Cache struct {
 
 	hits     uint64
 	misses   uint64
-	acc      uint64
-	touches  uint64 // monotone logical clock for decay prediction
-	fills    uint64
-	evicts   uint64
-	dirtyEv  uint64
+	touches  uint64    // monotone logical clock for decay prediction
 	profiler *Profiler // non-nil on the LLC only
 }
 
@@ -201,7 +197,6 @@ func (c *Cache) Misses() uint64 { return c.misses }
 // lookup performs a demand access. On a hit the line moves to MRU and a
 // write dirties it.
 func (c *Cache) lookup(addr uint64, write bool) bool {
-	c.acc++
 	si, base := c.locate(addr)
 	w := c.find(base, addr)
 	if w < 0 {
@@ -232,7 +227,6 @@ func (c *Cache) lookup(addr uint64, write bool) bool {
 // any valid line was displaced. A fill takes the invalid way closest to
 // LRU; a full set gives up its LRU way.
 func (c *Cache) install(addr uint64, dirty bool) (victimAddr uint64, victimValid, victimDirty bool) {
-	c.fills++
 	c.touches++
 	si, base := c.locate(addr)
 	s := &c.sets[si]
@@ -246,10 +240,6 @@ func (c *Cache) install(addr uint64, dirty bool) (victimAddr uint64, victimValid
 		s.holes--
 	} else {
 		victimAddr, victimValid, victimDirty = c.tags[base+w]>>1, true, s.dirty&(1<<w) != 0
-		c.evicts++
-		if victimDirty {
-			c.dirtyEv++
-		}
 	}
 	c.tags[base+w] = addr<<1 | 1
 	c.last[base+w] = c.touches
@@ -308,7 +298,7 @@ func (c *Cache) contains(addr uint64) bool {
 // ResetStats zeroes the demand counters (end of warmup). Profiler counts
 // are left alone: the profiler follows its own sampling periods.
 func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.acc, c.fills, c.evicts, c.dirtyEv = 0, 0, 0, 0, 0, 0
+	c.hits, c.misses = 0, 0
 }
 
 func (c *Cache) String() string {

@@ -200,38 +200,6 @@ func (h *Hierarchy) EagerCandidate() (addr uint64, ok bool) {
 // RotateProfile closes one T_sample profiling period (§IV-B1).
 func (h *Hierarchy) RotateProfile() { h.L3.Profiler().Rotate() }
 
-// ProbeCounters is the hierarchy's cumulative LLC traffic view, cheap
-// enough to snapshot from an epoch probe (plain field reads, no walks).
-type ProbeCounters struct {
-	LLCHits      uint64
-	LLCMisses    uint64
-	LLCEvictions uint64 // dirty lines pushed to memory
-	EagerIssued  uint64
-	WastedEager  uint64
-}
-
-// ProbeCounters snapshots the LLC-facing counters.
-func (h *Hierarchy) ProbeCounters() ProbeCounters {
-	return ProbeCounters{
-		LLCHits:      h.L3.Hits(),
-		LLCMisses:    h.llcMisses,
-		LLCEvictions: h.memWritebacks,
-		EagerIssued:  h.eagerIssued,
-		WastedEager:  h.wastedEager,
-	}
-}
-
-// Delta returns the counters accumulated since prev.
-func (p ProbeCounters) Delta(prev ProbeCounters) ProbeCounters {
-	return ProbeCounters{
-		LLCHits:      p.LLCHits - prev.LLCHits,
-		LLCMisses:    p.LLCMisses - prev.LLCMisses,
-		LLCEvictions: p.LLCEvictions - prev.LLCEvictions,
-		EagerIssued:  p.EagerIssued - prev.EagerIssued,
-		WastedEager:  p.WastedEager - prev.WastedEager,
-	}
-}
-
 // Stats is a snapshot of hierarchy counters.
 type Stats struct {
 	DemandReads      uint64

@@ -346,13 +346,6 @@ func (c Config) WithBanks(banks int) (Config, error) {
 	return c, c.Validate()
 }
 
-// WithChannels returns a copy with the given channel count (each channel
-// keeps the configured ranks × banks and gains its own data bus).
-func (c Config) WithChannels(channels int) (Config, error) {
-	c.Memory.Channels = channels
-	return c, c.Validate()
-}
-
 // CanonicalJSON renders the configuration in its canonical byte form:
 // the stdlib encoding with fields in declaration order and no insigni-
 // ficant whitespace. Two Configs with equal values produce identical

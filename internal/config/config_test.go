@@ -181,22 +181,6 @@ func TestCacheSets(t *testing.T) {
 	}
 }
 
-func TestWithChannels(t *testing.T) {
-	c, err := Default().WithChannels(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Memory.Banks() != 32 || c.Memory.TotalRanks() != 8 {
-		t.Errorf("2 channels: %d banks in %d ranks", c.Memory.Banks(), c.Memory.TotalRanks())
-	}
-	if _, err := Default().WithChannels(3); err == nil {
-		t.Error("WithChannels(3) should fail (not a power of two)")
-	}
-	if _, err := Default().WithChannels(0); err == nil {
-		t.Error("WithChannels(0) should fail")
-	}
-}
-
 func TestCanonicalHash(t *testing.T) {
 	a, err := Default().Hash()
 	if err != nil {

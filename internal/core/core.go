@@ -87,13 +87,13 @@ func wire(cfg config.Config, spec policy.Spec, ws []trace.Workload, mix bool) (*
 	// The LLC's useless-position profiler rotates every T_sample
 	// (§IV-B1), driven by the memory clock.
 	var rotate sim.Event
-	rotate = func(sim.Tick) {
+	rotate = func(now sim.Tick) {
 		for _, f := range s.Fronts {
 			f.Hier.RotateProfile()
 		}
-		k.After(cfg.Caches.ProfilePeriod, rotate)
+		k.AtEvent(now+cfg.Caches.ProfilePeriod, rotate, 0, 0)
 	}
-	k.After(cfg.Caches.ProfilePeriod, rotate)
+	k.AtEvent(cfg.Caches.ProfilePeriod, rotate, 0, 0)
 	return s, nil
 }
 

@@ -52,13 +52,13 @@ func refRunMix(ctx context.Context, cfg config.Config, spec policy.Spec, workloa
 		return 0, false
 	})
 	var rotate sim.Event
-	rotate = func(sim.Tick) {
+	rotate = func(now sim.Tick) {
 		for _, c := range cores {
 			c.hier.RotateProfile()
 		}
-		k.After(cfg.Caches.ProfilePeriod, rotate)
+		k.AtEvent(now+cfg.Caches.ProfilePeriod, rotate, 0, 0)
 	}
-	k.After(cfg.Caches.ProfilePeriod, rotate)
+	k.AtEvent(cfg.Caches.ProfilePeriod, rotate, 0, 0)
 
 	steps := 0
 	runPhase := func(n uint64) error {

@@ -383,26 +383,6 @@ func (c *Core) hitLatency(lv cache.Level) int {
 	}
 }
 
-// ProbeCounters is the core's cumulative progress view, cheap enough to
-// snapshot from an epoch probe without perturbing the pipeline model.
-type ProbeCounters struct {
-	Instructions uint64
-	Cycles       float64
-}
-
-// ProbeCounters snapshots the dispatch cursor (field reads only).
-func (c *Core) ProbeCounters() ProbeCounters {
-	return ProbeCounters{Instructions: c.instrs, Cycles: c.cycles}
-}
-
-// Delta returns the counters accumulated since prev.
-func (p ProbeCounters) Delta(prev ProbeCounters) ProbeCounters {
-	return ProbeCounters{
-		Instructions: p.Instructions - prev.Instructions,
-		Cycles:       p.Cycles - prev.Cycles,
-	}
-}
-
 // Instructions returns instructions dispatched so far.
 func (c *Core) Instructions() uint64 { return c.instrs }
 

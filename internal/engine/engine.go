@@ -9,12 +9,13 @@
 // The paper's mechanisms are all periodic — the LLC useless-position
 // profiler rotates and Wear Quota re-budgets every 500 µs — so the
 // engine samples on the same clock: a sim.Kernel probe fires every
-// Options.Epoch ticks of simulated time and snapshots the cheap probe
-// counters of cpu, cache and mem into an EpochSample. Probes are
-// read-only observers interleaved deterministically with the event heap,
-// so a run with an epoch probe attached produces bit-identical results
-// to one without, and the series itself is deterministic: same (config,
-// policy, workload, seed, epoch) → same samples, byte for byte.
+// Options.Epoch ticks of simulated time and differences the counters
+// cpu, cache and mem already expose for core.Result into an
+// EpochSample. Probes are read-only observers interleaved
+// deterministically with the event heap, so a run with an epoch probe
+// attached produces bit-identical results to one without, and the
+// series itself is deterministic: same (config, policy, workload, seed,
+// epoch) → same samples, byte for byte.
 //
 // A run has one live feed: each closed sample is a plain value, appended
 // to the series and handed to Options.OnEpoch. The sample's Progress is
@@ -31,7 +32,9 @@ import (
 	"mellow/internal/cpu"
 	"mellow/internal/mem"
 	"mellow/internal/metrics"
+	"mellow/internal/nvm"
 	"mellow/internal/sim"
+	"mellow/internal/wear"
 	"mellow/internal/xtrace"
 )
 
@@ -129,9 +132,11 @@ type Front struct {
 // front is a Front with the engine's bookkeeping for it.
 type front struct {
 	Front
-	target    uint64 // the instruction count that ends its current phase
-	prevCPU   cpu.ProbeCounters
-	prevCache cache.ProbeCounters
+	target uint64 // the instruction count that ends its current phase
+	// The front's counters at the last epoch boundary.
+	prevInstrs uint64
+	prevCycles float64
+	prevLLC    cache.Stats
 }
 
 // pollMask sets how often the step loop polls its context: once per
@@ -153,7 +158,8 @@ type Engine struct {
 	totalInstr uint64 // fronts × (warmup + detailed), for progress
 	epochIdx   int
 	prevEnd    sim.Tick
-	prevMem    mem.ProbeCounters
+	prevMem    mem.Counters
+	prevWear   wear.MeterSnapshot
 	series     []EpochSample
 }
 
@@ -171,81 +177,64 @@ func New(kernel *sim.Kernel, ctl *mem.Controller, fronts []Front, run config.Run
 	return e
 }
 
-// rebase re-captures the probe-counter baselines; called at start and
-// after the warmup-boundary stats reset so epoch deltas never span a
-// counter reset.
+// rebase re-captures the counter baselines; called at start and after
+// the warmup-boundary stats reset so epoch deltas never span a counter
+// reset.
 func (e *Engine) rebase() {
 	for i := range e.fronts {
 		f := &e.fronts[i]
-		f.prevCPU, f.prevCache = f.Core.ProbeCounters(), f.Hier.ProbeCounters()
+		f.prevInstrs, f.prevCycles, f.prevLLC = f.Core.Instructions(), f.Core.Cycles(), f.Hier.Snapshot()
 	}
-	e.prevMem = e.ctl.ProbeCounters()
+	e.prevMem = e.ctl.Counters()
+	e.prevWear, _ = e.ctl.Wear()
 }
 
 // sampleEpoch is the probe callback: close the interval ending at now.
-// Core and LLC fields sum the fronts' deltas; memory fields are the
-// shared controller's.
+// It is the one place that knows which fields a sample reports and how
+// each is differenced. Core and LLC fields sum the fronts' deltas;
+// memory fields are the shared controller's.
 func (e *Engine) sampleEpoch(now sim.Tick) {
-	var dCPU cpu.ProbeCounters
-	var dCache cache.ProbeCounters
+	s := EpochSample{Epoch: e.epochIdx, Phase: e.phase, Start: e.prevEnd, End: now}
 	var instrs uint64
 	for i := range e.fronts {
 		f := &e.fronts[i]
-		curCPU, curCache := f.Core.ProbeCounters(), f.Hier.ProbeCounters()
-		c, h := curCPU.Delta(f.prevCPU), curCache.Delta(f.prevCache)
-		if i == 0 {
-			// The sum starts from front 0's deltas, not from zero, so a
-			// single run's sample is its own counters' bit for bit.
-			dCPU, dCache = c, h
-		} else {
-			dCPU.Instructions += c.Instructions
-			dCPU.Cycles += c.Cycles
-			dCache.LLCHits += h.LLCHits
-			dCache.LLCMisses += h.LLCMisses
-			dCache.LLCEvictions += h.LLCEvictions
-			dCache.EagerIssued += h.EagerIssued
-		}
-		instrs += curCPU.Instructions
-		f.prevCPU, f.prevCache = curCPU, curCache
+		in, cyc, llc := f.Core.Instructions(), f.Core.Cycles(), f.Hier.Snapshot()
+		// The sums add the fronts in index order onto zero, and 0+x is
+		// x exactly, so they start from front 0's deltas: a single
+		// run's sample is its own counters' bit for bit.
+		s.Instructions += in - f.prevInstrs
+		s.Cycles += cyc - f.prevCycles
+		s.LLCHits += llc.L3Hits - f.prevLLC.L3Hits
+		s.LLCMisses += llc.LLCMisses - f.prevLLC.LLCMisses
+		s.LLCEvictions += llc.MemWritebacks - f.prevLLC.MemWritebacks
+		s.EagerIssued += llc.EagerIssued - f.prevLLC.EagerIssued
+		instrs += in
+		f.prevInstrs, f.prevCycles, f.prevLLC = in, cyc, llc
 	}
-	curMem := e.ctl.ProbeCounters()
-	dMem := curMem.Delta(e.prevMem)
+	if s.Cycles > 0 {
+		s.IPC = float64(s.Instructions) / s.Cycles
+	}
 
-	s := EpochSample{
-		Epoch:         e.epochIdx,
-		Phase:         e.phase,
-		Start:         e.prevEnd,
-		End:           now,
-		Instructions:  dCPU.Instructions,
-		Cycles:        dCPU.Cycles,
-		LLCHits:       dCache.LLCHits,
-		LLCMisses:     dCache.LLCMisses,
-		LLCEvictions:  dCache.LLCEvictions,
-		EagerIssued:   dCache.EagerIssued,
-		Reads:         dMem.Reads,
-		WritesFast:    dMem.WritesFast,
-		WritesSlow:    dMem.WritesSlow,
-		EagerDone:     dMem.EagerDone,
-		Cancellations: dMem.Cancellations,
-		Pauses:        dMem.Pauses,
-		Drains:        dMem.Drains,
-		ReadQueue:     dMem.ReadQueue,
-		WriteQueue:    dMem.WriteQueue,
-		EagerQueue:    dMem.EagerQueue,
-		Draining:      dMem.Draining,
-		MaxBankDamage: dMem.MaxBankDamage,
-		Progress:      e.progressAt(instrs),
-	}
-	if dCPU.Cycles > 0 {
-		s.IPC = float64(dCPU.Instructions) / dCPU.Cycles
-	}
+	mc := e.ctl.Counters()
+	w, maxDamage := e.ctl.Wear()
+	s.Reads = mc.Reads - e.prevMem.Reads
+	s.EagerDone = mc.EagerDone - e.prevMem.EagerDone
+	s.Cancellations = mc.Cancellations - e.prevMem.Cancellations
+	s.Pauses = mc.Pauses - e.prevMem.Pauses
+	s.Drains = mc.Drains - e.prevMem.Drains
+	s.WritesFast = w.Writes[nvm.WriteNormal] - e.prevWear.Writes[nvm.WriteNormal]
+	s.WritesSlow = w.SlowCompleted() - e.prevWear.SlowCompleted()
+	s.ReadQueue, s.WriteQueue, s.EagerQueue = e.ctl.QueueDepths()
+	s.Draining = e.ctl.Draining()
+	s.MaxBankDamage = maxDamage
+	s.Progress = e.progressAt(instrs)
 
 	e.opts.Timeline.Slice(xtrace.TrackEpoch, "epoch", "epoch",
 		s.Start, s.End, 0, uint64(s.Epoch))
 
 	e.epochIdx++
 	e.prevEnd = now
-	e.prevMem = curMem
+	e.prevMem, e.prevWear = mc, w
 	e.series = append(e.series, s)
 	if e.opts.OnEpoch != nil {
 		e.opts.OnEpoch(s)

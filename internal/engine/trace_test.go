@@ -76,7 +76,7 @@ func checkTimeline(t *testing.T, workload, policy string, rec *xtrace.Recorder, 
 		case xtrace.TrackEpoch:
 			epochs++
 		default:
-			if _, ok := xtrace.BankOfTrack(e.Track); ok {
+			if e.Track >= xtrace.BankTrack(0) {
 				bankEvents++
 				if strings.Contains(e.Name, "write") {
 					writeEvents++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -203,7 +204,7 @@ func claims() []claim {
 
 // renderClaims evaluates every headline claim against the evaluation
 // sweep and prints a pass/fail table.
-func renderClaims(o Options, sweep Sweep) error {
+func renderClaims(_ context.Context, o Options, sweep Sweep) error {
 	t := stats.Table{
 		Title:  "Headline claims: paper statement vs this reproduction",
 		Header: []string{"id", "claim", "paper", "measured", "verdict"},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mellow/internal/core"
@@ -41,7 +42,7 @@ func policyTable(o Options, res Sweep, specs []policy.Spec, title, summary strin
 	return t.Fprint(o.Out)
 }
 
-func renderFig10(o Options, s Sweep) error {
+func renderFig10(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, policy.EvaluationSet(), "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.IPC / base.IPC
@@ -49,7 +50,7 @@ func renderFig10(o Options, s Sweep) error {
 		})
 }
 
-func renderFig11(o Options, s Sweep) error {
+func renderFig11(_ context.Context, o Options, s Sweep) error {
 	if err := policyTable(o, s, policy.EvaluationSet(), "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			y := r.LifetimeYears()
@@ -70,7 +71,7 @@ func renderFig11(o Options, s Sweep) error {
 	return bars.Fprint(o.Out)
 }
 
-func renderFig12(o Options, s Sweep) error {
+func renderFig12(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, policy.EvaluationSet(), "Figure 12: average bank utilization by write policy", "geomean",
 		func(r, base core.Result) (float64, string) {
 			u := r.Mem.AvgUtilization
@@ -78,7 +79,7 @@ func renderFig12(o Options, s Sweep) error {
 		})
 }
 
-func renderFig13(o Options, s Sweep) error {
+func renderFig13(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, policy.EvaluationSet(), "Figure 13: fraction of time in write drain", "",
 		func(r, base core.Result) (float64, string) {
 			f := r.Mem.DrainFraction
@@ -88,7 +89,7 @@ func renderFig13(o Options, s Sweep) error {
 
 // renderFig14 shows the LLC-side request mix: demand fetches, ordinary
 // dirty write-backs, and eager write-backs, normalized to Norm's total.
-func renderFig14(o Options, s Sweep) error {
+func renderFig14(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, policy.EvaluationSet(), "Figure 14: memory requests from LLC, normalized to Norm total "+
 		"(read / writeback / eager)", "",
 		func(r, base core.Result) (float64, string) {
@@ -101,7 +102,7 @@ func renderFig14(o Options, s Sweep) error {
 
 // renderFig15 shows requests actually serviced by banks — including
 // cancelled write attempts and Start-Gap migrations — normalized to Norm.
-func renderFig15(o Options, s Sweep) error {
+func renderFig15(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, policy.EvaluationSet(), "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := float64(r.Mem.BankAttempts) / float64(base.Mem.BankAttempts)
@@ -109,7 +110,7 @@ func renderFig15(o Options, s Sweep) error {
 		})
 }
 
-func renderFig16(o Options, s Sweep) error {
+func renderFig16(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, policy.EvaluationSet(), "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.Mem.EnergyPJ / base.Mem.EnergyPJ

@@ -60,8 +60,9 @@ type Experiment struct {
 	// declare lists the cells under o (nil: the experiment simulates
 	// nothing).
 	declare func(o Options) ([]Cell, error)
-	// render writes the output to o.Out, reading the results by cell.
-	render func(o Options, s Sweep) error
+	// render writes the output to o.Out, reading the results by cell;
+	// work it does itself stops with ctx's error when ctx ends.
+	render func(ctx context.Context, o Options, s Sweep) error
 }
 
 // Cells declares e's simulations under o, in the order Render reads
@@ -74,9 +75,10 @@ func (e Experiment) Cells(o Options) ([]Cell, error) {
 }
 
 // Render writes e's output to o.Out from res, the results of the cells
-// Cells declared under the same o, in cell order.
-func (e Experiment) Render(o Options, cells []Cell, res []Instrumented) error {
-	return e.render(o, NewSweep(cells, res))
+// Cells declared under the same o, in cell order. A static table
+// computes its rows here, and stops with ctx's error when ctx ends.
+func (e Experiment) Render(ctx context.Context, o Options, cells []Cell, res []Instrumented) error {
+	return e.render(ctx, o, NewSweep(cells, res))
 }
 
 // registry lists all experiments in paper order.

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"mellow/internal/config"
 )
@@ -83,7 +85,7 @@ func TestByID(t *testing.T) {
 
 func TestTable6Static(t *testing.T) {
 	var buf bytes.Buffer
-	if err := renderTable6(quickOpts(&buf), Sweep{}); err != nil {
+	if err := renderTable6(context.Background(), quickOpts(&buf), Sweep{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -96,7 +98,7 @@ func TestTable6Static(t *testing.T) {
 
 func TestFig1Static(t *testing.T) {
 	var buf bytes.Buffer
-	if err := renderFig1(quickOpts(&buf), Sweep{}); err != nil {
+	if err := renderFig1(context.Background(), quickOpts(&buf), Sweep{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -143,7 +145,7 @@ func TestTable4Runs(t *testing.T) {
 	var buf bytes.Buffer
 	o := quickOpts(&buf)
 	o.Workloads = []string{"stream"}
-	if err := renderTable4(o, Sweep{}); err != nil {
+	if err := renderTable4(context.Background(), o, Sweep{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "12.28") {
@@ -262,5 +264,30 @@ func TestExt6Runs(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "lbm+mcf") {
 		t.Errorf("ext6 output missing mix label:\n%s", buf.String())
+	}
+}
+
+// TestStaticRenderersStopOnCancel wants the two static tables that
+// compute their rows while rendering (Table IV's cache walk and ext5's
+// leveling runs) to stop with their context's error once it expires
+// part-way, not render the whole table.
+func TestStaticRenderersStopOnCancel(t *testing.T) {
+	for _, id := range []string{"tab4", "ext5"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		var buf bytes.Buffer
+		start := time.Now()
+		err = e.Render(ctx, quickOpts(&buf), nil, nil)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || buf.Len() != 0 {
+			t.Errorf("%s: Render = %v with %d bytes written, want the deadline error and nothing", id, err, buf.Len())
+		}
+		if took > 2*time.Second {
+			t.Errorf("%s: Render took %v to notice its deadline", id, took)
+		}
 	}
 }

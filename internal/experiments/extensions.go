@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,7 +45,7 @@ func ext1Specs() []policy.Spec {
 	}
 }
 
-func renderExt1(o Options, s Sweep) error {
+func renderExt1(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, ext1Specs(), "Extension 1: graded write pulses (IPC vs Norm / lifetime years)", "",
 		func(r, base core.Result) (float64, string) {
 			return 0, fmt.Sprintf("%.2f/%s", r.IPC/base.IPC, formatYears(r.LifetimeYears()))
@@ -66,7 +67,7 @@ func ext2Cells(o Options) ([]Cell, error) {
 	return append(base, preds...), err
 }
 
-func renderExt2(o Options, res Sweep) error {
+func renderExt2(_ context.Context, o Options, res Sweep) error {
 	predictors := res.variants[1:] // after the baseline's ""
 	t := stats.Table{
 		Title: "Extension 2: eager-candidate predictor " +
@@ -105,7 +106,7 @@ func ext3Cells(o Options) ([]Cell, error) {
 		o.vary("useless threshold 1/8", func(c *config.Config) { c.Caches.UselessHitRatio = 1.0 / 8.0 }))
 }
 
-func renderExt3(o Options, res Sweep) error {
+func renderExt3(_ context.Context, o Options, res Sweep) error {
 	workload := o.workloads()[0]
 	t := stats.Table{
 		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", workload),
@@ -135,7 +136,7 @@ func ext4Specs() []policy.Spec {
 	}
 }
 
-func renderExt4(o Options, s Sweep) error {
+func renderExt4(_ context.Context, o Options, s Sweep) error {
 	return policyTable(o, s, ext4Specs(), "Extension 4: pausing vs cancellation "+
 		"(IPC vs Norm / lifetime years / preemptions / mean read ns)", "",
 		func(r, base core.Result) (float64, string) {
@@ -151,7 +152,7 @@ func renderExt4(o Options, s Sweep) error {
 // where the assumption holds; the table also shows the adversarial
 // single-block case where plain Start-Gap cannot help (the original
 // paper pairs it with randomized mapping for that threat).
-func renderExt5(o Options, _ Sweep) error {
+func renderExt5(ctx context.Context, o Options, _ Sweep) error {
 	const blocks = 4096
 	const writes = 4_000_000
 	patterns := []struct {
@@ -183,6 +184,9 @@ func renderExt5(o Options, _ Sweep) error {
 		row := []string{pat.name}
 		var ov float64
 		for _, psi := range []int{10, 100, 1000, 1 << 30} {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			res := wear.MeasureLeveling(blocks, psi, writes, pat.mk(7))
 			row = append(row, stats.F(res.Efficiency, 3))
 			if psi == 100 {
@@ -214,7 +218,7 @@ func ext6Cells(o Options) ([]Cell, error) { return o.mixes(ext6Mixes, ext6Specs(
 
 // renderExt6 reads each mix's results by cell index: mix-major, then
 // policy.
-func renderExt6(o Options, s Sweep) error {
+func renderExt6(_ context.Context, o Options, s Sweep) error {
 	specs := ext6Specs()
 	t := stats.Table{
 		Title:  "Extension 6: multiprogrammed mixes (per-core IPC sum / lifetime years / bank util)",
@@ -252,7 +256,7 @@ func ext7Cells(o Options) ([]Cell, error) {
 	return o.grid(ext7Suite(o), []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()}, vs...)
 }
 
-func renderExt7(o Options, res Sweep) error {
+func renderExt7(_ context.Context, o Options, res Sweep) error {
 	suite := ext7Suite(o)
 	t := stats.Table{
 		Title:  "Extension 7: technology corners (per workload: Norm lifetime -> BE-Mellow+SC lifetime, years)",
@@ -294,7 +298,7 @@ func ext8Cells(o Options) ([]Cell, error) {
 	return o.grid(o.workloads(), ext8Specs(), vs...)
 }
 
-func renderExt8(o Options, res Sweep) error {
+func renderExt8(_ context.Context, o Options, res Sweep) error {
 	specs := ext8Specs()
 	t := stats.Table{
 		Title: "Extension 8: wear-leveling backends x Mellow policies " +

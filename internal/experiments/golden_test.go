@@ -23,7 +23,7 @@ func runExperiment(ctx context.Context, e Experiment, o Options, h Hooks) ([]Cel
 	if err != nil {
 		return cells, nil, err
 	}
-	return cells, res, e.Render(o, cells, res)
+	return cells, res, e.Render(ctx, o, cells, res)
 }
 
 // runGolden runs experiment id and compares its full rendered output

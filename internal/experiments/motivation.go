@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mellow/internal/cache"
@@ -15,7 +16,7 @@ import (
 // renderTable4 regenerates Table IV: LLC MPKI per workload, measured
 // the way the paper does — demand misses of a 2 MB LLC, no prefetcher in
 // the path (the trace drives the hierarchy functionally).
-func renderTable4(o Options, _ Sweep) error {
+func renderTable4(ctx context.Context, o Options, _ Sweep) error {
 	t := stats.Table{
 		Title:  "Table IV: workloads and their MPKI (2 MB LLC)",
 		Header: []string{"workload", "paper", "measured"},
@@ -27,28 +28,43 @@ func renderTable4(o Options, _ Sweep) error {
 		}
 		h := cache.NewHierarchy(o.Cfg.Caches, rng.New(o.Cfg.Run.Seed))
 		g := w.New(o.Cfg.Run.Seed)
-		var instr uint64
-		for instr < o.Cfg.Run.WarmupInstructions {
-			op := g.Next()
-			instr += uint64(op.Gap) + 1
-			h.Access(op.Addr, op.Write)
-		}
+		_, err = walkTrace(ctx, h, g, o.Cfg.Run.WarmupInstructions)
 		h.ResetStats()
-		instr = 0
-		for instr < o.Cfg.Run.DetailedInstructions {
-			op := g.Next()
-			instr += uint64(op.Gap) + 1
-			h.Access(op.Addr, op.Write)
+		var instr uint64
+		if err == nil {
+			instr, err = walkTrace(ctx, h, g, o.Cfg.Run.DetailedInstructions)
 		}
-		mpki := float64(h.Snapshot().LLCMisses) / (float64(instr) / 1000)
+		misses := h.Snapshot().LLCMisses
 		h.Release()
+		if err != nil {
+			return err
+		}
+		mpki := float64(misses) / (float64(instr) / 1000)
 		t.AddRow(name, stats.F(w.TargetMPKI, 2), stats.F(mpki, 2))
 	}
 	return t.Fprint(o.Out)
 }
 
+// walkTrace feeds g's accesses to h until at least n instructions have
+// run and returns how many did. It polls ctx every 4096 accesses and
+// stops with ctx's error when ctx ends.
+func walkTrace(ctx context.Context, h *cache.Hierarchy, g trace.Generator, n uint64) (uint64, error) {
+	var instr uint64
+	for i := 0; instr < n; i++ {
+		if i&4095 == 0 {
+			if err := ctx.Err(); err != nil {
+				return instr, err
+			}
+		}
+		op := g.Next()
+		instr += uint64(op.Gap) + 1
+		h.Access(op.Addr, op.Write)
+	}
+	return instr, nil
+}
+
 // renderTable6 regenerates Table VI from the nvsim-lite model.
-func renderTable6(o Options, _ Sweep) error {
+func renderTable6(_ context.Context, o Options, _ Sweep) error {
 	t := stats.Table{
 		Title: "Table VI: energy per operation of memristive main memory",
 		Header: []string{"cell", "buffer read (pJ)", "norm write (pJ)",
@@ -67,7 +83,7 @@ func renderTable6(o Options, _ Sweep) error {
 
 // renderFig1 regenerates Figure 1: endurance versus write-latency
 // multiplier for five ExpoFactor curves.
-func renderFig1(o Options, _ Sweep) error {
+func renderFig1(_ context.Context, o Options, _ Sweep) error {
 	expos := []float64{1.0, 1.5, 2.0, 2.5, 3.0}
 	t := stats.Table{
 		Title:  "Figure 1: endurance vs write latency (base 150 ns, 5e6 writes)",
@@ -112,7 +128,7 @@ func fig2Specs() []policy.Spec {
 
 // renderFig2 regenerates Figure 2: normalized IPC and lifetime for
 // static write latencies, with and without write cancellation.
-func renderFig2(o Options, res Sweep) error {
+func renderFig2(_ context.Context, o Options, res Sweep) error {
 	specs := fig2Specs()
 	if err := policyTable(o, res, specs, "Figure 2 (top): IPC normalized to 1.0x writes without cancellation", "",
 		func(r, base core.Result) (float64, string) { return 0, stats.F(r.IPC/base.IPC, 3) }); err != nil {
@@ -128,7 +144,7 @@ func normOnly() []policy.Spec { return []policy.Spec{policy.Norm()} }
 
 // renderFig3 regenerates Figure 3: average bank utilization under
 // normal writes.
-func renderFig3(o Options, res Sweep) error {
+func renderFig3(_ context.Context, o Options, res Sweep) error {
 	bars := &stats.Bars{Title: "Figure 3: average bank utilization with normal writes"}
 	for _, w := range o.workloads() {
 		u := res.At("", "Norm", w).Mem.AvgUtilization

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -23,7 +24,7 @@ func fig17Cells(o Options) ([]Cell, error) {
 // renderFig17 regenerates Figure 17: geometric-mean lifetime of Slow+SC
 // and BE-Mellow+SC across the suite as the ExpoFactor sweeps 1.0–3.0,
 // with Norm as the (ExpoFactor-independent) reference.
-func renderFig17(o Options, res Sweep) error {
+func renderFig17(_ context.Context, o Options, res Sweep) error {
 	t := stats.Table{
 		Title:  "Figure 17: lifetime (geomean years) vs ExpoFactor",
 		Header: []string{"ExpoFactor", "Norm", "Slow+SC", "BE-Mellow+SC", "BE-Mellow+SC/Norm"},
@@ -65,7 +66,7 @@ func fig18Cells(o Options) ([]Cell, error) {
 // renderFig18 regenerates Figure 18: GemsFDTD under 4, 8 and 16 banks —
 // (a) lifetime, (b) bank utilization, (c) eager writes, (d) writes
 // issued to banks by pulse.
-func renderFig18(o Options, res Sweep) error {
+func renderFig18(_ context.Context, o Options, res Sweep) error {
 	t := stats.Table{
 		Title: "Figure 18: GemsFDTD vs bank-level parallelism",
 		Header: []string{"banks", "policy", "lifetime (y)", "bank util",
@@ -102,7 +103,7 @@ func fig19Specs() []policy.Spec { return append(fig19Statics(), fig19Ours()) }
 // renderFig19 regenerates Figure 19: for each workload, find the best
 // static mechanism that guarantees the 8-year lifetime and compare it
 // with BE-Mellow+SC+WQ.
-func renderFig19(o Options, res Sweep) error {
+func renderFig19(_ context.Context, o Options, res Sweep) error {
 	statics, ours := fig19Statics(), fig19Ours()
 	const floor = 8.0
 	t := stats.Table{

@@ -599,12 +599,13 @@ func TestFourBankTopology(t *testing.T) {
 }
 
 func TestMultiChannelBusesIndependent(t *testing.T) {
-	cfg, err := config.Default().WithChannels(2)
-	if err != nil {
+	cfg := config.Default()
+	cfg.Memory.Channels = 2
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Memory.Banks() != 32 {
-		t.Fatalf("2-channel banks = %d, want 32", cfg.Memory.Banks())
+	if cfg.Memory.Banks() != 32 || cfg.Memory.TotalRanks() != 8 {
+		t.Fatalf("2 channels: %d banks in %d ranks, want 32 in 8", cfg.Memory.Banks(), cfg.Memory.TotalRanks())
 	}
 	k := &sim.Kernel{}
 	c := New(k, cfg.Memory, policy.Norm())

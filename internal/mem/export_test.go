@@ -1,10 +1,5 @@
 package mem
 
-// QueueDepths reports current queue occupancy.
-func (c *Controller) QueueDepths() (read, write, eager int) {
-	return c.readQ.size, c.writeQ.size, c.eagerQ.size
-}
-
 // bankIdle reports whether every bank is idle (no in-flight operation).
 func (c *Controller) bankIdle() bool {
 	for b := range c.banks {

@@ -66,7 +66,7 @@ func TestBackendRemapsCharge(t *testing.T) {
 			if s.GapMoves < moves {
 				t.Errorf("snapshot GapMoves %d < leveler remap ops %d", s.GapMoves, moves)
 			}
-			if got := c.Meter(3).GapWrites(); got != s.GapMoves {
+			if got := c.Meter(3).Snapshot().GapWrites; got != s.GapMoves {
 				t.Errorf("meter gap writes %d != snapshot GapMoves %d", got, s.GapMoves)
 			}
 		})

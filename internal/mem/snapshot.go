@@ -83,32 +83,20 @@ func (s *Snapshot) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// TotalWrites returns completed demand+eager writes across modes.
-func (s Snapshot) TotalWrites() uint64 {
-	var n uint64
-	for _, v := range s.WritesByMode {
-		n += v
-	}
-	return n
+// writes views the window's bank write traffic as a meter snapshot, so
+// its aggregates are wear's.
+func (s Snapshot) writes() wear.MeterSnapshot {
+	return wear.MeterSnapshot{Writes: s.WritesByMode, Cancelled: s.CancelledByMode, GapWrites: s.GapMoves}
 }
+
+// TotalWrites returns completed demand+eager writes across modes.
+func (s Snapshot) TotalWrites() uint64 { return s.writes().TotalCompleted() }
 
 // SlowWrites returns completed slow-mode writes.
-func (s Snapshot) SlowWrites() uint64 {
-	var n uint64
-	for i := 1; i < len(s.WritesByMode); i++ {
-		n += s.WritesByMode[i]
-	}
-	return n
-}
+func (s Snapshot) SlowWrites() uint64 { return s.writes().SlowCompleted() }
 
 // TotalCancelled returns aborted write attempts.
-func (s Snapshot) TotalCancelled() uint64 {
-	var n uint64
-	for _, v := range s.CancelledByMode {
-		n += v
-	}
-	return n
-}
+func (s Snapshot) TotalCancelled() uint64 { return s.writes().TotalCancelled() }
 
 // meterBase holds the per-bank wear baseline captured at ResetStats.
 type meterBase []wear.MeterSnapshot
@@ -139,7 +127,6 @@ func (c *Controller) Snapshot() Snapshot {
 			s.CancelledByMode[m] += d.Cancelled[m]
 		}
 		s.GapMoves += d.GapWrites
-		s.BankAttempts += d.TotalAttempts()
 		if d.Damage > maxDamage {
 			maxDamage = d.Damage
 		}
@@ -150,7 +137,7 @@ func (c *Controller) Snapshot() Snapshot {
 			first = false
 		}
 	}
-	s.BankAttempts += c.counts.Reads
+	s.BankAttempts = s.writes().TotalAttempts() + c.counts.Reads
 	s.AvgUtilization = sum / float64(len(c.banks))
 	s.MaxBankDamage = maxDamage
 	s.LifetimeYears = lifetime
@@ -176,71 +163,26 @@ func (c *Controller) ResetStats() {
 	}
 }
 
-// ProbeCounters is the controller's cumulative traffic-and-wear view,
-// cheap enough to snapshot from an epoch probe: counter copies plus one
-// pass over the (typically 16) banks, with no queue walks and no
-// mutation of simulation state.
-type ProbeCounters struct {
-	Counters
-	// WritesFast / WritesSlow split completed writes by pulse speed
-	// (normal vs any slow mode), cumulative since the last ResetStats'
-	// epoch base — the engine diffs consecutive snapshots.
-	WritesFast uint64
-	WritesSlow uint64
-	// MaxBankDamage is the worst bank's cumulative wear in normal-write
-	// units (never reset: Wear Quota needs damage from time zero).
-	MaxBankDamage float64
-	// Queue occupancy and drain mode at the probe instant.
-	ReadQueue  int
-	WriteQueue int
-	EagerQueue int
-	Draining   bool
+// Counters returns the event counts since the last ResetStats.
+func (c *Controller) Counters() Counters { return c.counts }
+
+// QueueDepths returns the read, write and eager queue occupancy.
+func (c *Controller) QueueDepths() (read, write, eager int) {
+	return c.readQ.size, c.writeQ.size, c.eagerQ.size
 }
 
-// ProbeCounters snapshots the controller for an epoch probe.
-func (c *Controller) ProbeCounters() ProbeCounters {
-	p := ProbeCounters{
-		Counters:   c.counts,
-		ReadQueue:  c.readQ.size,
-		WriteQueue: c.writeQ.size,
-		EagerQueue: c.eagerQ.size,
-		Draining:   c.draining,
-	}
-	for b := range c.banks {
-		m := c.meters[b]
-		p.MaxBankDamage = max(p.MaxBankDamage, m.Damage())
-		p.WritesFast += m.TotalCompleted() - m.SlowCompleted()
-		p.WritesSlow += m.SlowCompleted()
-	}
-	return p
-}
-
-// Delta returns the monotone counters accumulated since prev; the
-// instantaneous fields (queues, drain mode, damage) keep p's values.
-func (p ProbeCounters) Delta(prev ProbeCounters) ProbeCounters {
-	d := p
-	d.Reads -= prev.Reads
-	d.RowHits -= prev.RowHits
-	d.RowMisses -= prev.RowMisses
-	d.Forwarded -= prev.Forwarded
-	d.WriteQueued -= prev.WriteQueued
-	d.EagerQueued -= prev.EagerQueued
-	d.Coalesced -= prev.Coalesced
-	d.WritesDone -= prev.WritesDone
-	d.EagerDone -= prev.EagerDone
-	d.Cancellations -= prev.Cancellations
-	d.Pauses -= prev.Pauses
-	d.Drains -= prev.Drains
-	d.WritesFast -= prev.WritesFast
-	d.WritesSlow -= prev.WritesSlow
-	return d
+// Wear sums the banks' wear meters since construction (never reset:
+// Wear Quota needs damage from time zero) and returns the worst bank's
+// damage beside them.
+func (c *Controller) Wear() (sum wear.MeterSnapshot, maxDamage float64) {
+	return wear.Totals(c.meters)
 }
 
 // CollectMetrics publishes the controller's counters, queue occupancy,
 // read-latency distribution and per-bank wear (via the wear meters)
 // into a per-run metrics registry. Read-only: plain field reads plus
-// one pass over the banks, exactly like ProbeCounters — collecting can
-// never perturb event order.
+// passes over the banks' meters — collecting can never perturb event
+// order.
 func (c *Controller) CollectMetrics(g *metrics.Gatherer) {
 	g.Counter("sim_mem_reads_total", "Reads serviced by banks.", c.counts.Reads)
 	g.Counter("sim_mem_row_hits_total", "Row-buffer hits.", c.counts.RowHits)
@@ -255,19 +197,11 @@ func (c *Controller) CollectMetrics(g *metrics.Gatherer) {
 	g.Counter("sim_mem_pauses_total", "Write pulses suspended by reads (write pausing).", c.counts.Pauses)
 	g.Counter("sim_mem_drains_total", "Write drain-mode entries.", c.counts.Drains)
 
-	var modes [4]uint64
-	var cancelled [4]uint64
-	for b := range c.banks {
-		m := c.meters[b]
-		for i := range modes {
-			modes[i] += m.Writes(nvm.WriteMode(i))
-			cancelled[i] += m.Cancelled(nvm.WriteMode(i))
-		}
-	}
-	for i := range modes {
+	sum, _ := c.Wear()
+	for i := range sum.Writes {
 		mode := fmt.Sprintf("%dx", 1<<uint(i))
-		g.CounterL("sim_mem_writes_by_mode_total", "Completed writes by pulse slowdown.", "mode", mode, modes[i])
-		g.CounterL("sim_mem_cancelled_by_mode_total", "Aborted write attempts by pulse slowdown.", "mode", mode, cancelled[i])
+		g.CounterL("sim_mem_writes_by_mode_total", "Completed writes by pulse slowdown.", "mode", mode, sum.Writes[i])
+		g.CounterL("sim_mem_cancelled_by_mode_total", "Aborted write attempts by pulse slowdown.", "mode", mode, sum.Cancelled[i])
 	}
 
 	g.GaugeL("sim_mem_queue_depth", "Controller queue occupancy.", "queue", "eager", float64(c.eagerQ.size))

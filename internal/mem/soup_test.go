@@ -91,7 +91,7 @@ func TestQuickRandomSoup(t *testing.T) {
 		// Attempts include cancellations; never fewer than completions.
 		var attempts uint64
 		for b := 0; b < config.Default().Memory.Banks(); b++ {
-			attempts += c.Meter(b).TotalAttempts()
+			attempts += c.Meter(b).Snapshot().TotalAttempts()
 		}
 		return attempts >= s.TotalWrites()
 	}

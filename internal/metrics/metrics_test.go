@@ -13,7 +13,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "Jobs.")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	g := r.Gauge("depth", "Depth.")
 	g.Set(3)
@@ -60,7 +60,7 @@ func TestVecCells(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("by_kind_total", "By kind.", "kind")
 	v.With("sim").Add(2)
-	v.With("compare").Inc()
+	v.With("compare").Add(1)
 	hv := r.HistogramVec("lat_seconds", "Latency.", "kind", 1e-6)
 	hv.With("sim").Observe(1000)
 
@@ -158,9 +158,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
 		r.Counter("z_total", "Z.").Add(2)
-		r.Counter("a_total", "A.").Inc()
+		r.Counter("a_total", "A.").Add(1)
 		v := r.CounterVec("k_total", "K.", "kind")
-		v.With("b").Inc()
+		v.With("b").Add(1)
 		v.With("a").Add(2)
 		return r.Snapshot()
 	}
@@ -189,10 +189,10 @@ func TestConcurrentHotPath(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(1)
 				h.Observe(uint64(i))
-				v.With(labels[(w+i)%len(labels)]).Inc()
+				v.With(labels[(w+i)%len(labels)]).Add(1)
 				if i%256 == 0 {
 					_ = r.Snapshot()
 				}

@@ -11,9 +11,6 @@ import (
 // ready to use; all methods are safe for concurrent use and wait-free.
 type Counter struct{ v atomic.Uint64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
@@ -36,9 +33,6 @@ func (g *Gauge) Add(d float64) {
 		}
 	}
 }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

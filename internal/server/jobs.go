@@ -185,7 +185,7 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
 	epoch := sim.NS(canon.IntervalNS)
-	cells, render, err := planJob(canon, out)
+	cells, render, err := planJob(ctx, canon, out)
 	if err != nil {
 		return nil, err
 	}
@@ -253,8 +253,8 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 }
 
 // planJob declares a job's cells and the rendering of their results
-// into out.
-func planJob(canon canonicalJob, out *JobResult) ([]experiments.Cell, func([]experiments.Instrumented) error, error) {
+// into out, which stops with ctx's error when ctx ends.
+func planJob(ctx context.Context, canon canonicalJob, out *JobResult) ([]experiments.Cell, func([]experiments.Instrumented) error, error) {
 	observed := canon.IntervalNS > 0
 	if canon.Kind == KindExperiment {
 		e, err := experiments.ByID(canon.Experiment)
@@ -265,7 +265,7 @@ func planJob(canon canonicalJob, out *JobResult) ([]experiments.Cell, func([]exp
 		o := experiments.Options{Cfg: canon.Config, Out: &buf, Workloads: canon.Workloads}
 		cells, err := e.Cells(o)
 		return cells, func(ins []experiments.Instrumented) error {
-			if err := e.Render(o, cells, ins); err != nil {
+			if err := e.Render(ctx, o, cells, ins); err != nil {
 				return err
 			}
 			out.Report = &experiments.Report{ID: e.ID, Title: e.Title, Output: buf.String()}

@@ -68,7 +68,7 @@ func TestMetricsWriteDoesNotBlockObserve(t *testing.T) {
 		defer close(opsDone)
 		tel.observe("sim", 2*time.Millisecond)
 		tel.observeWait(time.Millisecond)
-		tel.accepted.Inc()
+		tel.accepted.Add(1)
 		_ = tel.snapshot()
 	}()
 	select {

@@ -36,12 +36,13 @@ func BenchmarkKernelSchedule(b *testing.B) {
 		k.Drain()
 	})
 	b.Run("closure", func(b *testing.B) {
-		// The legacy closure path, for comparison against AtEvent.
+		// An Event scheduled as its own Handler, the way the profile
+		// rotation is.
 		var k Kernel
-		fn := func(Tick) {}
+		fn := Event(func(Tick) {})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			k.After(1, fn)
+			k.after(1, fn)
 			k.AdvanceTo(k.Now() + 1)
 		}
 	})

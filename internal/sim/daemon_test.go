@@ -23,8 +23,8 @@ func TestDaemonEventsFireLikeNormalEvents(t *testing.T) {
 	var order []int
 	h := &tickerHandler{k: &k, period: 1000}
 	k.atDaemonEvent(10, h, 0, 0)
-	k.At(10, func(Tick) { order = append(order, 1) })
-	k.At(5, func(Tick) { order = append(order, 0) })
+	k.at(10, func(Tick) { order = append(order, 1) })
+	k.at(5, func(Tick) { order = append(order, 0) })
 	k.AdvanceTo(12)
 	if len(h.fires) != 1 || h.fires[0] != 10 {
 		t.Fatalf("daemon fires = %v, want [10]", h.fires)
@@ -41,8 +41,8 @@ func TestPendingWorkExcludesDaemons(t *testing.T) {
 	var k Kernel
 	h := &tickerHandler{k: &k, period: 50}
 	k.atDaemonEvent(10, h, 0, 0)
-	k.At(20, func(Tick) {})
-	k.At(30, func(Tick) {})
+	k.at(20, func(Tick) {})
+	k.at(30, func(Tick) {})
 	if k.Pending() != 3 || k.PendingWork() != 2 {
 		t.Fatalf("Pending/PendingWork = %d/%d, want 3/2", k.Pending(), k.PendingWork())
 	}
@@ -65,7 +65,7 @@ func TestDrainTerminatesWithSelfReschedulingDaemon(t *testing.T) {
 	h := &tickerHandler{k: &k, period: 100}
 	k.atDaemonEvent(100, h, 0, 0)
 	work := 0
-	k.At(350, func(Tick) { work++ })
+	k.at(350, func(Tick) { work++ })
 	fired := k.Drain()
 	// The daemon fires at 100, 200, 300 (all due before the work event at
 	// 350), then the work fires and the drain stops with the 400 tick
@@ -105,12 +105,12 @@ func TestDrainRunsWorkScheduledByDaemons(t *testing.T) {
 	h = handlerFunc(func(now Tick, a, b uint64) {
 		if a < 3 {
 			// First fires enqueue real work and re-arm.
-			k.At(now+5, func(Tick) { done++ })
+			k.at(now+5, func(Tick) { done++ })
 			k.AfterDaemonEvent(10, h, a+1, 0)
 		}
 	})
 	k.atDaemonEvent(10, h, 0, 0)
-	k.At(100, func(Tick) { done++ })
+	k.at(100, func(Tick) { done++ })
 	k.Drain()
 	if done != 4 {
 		t.Fatalf("done = %d, want 4 (3 daemon-spawned + 1 direct)", done)

@@ -44,7 +44,7 @@ func TestReleasedKernelStartsFresh(t *testing.T) {
 			k.init()
 		}
 		for _, e := range k.slab[:cap(k.slab)] {
-			if e.fire != nil || e.h != nil {
+			if e.h != nil {
 				t.Fatalf("round %d: the recycled slab still holds a callback", round)
 			}
 		}
@@ -96,15 +96,15 @@ func head(s []Tick) []Tick { return s[:min(len(s), 8)] }
 // second release.
 func TestReleasedKernelPanics(t *testing.T) {
 	var k Kernel
-	k.At(5, func(Tick) {})
+	k.at(5, func(Tick) {})
 	k.AdvanceTo(10)
 	k.Release()
 	if k.Now() != 10 || k.Fired() != 1 {
 		t.Errorf("after release: now %d fired %d, want 10 1", k.Now(), k.Fired())
 	}
 	for name, f := range map[string]func(){
-		"At":      func() { k.At(20, func(Tick) {}) },
-		"far At":  func() { k.At(10+2*wheelSlots, func(Tick) {}) },
+		"At":      func() { k.at(20, func(Tick) {}) },
+		"far At":  func() { k.at(10+2*wheelSlots, func(Tick) {}) },
 		"Release": k.Release,
 	} {
 		func() {

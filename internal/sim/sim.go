@@ -52,14 +52,19 @@ func (t Tick) Nanoseconds() float64 { return float64(t) / TicksPerNS }
 // Seconds converts a tick count to seconds of simulated time.
 func (t Tick) Seconds() float64 { return float64(t) / (TicksPerNS * 1e9) }
 
-// Event is a callback scheduled to run at a specific tick. The kernel
-// passes the current time back to the callback.
+// Event is a callback run at a specific tick: a probe, or a one-off
+// event scheduled through AtEvent, which it satisfies as a Handler that
+// ignores the payload words. The kernel passes the current time back to
+// the callback.
 type Event func(now Tick)
 
+// OnEvent runs the callback, so an Event can be scheduled as a Handler.
+func (fn Event) OnEvent(now Tick, _, _ uint64) { fn(now) }
+
 // Handler is the allocation-free event callback: a single interface
-// value (typically the component itself) receives every typed event with
-// two opaque payload words. Hot paths schedule through AtEvent so that
-// no closure is allocated per event; the payload words carry an opcode
+// value (typically the component itself) receives every event with two
+// opaque payload words. Hot paths hand AtEvent a handler built once, so
+// nothing is allocated per event; the payload words carry an opcode
 // plus whatever identifies the work (a bank index, a slab index, a
 // generation counter).
 type Handler interface {
@@ -83,12 +88,11 @@ const (
 // maxTick is the step horizon used by Drain and AdvanceUntil.
 const maxTick = Tick(^uint64(0))
 
-// pendingEvent is one slab slot: timing, ordering, the callback (either
-// a closure or a typed handler+payload), and the intrusive bucket link.
+// pendingEvent is one slab slot: timing, ordering, the handler and its
+// payload, and the intrusive bucket link.
 type pendingEvent struct {
 	at     Tick
 	seq    uint64 // insertion order; breaks ties deterministically
-	fire   Event
 	h      Handler
 	a, b   uint64
 	daemon bool  // housekeeping event: never keeps Drain alive
@@ -235,16 +239,16 @@ func (k *Kernel) alloc() int32 {
 }
 
 // release returns a fired event's slot to the free list, dropping the
-// callback references so the slab never pins closures alive.
+// handler reference so the slab never pins it alive.
 func (k *Kernel) release(idx int32) {
 	e := &k.slab[idx]
-	e.fire, e.h = nil, nil
+	e.h = nil
 	e.next = k.freeHead
 	k.freeHead = idx
 }
 
 // schedule places a filled slab slot into the wheel or the overflow.
-func (k *Kernel) schedule(t Tick, fn Event, h Handler, a, b uint64, daemon bool) {
+func (k *Kernel) schedule(t Tick, h Handler, a, b uint64, daemon bool) {
 	if k.inProbe {
 		panic("sim: probe callbacks are read-only observers and must not schedule events")
 	}
@@ -258,7 +262,7 @@ func (k *Kernel) schedule(t Tick, fn Event, h Handler, a, b uint64, daemon bool)
 	idx := k.alloc()
 	e := &k.slab[idx]
 	e.at, e.seq = t, k.seq
-	e.fire, e.h, e.a, e.b = fn, h, a, b
+	e.h, e.a, e.b = h, a, b
 	e.daemon = daemon
 	e.next = nilIdx
 	k.npending++
@@ -418,24 +422,16 @@ func (k *Kernel) peek() (Tick, bool) {
 	return t, true
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t <
+// AtEvent schedules an event: h.OnEvent(now, a, b) runs at absolute
+// time t. The handler is an interface value the caller constructed once
+// (an Event is one), and the payload words travel in the event slab, so
+// nothing escapes to the heap per event. Scheduling in the past (t <
 // Now) is a programming error and panics: the kernel can never run time
 // backwards. Probe callbacks are observers and may not schedule.
-func (k *Kernel) At(t Tick, fn Event) { k.schedule(t, fn, nil, 0, 0, false) }
+func (k *Kernel) AtEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, h, a, b, false) }
 
-// After schedules fn to run d ticks from now.
-func (k *Kernel) After(d Tick, fn Event) { k.At(k.now+d, fn) }
-
-// AtEvent schedules a typed event: h.OnEvent(now, a, b) runs at absolute
-// time t. It is the allocation-free twin of At — the handler is an
-// interface value the caller constructed once, and the payload words
-// travel in the event slab, so nothing escapes to the heap per event.
-// Ordering is identical to At: typed and closure events share one clock
-// and one seq counter.
-func (k *Kernel) AtEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, nil, h, a, b, false) }
-
-// AfterDaemonEvent schedules a typed housekeeping event d ticks from
-// now. Daemon events fire exactly like AtEvent events — same clock, same
+// AfterDaemonEvent schedules a housekeeping event d ticks from now.
+// Daemon events fire exactly like AtEvent events — same clock, same
 // seq stream, same (tick, seq) ordering — but they represent periodic
 // background work (a Wear Quota period timer, the eager-pump heartbeat)
 // rather than outstanding requests, so Drain does not wait for them:
@@ -446,8 +442,8 @@ func (k *Kernel) AtEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, nil, h,
 // policies because the period timer always re-armed itself).
 func (k *Kernel) AfterDaemonEvent(d Tick, h Handler, a, b uint64) { k.atDaemonEvent(k.now+d, h, a, b) }
 
-// atDaemonEvent schedules a typed housekeeping event at absolute time t.
-func (k *Kernel) atDaemonEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, nil, h, a, b, true) }
+// atDaemonEvent schedules a housekeeping event at absolute time t.
+func (k *Kernel) atDaemonEvent(t Tick, h Handler, a, b uint64) { k.schedule(t, h, a, b, true) }
 
 // AddProbe registers a periodic observer: fn fires at ticks now+period,
 // now+2·period, … for as long as the kernel advances. Probes are
@@ -539,13 +535,9 @@ func (k *Kernel) stepAtMost(limit Tick) bool {
 	if e.daemon {
 		k.ndaemon--
 	}
-	fn, h, a, b := e.fire, e.h, e.a, e.b
+	h, a, b := e.h, e.a, e.b
 	k.release(idx)
-	if h != nil {
-		h.OnEvent(k.now, a, b)
-	} else {
-		fn(k.now)
-	}
+	h.OnEvent(k.now, a, b)
 	return true
 }
 

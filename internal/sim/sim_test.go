@@ -24,9 +24,9 @@ func TestUnitConversions(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	var k Kernel
 	var order []int
-	k.At(30, func(Tick) { order = append(order, 3) })
-	k.At(10, func(Tick) { order = append(order, 1) })
-	k.At(20, func(Tick) { order = append(order, 2) })
+	k.at(30, func(Tick) { order = append(order, 3) })
+	k.at(10, func(Tick) { order = append(order, 1) })
+	k.at(20, func(Tick) { order = append(order, 2) })
 	k.AdvanceTo(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order = %v, want [1 2 3]", order)
@@ -41,7 +41,7 @@ func TestSameTickFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func(Tick) { order = append(order, i) })
+		k.at(5, func(Tick) { order = append(order, i) })
 	}
 	k.AdvanceTo(5)
 	for i, v := range order {
@@ -58,10 +58,10 @@ func TestEventSchedulesEvent(t *testing.T) {
 	chain = func(now Tick) {
 		hits++
 		if hits < 5 {
-			k.After(10, chain)
+			k.after(10, chain)
 		}
 	}
-	k.At(0, chain)
+	k.at(0, chain)
 	k.AdvanceTo(100)
 	if hits != 5 {
 		t.Errorf("chained events fired %d times, want 5", hits)
@@ -74,7 +74,7 @@ func TestEventSchedulesEvent(t *testing.T) {
 func TestAdvanceToStopsAtBoundary(t *testing.T) {
 	var k Kernel
 	fired := false
-	k.At(50, func(Tick) { fired = true })
+	k.at(50, func(Tick) { fired = true })
 	k.AdvanceTo(49)
 	if fired {
 		t.Fatal("event at 50 fired during AdvanceTo(49)")
@@ -92,7 +92,7 @@ func TestAdvanceUntil(t *testing.T) {
 	var k Kernel
 	count := 0
 	for i := Tick(1); i <= 10; i++ {
-		k.At(i*10, func(Tick) { count++ })
+		k.at(i*10, func(Tick) { count++ })
 	}
 	ok := k.AdvanceUntil(func() bool { return count >= 4 })
 	if !ok || count != 4 {
@@ -118,13 +118,13 @@ func TestSchedulePastPanics(t *testing.T) {
 	}()
 	var k Kernel
 	k.AdvanceTo(100)
-	k.At(50, func(Tick) {})
+	k.at(50, func(Tick) {})
 }
 
 func TestDrain(t *testing.T) {
 	var k Kernel
 	for i := Tick(0); i < 7; i++ {
-		k.At(i*1000, func(Tick) {})
+		k.at(i*1000, func(Tick) {})
 	}
 	if n := k.Drain(); n != 7 {
 		t.Errorf("Drain fired %d, want 7", n)
@@ -142,7 +142,7 @@ func TestQuickEventOrdering(t *testing.T) {
 		var fired []Tick
 		for _, raw := range times {
 			at := Tick(raw)
-			k.At(at, func(now Tick) { fired = append(fired, now) })
+			k.at(at, func(now Tick) { fired = append(fired, now) })
 		}
 		k.AdvanceTo(1 << 20)
 		if len(fired) != len(times) {
@@ -165,7 +165,7 @@ func TestProbeFiresAtPeriodMultiples(t *testing.T) {
 	var fired []Tick
 	k.AddProbe(10, func(now Tick) { fired = append(fired, now) })
 	for i := Tick(1); i <= 50; i++ {
-		k.At(i, func(Tick) {})
+		k.at(i, func(Tick) {})
 	}
 	k.Drain()
 	want := []Tick{10, 20, 30, 40, 50}
@@ -187,7 +187,7 @@ func TestProbeObservesStateBeforeItsTick(t *testing.T) {
 	var seen []int
 	k.AddProbe(10, func(Tick) { seen = append(seen, events) })
 	for i := Tick(5); i <= 30; i += 5 {
-		k.At(i, func(Tick) { events++ })
+		k.at(i, func(Tick) { events++ })
 	}
 	k.Drain()
 	// Due at 10: events at 5 fired (1). Due at 20: 5,10,15 fired (3).
@@ -263,10 +263,10 @@ func TestProbeDoesNotPerturbEvents(t *testing.T) {
 		chain = func(t Tick) {
 			fired = append(fired, t)
 			if t < 50 {
-				k.After(7, chain)
+				k.after(7, chain)
 			}
 		}
-		k.At(1, chain)
+		k.at(1, chain)
 		k.Drain()
 		return fired, k.Now(), k.Fired()
 	}
@@ -289,7 +289,7 @@ func TestProbeCannotSchedule(t *testing.T) {
 		}
 	}()
 	var k Kernel
-	k.AddProbe(5, func(Tick) { k.At(100, func(Tick) {}) })
+	k.AddProbe(5, func(Tick) { k.at(100, func(Tick) {}) })
 	k.AdvanceTo(10)
 }
 
@@ -321,7 +321,7 @@ func TestSchedulePastPanicNamesTicks(t *testing.T) {
 	}()
 	var k Kernel
 	k.AdvanceTo(100)
-	k.At(50, func(Tick) {})
+	k.at(50, func(Tick) {})
 }
 
 // BenchmarkEventLoop measures the kernel hot path: schedule + fire, with
@@ -330,7 +330,7 @@ func BenchmarkEventLoop(b *testing.B) {
 	var k Kernel
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.After(1, func(Tick) {})
+		k.after(1, func(Tick) {})
 		k.AdvanceTo(k.Now() + 1)
 	}
 }
@@ -342,7 +342,7 @@ func BenchmarkEventLoopWithProbe(b *testing.B) {
 	k.AddProbe(1000, func(Tick) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.After(1, func(Tick) {})
+		k.after(1, func(Tick) {})
 		k.AdvanceTo(k.Now() + 1)
 	}
 }

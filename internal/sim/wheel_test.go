@@ -49,7 +49,7 @@ func (h *refHeap) Pop() any {
 
 func (k *refKernel) Now() Tick { return k.now }
 
-func (k *refKernel) At(t Tick, fn Event) {
+func (k *refKernel) at(t Tick, fn Event) {
 	if k.inProbe {
 		panic("ref: schedule from probe")
 	}
@@ -60,7 +60,7 @@ func (k *refKernel) At(t Tick, fn Event) {
 	heap.Push(&k.events, refEvent{at: t, seq: k.seq, fire: fn})
 }
 
-func (k *refKernel) After(d Tick, fn Event) { k.At(k.now+d, fn) }
+func (k *refKernel) after(d Tick, fn Event) { k.at(k.now+d, fn) }
 
 func (k *refKernel) AddProbe(period Tick, fn Event) ProbeID {
 	k.nextProbeID++
@@ -143,8 +143,8 @@ type fireRecord struct {
 // scheduler abstracts the two kernels for the differential driver.
 type scheduler interface {
 	Now() Tick
-	At(Tick, Event)
-	After(Tick, Event)
+	at(Tick, Event)
+	after(Tick, Event)
 	AddProbe(Tick, Event) ProbeID
 	RemoveProbe(ProbeID)
 	AdvanceTo(Tick)
@@ -171,7 +171,7 @@ func randomSchedule(k scheduler, seed int64) []fireRecord {
 			log = append(log, fireRecord{id: id, now: now})
 			if depth > 0 && rnd.Intn(3) == 0 {
 				// Re-entrant scheduling, often at the current tick.
-				k.After(Tick(rnd.Intn(8)), chain(depth-1))
+				k.after(Tick(rnd.Intn(8)), chain(depth-1))
 			}
 		}
 	}
@@ -200,7 +200,7 @@ func randomSchedule(k scheduler, seed int64) []fireRecord {
 			default:
 				off = Tick(rnd.Intn(600))
 			}
-			k.At(k.Now()+off, chain(2))
+			k.at(k.Now()+off, chain(2))
 		}
 		switch rnd.Intn(4) {
 		case 0:
@@ -249,9 +249,9 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 func TestWheelHorizonBoundary(t *testing.T) {
 	var k Kernel
 	var order []int
-	k.At(wheelSlots, func(Tick) { order = append(order, 2) })   // overflow
-	k.At(wheelSlots-1, func(Tick) { order = append(order, 1) }) // wheel
-	k.At(wheelSlots, func(Tick) { order = append(order, 3) })   // overflow, later seq
+	k.at(wheelSlots, func(Tick) { order = append(order, 2) })   // overflow
+	k.at(wheelSlots-1, func(Tick) { order = append(order, 1) }) // wheel
+	k.at(wheelSlots, func(Tick) { order = append(order, 3) })   // overflow, later seq
 	k.Drain()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order across the wheel horizon = %v, want [1 2 3]", order)
@@ -267,11 +267,11 @@ func TestOverflowMigrationSeqOrder(t *testing.T) {
 	var k Kernel
 	var order []int
 	target := Tick(wheelSlots + 100)
-	k.At(target, func(Tick) { order = append(order, 1) }) // overflows (seq 1)
-	k.At(200, func(Tick) {
+	k.at(target, func(Tick) { order = append(order, 1) }) // overflows (seq 1)
+	k.at(200, func(Tick) {
 		// now = 200: target is inside the window, so this goes straight
 		// into the bucket — but the seq-1 event may still sit in overflow.
-		k.At(target, func(Tick) { order = append(order, 2) })
+		k.at(target, func(Tick) { order = append(order, 2) })
 	})
 	k.Drain()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -283,9 +283,9 @@ func TestOverflowMigrationSeqOrder(t *testing.T) {
 func TestPendingIsO1AndExact(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 100; i++ {
-		k.At(Tick(i*7), func(Tick) {})
+		k.at(Tick(i*7), func(Tick) {})
 	}
-	k.At(Tick(1e6), func(Tick) {}) // overflow entry
+	k.at(Tick(1e6), func(Tick) {}) // overflow entry
 	if got := k.Pending(); got != 101 {
 		t.Fatalf("Pending = %d, want 101", got)
 	}
@@ -299,7 +299,7 @@ func TestPendingIsO1AndExact(t *testing.T) {
 	}
 }
 
-// countingHandler exercises the typed-event path.
+// countingHandler is a component-style handler that reads its payload.
 type countingHandler struct {
 	fires []uint64
 	k     *Kernel
@@ -312,14 +312,14 @@ func (h *countingHandler) OnEvent(now Tick, a, b uint64) {
 	}
 }
 
-// TestTypedEventsInterleaveWithClosures checks AtEvent shares the clock,
-// ordering and seq stream with At.
+// TestTypedEventsInterleaveWithClosures checks a component handler and
+// an Event share one clock, ordering and seq stream.
 func TestTypedEventsInterleaveWithClosures(t *testing.T) {
 	var k Kernel
 	h := &countingHandler{k: &k}
 	var closures []Tick
 	k.AtEvent(5, h, 0, 7)
-	k.At(5, func(now Tick) { closures = append(closures, now) })
+	k.at(5, func(now Tick) { closures = append(closures, now) })
 	k.AtEvent(5, h, 1, 9)
 	k.Drain()
 	// Chained: (0,7) at 5 → (1,7) at 15 → (2,7) at 25 → (3,7) at 35, and
@@ -347,8 +347,8 @@ func TestTypedEventsInterleaveWithClosures(t *testing.T) {
 func TestSlabRecyclesSlots(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 10_000; i++ {
-		k.After(3, func(Tick) {})
-		k.After(7, func(Tick) {})
+		k.after(3, func(Tick) {})
+		k.after(7, func(Tick) {})
 		k.AdvanceTo(k.Now() + 10)
 	}
 	if len(k.slab) > 16 {

@@ -13,88 +13,45 @@ import (
 // Meter accumulates wear for one bank. Damage is measured in
 // normal-write equivalents: a normal write adds 1.0 and an N×-slow write
 // adds N^-ExpoFactor (see nvm.Device.Damage), so Endurance_blk units of
-// damage exhaust one block.
-type Meter struct {
-	damage    float64
-	writes    [4]uint64 // completed writes, indexed by nvm.WriteMode
-	cancelled [4]uint64 // aborted write attempts, indexed by mode
-	gapWrites uint64    // Start-Gap migration writes
-}
+// damage exhaust one block. Its counts are one MeterSnapshot, so every
+// aggregate is defined once, on the snapshot.
+type Meter struct{ s MeterSnapshot }
 
 // Record accounts one completed write attempt in the given mode.
 func (m *Meter) Record(mode nvm.WriteMode, damage float64) {
-	m.damage += damage
-	m.writes[mode]++
+	m.s.Damage += damage
+	m.s.Writes[mode]++
 }
 
 // RecordCancelled accounts an aborted write attempt. The attempt still
 // wears the cell (§III: write cancellation "comes at a penalty to memory
 // lifetime due to the multiple write attempts").
 func (m *Meter) RecordCancelled(mode nvm.WriteMode, damage float64) {
-	m.damage += damage
-	m.cancelled[mode]++
+	m.s.Damage += damage
+	m.s.Cancelled[mode]++
 }
 
 // RecordGapMove accounts a Start-Gap migration write (always a normal
 // write in this model).
 func (m *Meter) RecordGapMove() {
-	m.damage += 1.0
-	m.gapWrites++
+	m.s.Damage += 1.0
+	m.s.GapWrites++
 }
 
 // Damage returns total accumulated damage in normal-write equivalents.
-func (m *Meter) Damage() float64 { return m.damage }
+func (m *Meter) Damage() float64 { return m.s.Damage }
 
-// Writes returns the completed write count for a mode.
-func (m *Meter) Writes(mode nvm.WriteMode) uint64 { return m.writes[mode] }
-
-// Cancelled returns the aborted attempt count for a mode.
-func (m *Meter) Cancelled(mode nvm.WriteMode) uint64 { return m.cancelled[mode] }
-
-// GapWrites returns the number of Start-Gap migration writes.
-func (m *Meter) GapWrites() uint64 { return m.gapWrites }
-
-// TotalAttempts returns completed + cancelled + migration writes — the
-// request count a bank actually serviced (Figure 15's unit).
-func (m *Meter) TotalAttempts() uint64 {
-	var n uint64
-	for i := range m.writes {
-		n += m.writes[i] + m.cancelled[i]
-	}
-	return n + m.gapWrites
-}
-
-// TotalCompleted returns completed demand writes across modes.
-func (m *Meter) TotalCompleted() uint64 {
-	var n uint64
-	for i := range m.writes {
-		n += m.writes[i]
-	}
-	return n
-}
-
-// SlowCompleted returns completed slow writes across slow modes.
-func (m *Meter) SlowCompleted() uint64 {
-	var n uint64
-	for i := 1; i < len(m.writes); i++ {
-		n += m.writes[i]
-	}
-	return n
-}
+// Snapshot captures the meter's current counts.
+func (m *Meter) Snapshot() MeterSnapshot { return m.s }
 
 // MeterSnapshot is a copyable view of a Meter, used to diff measurement
 // windows: the Wear Quota logic needs cumulative damage from time zero,
 // while lifetime and traffic figures use the post-warmup window only.
 type MeterSnapshot struct {
 	Damage    float64
-	Writes    [4]uint64
-	Cancelled [4]uint64
-	GapWrites uint64
-}
-
-// Snapshot captures the meter's current counts.
-func (m *Meter) Snapshot() MeterSnapshot {
-	return MeterSnapshot{Damage: m.damage, Writes: m.writes, Cancelled: m.cancelled, GapWrites: m.gapWrites}
+	Writes    [4]uint64 // completed writes, indexed by nvm.WriteMode
+	Cancelled [4]uint64 // aborted write attempts, indexed by mode
+	GapWrites uint64    // wear-leveling migration writes
 }
 
 // Sub returns the counts accumulated since base.
@@ -107,7 +64,24 @@ func (s MeterSnapshot) Sub(base MeterSnapshot) MeterSnapshot {
 	return d
 }
 
-// TotalAttempts mirrors Meter.TotalAttempts for a snapshot.
+// Totals sums the meters' current counts over banks, Damage included,
+// and returns the worst single meter's damage beside them: the quantity
+// lifetime and Wear Quota read.
+func Totals(meters []*Meter) (sum MeterSnapshot, maxDamage float64) {
+	for _, m := range meters {
+		sum.Damage += m.s.Damage
+		sum.GapWrites += m.s.GapWrites
+		for i := range sum.Writes {
+			sum.Writes[i] += m.s.Writes[i]
+			sum.Cancelled[i] += m.s.Cancelled[i]
+		}
+		maxDamage = max(maxDamage, m.s.Damage)
+	}
+	return sum, maxDamage
+}
+
+// TotalAttempts returns completed + cancelled + migration writes — the
+// request count a bank actually serviced (Figure 15's unit).
 func (s MeterSnapshot) TotalAttempts() uint64 {
 	var n uint64
 	for i := range s.Writes {
@@ -116,7 +90,7 @@ func (s MeterSnapshot) TotalAttempts() uint64 {
 	return n + s.GapWrites
 }
 
-// TotalCompleted mirrors Meter.TotalCompleted for a snapshot.
+// TotalCompleted returns completed writes across modes.
 func (s MeterSnapshot) TotalCompleted() uint64 {
 	var n uint64
 	for i := range s.Writes {
@@ -218,18 +192,12 @@ func LifetimeYears(damage float64, blocks int64, enduranceBlk, eff float64, wind
 // registry: damage gauges by bank, plus totals for migration writes and
 // the worst bank. Read-only over the meters, like every collector.
 func CollectMeters(g *metrics.Gatherer, meters []*Meter) {
-	var gap uint64
-	maxDamage := 0.0
 	for i, m := range meters {
-		d := m.Damage()
 		g.GaugeL("sim_wear_bank_damage", "Cumulative wear by bank, in normal-write units (never reset).",
-			"bank", fmt.Sprintf("%02d", i), d)
-		if d > maxDamage {
-			maxDamage = d
-		}
-		gap += m.GapWrites()
+			"bank", fmt.Sprintf("%02d", i), m.Damage())
 	}
-	g.Counter("sim_wear_gap_moves_total", "Wear-leveling migration writes across banks.", gap)
+	sum, maxDamage := Totals(meters)
+	g.Counter("sim_wear_gap_moves_total", "Wear-leveling migration writes across banks.", sum.GapWrites)
 	g.Gauge("sim_wear_max_bank_damage", "Worst bank's cumulative damage in normal-write units.", maxDamage)
 }
 

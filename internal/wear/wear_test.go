@@ -155,20 +155,33 @@ func TestMeterAccounting(t *testing.T) {
 	if math.Abs(m.Damage()-wantDamage) > 1e-12 {
 		t.Errorf("damage = %v, want %v", m.Damage(), wantDamage)
 	}
-	if m.Writes(nvm.WriteNormal) != 1 || m.Writes(nvm.WriteSlow30) != 1 {
+	s := m.Snapshot()
+	if s.Writes[nvm.WriteNormal] != 1 || s.Writes[nvm.WriteSlow30] != 1 {
 		t.Error("completed write counts wrong")
 	}
-	if m.Cancelled(nvm.WriteSlow30) != 1 {
+	if s.Cancelled[nvm.WriteSlow30] != 1 {
 		t.Error("cancelled count wrong")
 	}
-	if m.TotalAttempts() != 4 {
-		t.Errorf("attempts = %d, want 4", m.TotalAttempts())
+	if s.TotalAttempts() != 4 {
+		t.Errorf("attempts = %d, want 4", s.TotalAttempts())
 	}
-	if m.TotalCompleted() != 2 {
-		t.Errorf("completed = %d, want 2", m.TotalCompleted())
+	if s.TotalCompleted() != 2 {
+		t.Errorf("completed = %d, want 2", s.TotalCompleted())
 	}
-	if m.SlowCompleted() != 1 {
-		t.Errorf("slow completed = %d, want 1", m.SlowCompleted())
+	if s.SlowCompleted() != 1 {
+		t.Errorf("slow completed = %d, want 1", s.SlowCompleted())
+	}
+
+	var other Meter
+	other.RecordGapMove()
+	other.RecordGapMove()
+	other.RecordGapMove()
+	sum, worst := Totals([]*Meter{&m, &other})
+	if sum.TotalAttempts() != 7 || sum.GapWrites != 4 || sum.Writes != s.Writes {
+		t.Errorf("totals = %+v, want 7 attempts, 4 gap writes and m's writes", sum)
+	}
+	if worst != 3 || sum.Damage != m.Damage()+3 {
+		t.Errorf("worst/summed damage = %v/%v, want 3/%v", worst, sum.Damage, m.Damage()+3)
 	}
 }
 

@@ -19,15 +19,6 @@ const (
 // BankTrack returns the timeline track of one memory bank.
 func BankTrack(bank int) int32 { return trackBank0 + int32(bank) }
 
-// BankOfTrack inverts BankTrack, returning (bank, true) for bank
-// tracks and (0, false) for the reserved system tracks.
-func BankOfTrack(track int32) (int, bool) {
-	if track < trackBank0 {
-		return 0, false
-	}
-	return int(track - trackBank0), true
-}
-
 // EventKind classifies a timeline event, mirroring the Chrome Trace
 // Event phases the exporter emits.
 type EventKind uint8

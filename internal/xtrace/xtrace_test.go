@@ -95,16 +95,15 @@ func TestSliceClampsReversedBounds(t *testing.T) {
 	}
 }
 
-func TestBankTrackRoundTrip(t *testing.T) {
+func TestBankTracksFollowSystemTracks(t *testing.T) {
 	for _, b := range []int{0, 1, 15, 63} {
-		got, ok := BankOfTrack(BankTrack(b))
-		if !ok || got != b {
-			t.Fatalf("BankOfTrack(BankTrack(%d)) = %d, %v", b, got, ok)
+		if got := BankTrack(b) - BankTrack(0); got != int32(b) {
+			t.Fatalf("BankTrack(%d) is %d tracks past bank 0's", b, got)
 		}
 	}
 	for _, tr := range []int32{TrackPhase, TrackEpoch, TrackController} {
-		if _, ok := BankOfTrack(tr); ok {
-			t.Fatalf("system track %d claimed to be a bank", tr)
+		if tr >= BankTrack(0) {
+			t.Fatalf("system track %d is not below bank 0's track %d", tr, BankTrack(0))
 		}
 	}
 }

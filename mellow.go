@@ -174,7 +174,7 @@ func RunExperimentContext(ctx context.Context, id string, cfg Config, out io.Wri
 	if err != nil {
 		return err
 	}
-	return e.Render(o, cells, res)
+	return e.Render(ctx, o, cells, res)
 }
 
 // WorkloadSpec is the declarative form of a workload generator: the
