@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,5 +235,66 @@ func TestObservedMixMatchesPlain(t *testing.T) {
 	}
 	if tr := rec.Finalize("lbm+mcf+gups", spec.Name, cfg.Memory.Banks()); tr == nil || len(tr.Events) == 0 {
 		t.Error("the timeline recorded nothing")
+	}
+}
+
+// renderedSeries renders snap in Prometheus text and returns each
+// sample line's series, its name and label set, failing on a series
+// rendered twice: text exposition allows one sample per series.
+func renderedSeries(t *testing.T, snap metrics.Snapshot) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var out []string
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if seen[series] {
+			t.Errorf("series %s rendered twice", series)
+		}
+		seen[series] = true
+		out = append(out, series)
+	}
+	return out
+}
+
+// TestSnapshotSeriesUnique renders a single run's and a mix's metrics
+// snapshots and rejects any (name, labels) pair rendered twice. A
+// mix's cpu and cache families carry each core's index in a core
+// label; a single run's carry none.
+func TestSnapshotSeriesUnique(t *testing.T) {
+	cfg := config.Default()
+	cfg.Run.WarmupInstructions = 0
+	cfg.Run.DetailedInstructions = 50_000
+	spec := policy.BEMellow().WithSC()
+	ws := resolveAll(t, "lbm", "mcf")
+
+	single := metrics.NewRegistry()
+	if _, _, err := Run(context.Background(), cfg, spec, ws[0], engine.Options{Metrics: single}); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range renderedSeries(t, single.Snapshot()) {
+		if strings.Contains(series, "core=") {
+			t.Errorf("single run renders %s: only a mix labels its cores", series)
+		}
+	}
+
+	mix := metrics.NewRegistry()
+	if _, _, err := RunMix(context.Background(), cfg, spec, ws, engine.Options{Metrics: mix}); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(renderedSeries(t, mix.Snapshot()), "\n")
+	for _, want := range []string{
+		`sim_cpu_instructions_total{core="0"}`, `sim_cpu_instructions_total{core="1"}`,
+		`sim_cache_hits_total{core="1",level="l2"}`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("mix snapshot renders no %s", want)
+		}
 	}
 }

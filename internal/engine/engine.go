@@ -26,6 +26,7 @@ package engine
 import (
 	"context"
 	"math"
+	"strconv"
 
 	"mellow/internal/cache"
 	"mellow/internal/config"
@@ -319,9 +320,16 @@ func (e *Engine) Run(ctx context.Context) ([]EpochSample, error) {
 		// The collectors are registered up front but evaluated only when
 		// the registry is snapshotted — typically after Run returns, when
 		// the system is quiescent, so the snapshot is deterministic.
-		for _, f := range e.fronts {
-			reg.RegisterCollector(f.Core.CollectMetrics)
-			reg.RegisterCollector(f.Hier.CollectMetrics)
+		// A mix labels each front's families with its core index, so
+		// that no two cores publish the same series.
+		for i, f := range e.fronts {
+			core, hier := metrics.Collector(f.Core.CollectMetrics), metrics.Collector(f.Hier.CollectMetrics)
+			if len(e.fronts) > 1 {
+				core = metrics.Labelled("core", strconv.Itoa(i), core)
+				hier = metrics.Labelled("core", strconv.Itoa(i), hier)
+			}
+			reg.RegisterCollector(core)
+			reg.RegisterCollector(hier)
 		}
 		reg.RegisterCollector(e.ctl.CollectMetrics)
 	}

@@ -638,11 +638,23 @@ type Hooks struct {
 // RunCells is the one matrix runner behind the experiments, scenarios
 // and the mellowd service. Every cell runs through Run in its own
 // goroutine, so the memo, singleflight and the process-wide scheduler
-// budget (not the fan-out) govern what simulates when. Results land in
-// cell order however the cells finish. The first error is the one
-// returned and cancels the sibling cells; once ctx is done no further
-// cell starts.
+// budget (not the fan-out) govern what simulates when; a one-cell
+// batch, with nothing to run beside, runs on the caller's goroutine.
+// Results land in cell order however the cells finish. The first error
+// is the one returned and cancels the sibling cells; once ctx is done
+// no further cell starts.
 func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error) {
+	out := make([]Instrumented, len(cells))
+	if len(cells) == 1 {
+		err := runCell(ctx, cells[0], 0, h, &out[0])
+		if h.Done != nil {
+			h.Done(0, out[0], err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -652,19 +664,10 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 	// Each cell's goroutine fills its own slot of out before it reports
 	// on done, which is sized to the number of sends, so no cell
 	// goroutine ever blocks.
-	out := make([]Instrumented, len(cells))
 	done := make(chan outcome, len(cells))
 	for i, c := range cells {
 		go func(i int, c Cell) {
-			if err := ctx.Err(); err != nil {
-				done <- outcome{i, err}
-				return
-			}
-			var ob Observation
-			if h.Start != nil {
-				ob = h.Start(i)
-			}
-			done <- outcome{i, runInto(ctx, c, ob, &out[i])}
+			done <- outcome{i, runCell(ctx, c, i, h, &out[i])}
 		}(i, c)
 	}
 	var firstErr error
@@ -682,6 +685,19 @@ func RunCells(ctx context.Context, cells []Cell, h Hooks) ([]Instrumented, error
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// runCell runs cell i of a batch into dst under the batch's Start hook,
+// or returns ctx's error if the batch is already cancelled.
+func runCell(ctx context.Context, c Cell, i int, h Hooks, dst *Instrumented) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var ob Observation
+	if h.Start != nil {
+		ob = h.Start(i)
+	}
+	return runInto(ctx, c, ob, dst)
 }
 
 // variant is one labelled configuration of a matrix.

@@ -316,3 +316,44 @@ func (e *entry) unpack(ins *Instrumented) {
 	codecs.series.unpack(u, reflect.ValueOf(&ins.Series).Elem())
 	ins.Metrics, ins.Trace = e.met, e.trace
 }
+
+// packCodecs caches the codecs Pack and Unpack build, by type.
+var packCodecs sync.Map // reflect.Type → codec
+
+func packCodec(t reflect.Type) (codec, error) {
+	if c, ok := packCodecs.Load(t); ok {
+		return c.(codec), nil
+	}
+	c, err := codecFor(t)
+	if err != nil {
+		return codec{}, err
+	}
+	packCodecs.Store(t, c)
+	return c, nil
+}
+
+// Pack packs *v the way the memo packs its entries: exactly, and in a
+// fraction of the bytes of v's JSON. It fails on a type that holds a
+// kind the packer does not carry.
+func Pack[T any](v *T) ([]byte, error) {
+	c, err := packCodec(reflect.TypeFor[T]())
+	if err != nil {
+		return nil, err
+	}
+	var p packer
+	c.pack(&p, reflect.ValueOf(v).Elem())
+	if p.err != nil {
+		return nil, p.err
+	}
+	return append([]byte(nil), p.b...), nil
+}
+
+// Unpack fills the zero *v with fresh copies of the values Pack packed
+// into b, which must be bytes Pack made of a T.
+func Unpack[T any](b []byte, v *T) {
+	c, _ := packCodec(reflect.TypeFor[T]()) // b exists only if Pack built it
+	u := unpackers.Get().(*unpacker)
+	defer func() { *u = unpacker{}; unpackers.Put(u) }()
+	u.b = b
+	c.unpack(u, reflect.ValueOf(v).Elem())
+}

@@ -41,6 +41,34 @@ const (
 // that keeps an instrumented run bit-identical to a bare one.
 type Collector func(*Gatherer)
 
+// Labelled returns c with label="value" put in front of the labels of
+// every cell it publishes, so that several components that publish the
+// same families (the cores of a multiprogrammed mix) stay apart. The
+// labelled families are rendered as pre-rendered label sets (Raw).
+func Labelled(label, value string, c Collector) Collector {
+	pair := label + `="` + escapeLabel(value) + `"`
+	return func(g *Gatherer) {
+		sub := &Gatherer{fams: map[string]*Family{}}
+		c(sub)
+		for _, name := range sub.order {
+			f := sub.fams[name]
+			out := g.fam(f.Name, f.Help, f.Kind, "", f.Scale)
+			out.Raw = true
+			for _, cell := range f.Cells {
+				labels := pair
+				switch {
+				case f.Raw && cell.Label != "":
+					labels += "," + cell.Label
+				case f.Label != "":
+					labels += "," + f.Label + `="` + escapeLabel(cell.Label) + `"`
+				}
+				cell.Label = labels
+				out.Cells = append(out.Cells, cell)
+			}
+		}
+	}
+}
+
 // family is one registered metric family. The handle maps are only
 // mutated under the registry mutex; hot-path access goes through
 // handles callers keep, or the lock-free cells map of a Vec.

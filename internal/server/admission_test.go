@@ -134,7 +134,7 @@ func TestAdmissionTable(t *testing.T) {
 	// Jobs finish at once without simulating: this test is about
 	// admission alone.
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
-		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
+		return &JobResult{Key: js.key, Kind: js.kind}, nil
 	}
 	for _, tc := range admissionCases {
 		code, msg, raw := post(t, ts, "/v1/jobs", tc.body)

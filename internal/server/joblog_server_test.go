@@ -110,7 +110,7 @@ func TestBatchShedAllOrNothing(t *testing.T) {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
+		return &JobResult{Key: js.key, Kind: js.kind}, nil
 	}
 	first, code := postJob(t, ts, `{"kind":"sim","workload":"stream","policy":"Norm","seed":1}`)
 	if code != http.StatusAccepted {
@@ -331,7 +331,7 @@ func TestJobLogShedNotRecorded(t *testing.T) {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
+		return &JobResult{Key: js.key, Kind: js.kind}, nil
 	}
 	admitted := 0
 	for seed := 1; seed <= 5; seed++ {
@@ -372,16 +372,16 @@ func TestPanickingSimulationFailsJob(t *testing.T) {
 	// The first job runs its cell with a generator that panics, through
 	// the same matrix runner every simulation goes through.
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
-		w, err := trace.ByName(js.canon.Workloads[0])
+		w, err := trace.ByName(js.run.canon.Workloads[0])
 		if err != nil {
 			return nil, err
 		}
 		w.New = func(uint64) trace.Generator { panic("poisoned generator") }
-		spec, err := policy.Parse(js.canon.Policies[0])
+		spec, err := policy.Parse(js.run.canon.Policies[0])
 		if err != nil {
 			return nil, err
 		}
-		_, err = experiments.RunCells(ctx, []experiments.Cell{{Cfg: js.canon.Config, Spec: spec, Workload: w}}, experiments.Hooks{})
+		_, err = experiments.RunCells(ctx, []experiments.Cell{{Cfg: js.run.canon.Config, Spec: spec, Workload: w}}, experiments.Hooks{})
 		return nil, err
 	}
 

@@ -238,7 +238,7 @@ func TestShedsUnderSaturation(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
+		return &JobResult{Key: js.key, Kind: js.kind}, nil
 	}
 
 	// Distinct seeds make distinct keys: 1 running + 2 queued fill the
@@ -297,7 +297,7 @@ func TestGracefulDrain(t *testing.T) {
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		started <- struct{}{}
 		<-gate
-		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
+		return &JobResult{Key: js.key, Kind: js.kind}, nil
 	}
 
 	var ids []string
@@ -690,7 +690,7 @@ func TestMemoHitReportsEpoch(t *testing.T) {
 func TestResultEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16, MaxResults: 2, BaseConfig: tinyBase(83)})
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
-		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
+		return &JobResult{Key: js.key, Kind: js.kind}, nil
 	}
 	var first JobStatus
 	for seed := 1; seed <= 4; seed++ {
