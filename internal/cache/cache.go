@@ -5,7 +5,8 @@
 // periodic useless-position profiler of Figure 7, and dirty-candidate
 // selection (Figure 8). Lines stay in the way they were filled into;
 // each set's LRU order is one packed word of way indices, at most 16
-// ways per set.
+// ways per set, and a lookup compares one-byte fingerprints eight ways
+// at a time before it compares a full tag.
 //
 // A level's arrays are recycled: Hierarchy.Release hands them to a pool
 // keyed by the level's geometry, and the next New of that geometry
@@ -33,10 +34,14 @@ import (
 // handed back by release.
 //
 // A tag is the full line address (byte address >> 6) shifted left over a
-// valid bit, so find makes one compare per way and an invalid way (tag
-// 0) never matches; reverse mapping for eager write-back is free. The
-// dirty and eager-clean bits of the ways live in per-set masks next to
-// the order word.
+// valid bit, so an invalid way (tag 0) never matches and reverse mapping
+// for eager write-back is free. Each set also holds one fingerprint byte
+// per way: 0 for an invalid way, a top bit over seven hash bits of the
+// line address for a valid one. find loads eight of them in one word,
+// flags the ways whose byte equals the address's with a SWAR zero-byte
+// search, and compares the full tag of each flagged way in way order.
+// The dirty and eager-clean bits of the ways live in per-set masks next
+// to the order word.
 type Cache struct {
 	cfg     config.Cache
 	ways    int
@@ -62,13 +67,30 @@ type set struct {
 	dirty uint16 // ways holding data memory has not seen
 	eager uint16 // ways cleaned by an eager write-back, not re-dirtied yet
 	holes uint8  // invalid ways
+
+	// fp holds way w's fingerprint in byte w%8 of word w/8.
+	fp [config.MaxCacheWays / 8]uint64
 }
 
-// SWAR constants: a 1 and a top bit in every nibble.
+// SWAR constants: a 1 and a top bit in every nibble, and in every byte.
 const (
 	nibbleOnes = 0x1111111111111111
 	nibbleTops = 0x8888888888888888
+	byteOnes   = 0x0101010101010101
+	byteTops   = 0x8080808080808080
 )
+
+// fingerprint is a valid line's fingerprint byte: a top bit, so that it
+// never equals an invalid way's 0, over the top seven bits of a
+// multiplicative hash of the whole line address, which mixes in the bits
+// above the set index that tell a set's lines apart.
+func fingerprint(addr uint64) uint64 { return 0x80 | addr*0x9e3779b97f4a7c15>>57 }
+
+// setFP stores f as way w's fingerprint byte.
+func (s *set) setFP(w int, f uint64) {
+	sh := 8 * uint(w&7)
+	s.fp[w>>3] = s.fp[w>>3]&^(0xff<<sh) | f<<sh
+}
 
 // arrays is one level's storage, the unit the pool recycles.
 type arrays struct {
@@ -153,12 +175,36 @@ func (c *Cache) locate(addr uint64) (si, base int) {
 	return si, si * c.ways
 }
 
-// find returns the way holding addr in the set whose first way is base,
-// or -1. This is the hottest loop in the simulator.
-func (c *Cache) find(base int, addr uint64) int {
-	tag := addr<<1 | 1
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == tag {
+// find returns the way holding addr in set s, whose first way is base,
+// or -1. This is the hottest path in the simulator: it reads the set's
+// two fingerprint words and no tag unless a fingerprint matches, and
+// leaves the tag compares to match. XORed with the address's
+// fingerprint in every byte, a fingerprint word reads 0 in each way
+// whose byte matches. The borrow trick flags every zero byte
+// and can flag a byte above a true zero, never below one. A byte past
+// the level's ways is 0, XORs to a byte with its top bit set and is
+// never flagged, so both words are searched whatever the associativity.
+func (c *Cache) find(s *set, base int, addr uint64) int {
+	key := fingerprint(addr) * byteOnes
+	x0, x1 := s.fp[0]^key, s.fp[1]^key
+	m0, m1 := (x0-byteOnes)&^x0&byteTops, (x1-byteOnes)&^x1&byteTops
+	if m0|m1 == 0 {
+		return -1
+	}
+	return c.match(base, addr<<1|1, m0, m1)
+}
+
+// match compares tag with the full tag of each way flagged in m0 (ways
+// 0-7) and m1 (ways 8-15), in way order, and returns the way holding it
+// or -1.
+func (c *Cache) match(base int, tag, m0, m1 uint64) int {
+	for ; m0 != 0; m0 &= m0 - 1 {
+		if w := bits.TrailingZeros64(m0) >> 3; c.tags[base+w] == tag {
+			return w
+		}
+	}
+	for ; m1 != 0; m1 &= m1 - 1 {
+		if w := 8 + bits.TrailingZeros64(m1)>>3; c.tags[base+w] == tag {
 			return w
 		}
 	}
@@ -198,7 +244,8 @@ func (c *Cache) Misses() uint64 { return c.misses }
 // write dirties it.
 func (c *Cache) lookup(addr uint64, write bool) bool {
 	si, base := c.locate(addr)
-	w := c.find(base, addr)
+	s := &c.sets[si]
+	w := c.find(s, base, addr)
 	if w < 0 {
 		c.misses++
 		if c.profiler != nil {
@@ -207,7 +254,6 @@ func (c *Cache) lookup(addr uint64, write bool) bool {
 		return false
 	}
 	c.hits++
-	s := &c.sets[si]
 	p := position(s.order, w)
 	if c.profiler != nil {
 		c.profiler.hit[p]++
@@ -242,6 +288,7 @@ func (c *Cache) install(addr uint64, dirty bool) (victimAddr uint64, victimValid
 		victimAddr, victimValid, victimDirty = c.tags[base+w]>>1, true, s.dirty&(1<<w) != 0
 	}
 	c.tags[base+w] = addr<<1 | 1
+	s.setFP(w, fingerprint(addr))
 	c.last[base+w] = c.touches
 	s.dirty &^= 1 << w
 	if dirty {
@@ -259,11 +306,11 @@ func (c *Cache) install(addr uint64, dirty bool) (victimAddr uint64, victimValid
 // write-back, which the merge has now wasted (§VI-D).
 func (c *Cache) mergeWriteback(addr uint64) (hit, wasEagerClean bool) {
 	si, base := c.locate(addr)
-	w := c.find(base, addr)
+	s := &c.sets[si]
+	w := c.find(s, base, addr)
 	if w < 0 {
 		return false, false
 	}
-	s := &c.sets[si]
 	wasEagerClean = s.eager&(1<<w) != 0
 	s.dirty |= 1 << w
 	s.eager &^= 1 << w
@@ -276,13 +323,14 @@ func (c *Cache) mergeWriteback(addr uint64) (hit, wasEagerClean bool) {
 // until a fill takes it.
 func (c *Cache) invalidate(addr uint64) (dirty bool) {
 	si, base := c.locate(addr)
-	w := c.find(base, addr)
+	s := &c.sets[si]
+	w := c.find(s, base, addr)
 	if w < 0 {
 		return false
 	}
-	s := &c.sets[si]
 	dirty = s.dirty&(1<<w) != 0
 	c.tags[base+w] = 0
+	s.setFP(w, 0)
 	s.dirty &^= 1 << w
 	s.eager &^= 1 << w
 	s.holes++
@@ -291,8 +339,8 @@ func (c *Cache) invalidate(addr uint64) (dirty bool) {
 
 // contains reports whether addr is cached.
 func (c *Cache) contains(addr uint64) bool {
-	_, base := c.locate(addr)
-	return c.find(base, addr) >= 0
+	si, base := c.locate(addr)
+	return c.find(&c.sets[si], base, addr) >= 0
 }
 
 // ResetStats zeroes the demand counters (end of warmup). Profiler counts

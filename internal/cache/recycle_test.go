@@ -22,7 +22,7 @@ func recycleCfg() config.Hierarchy {
 
 // wantFresh fails unless c is in the state of a newly allocated level:
 // no line, every clock zero, each set in identity order with all ways
-// holes, no counts.
+// holes and every fingerprint byte 0, no counts.
 func wantFresh(t *testing.T, c *Cache) {
 	t.Helper()
 	for i, tag := range c.tags {
@@ -36,7 +36,7 @@ func wantFresh(t *testing.T, c *Cache) {
 				t.Fatalf("%v set %d: order %x, want the identity", c, si, s.order)
 			}
 		}
-		if s.order>>(4*c.ways) != 0 || s.dirty != 0 || s.eager != 0 || int(s.holes) != c.ways {
+		if s.order>>(4*c.ways) != 0 || s.dirty != 0 || s.eager != 0 || int(s.holes) != c.ways || s.fp != [len(s.fp)]uint64{} {
 			t.Fatalf("%v set %d: %+v, want identity order, clean, %d holes", c, si, s, c.ways)
 		}
 	}

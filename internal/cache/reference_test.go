@@ -312,6 +312,15 @@ func (h *refHierarchy) snapshot() Stats {
 func TestMatchesReferenceLRU(t *testing.T) {
 	oneWay := tinyCfg()
 	oneWay.L1 = config.Cache{SizeBytes: 256, Ways: 1, HitLatency: 2, MSHRs: 8}
+	// Levels of 3, 12 and 16 ways use part of one fingerprint word, part
+	// of a second and both whole.
+	wide := tinyCfg()
+	wide.L1 = config.Cache{SizeBytes: 4 * 3 * config.LineBytes, Ways: 3, HitLatency: 2, MSHRs: 8}
+	wide.L2 = config.Cache{SizeBytes: 8 * 12 * config.LineBytes, Ways: 12, HitLatency: 12, MSHRs: 12}
+	wide.L3 = config.Cache{SizeBytes: 16 * 16 * config.LineBytes, Ways: 16, HitLatency: 35, MSHRs: 32}
+	wideLLC := wide
+	wideLLC.L1, wideLLC.L2 = tinyCfg().L1, wide.L1
+	wideLLC.L3 = config.Cache{SizeBytes: 16 * 12 * config.LineBytes, Ways: 12, HitLatency: 35, MSHRs: 32}
 	geometries := []struct {
 		name  string
 		cfg   config.Hierarchy
@@ -319,6 +328,8 @@ func TestMatchesReferenceLRU(t *testing.T) {
 	}{
 		{"tiny", tinyCfg(), 1},
 		{"1-way-L1", oneWay, 1},
+		{"3-12-16-way", wide, 8},
+		{"12-way-LLC", wideLLC, 8},
 		{"table-I", config.Default().Caches, 128},
 	}
 	ops := 200_000
@@ -472,10 +483,20 @@ func llcSet(c *Cache, l uint64) (tags [config.MaxCacheWays]uint64) {
 
 // sameSet compares the set holding line l position by position: the
 // line, its state bits and its recency clock, or a hole at the same
-// stack position.
+// stack position. Every way's fingerprint byte must be its line's, or 0
+// for a hole.
 func sameSet(c *Cache, r *refCache, l uint64) error {
 	si, base := c.locate(l)
 	s := c.sets[si]
+	for w := 0; w < config.MaxCacheWays; w++ {
+		var want uint64
+		if w < c.ways && c.tags[base+w] != 0 {
+			want = fingerprint(c.tags[base+w] >> 1)
+		}
+		if got := s.fp[w>>3] >> (8 * (w & 7)) & 0xff; got != want {
+			return fmt.Errorf("%v set %d way %d: fingerprint %#x, want %#x", c, si, w, got, want)
+		}
+	}
 	holes := 0
 	for p := 0; p < c.ways; p++ {
 		w, rf := wayAt(s.order, p), r.flags[base+p]
@@ -497,4 +518,75 @@ func sameSet(c *Cache, r *refCache, l uint64) error {
 		return fmt.Errorf("%v set %d: hole count %d, %d invalid ways", c, si, s.holes, holes)
 	}
 	return nil
+}
+
+// TestFingerprintCollisions fills sets with lines that share one
+// fingerprint but not a tag, so every probe flags several ways, and
+// drives lookups, fills, merges, invalidations and probes on them
+// against the reference level.
+func TestFingerprintCollisions(t *testing.T) {
+	for _, ways := range []int{3, 8, 12, 16} {
+		t.Run(fmt.Sprintf("%d-way", ways), func(t *testing.T) {
+			cfg := config.Cache{SizeBytes: 4 * ways * config.LineBytes, Ways: ways, HitLatency: 2, MSHRs: 8}
+			c, ref := New(cfg), newRefCache(cfg)
+			defer c.release()
+			// Lines of set 1 and of set 2 with one fingerprint each, two
+			// more than the set holds.
+			var lines []uint64
+			for _, si := range []uint64{1, 2} {
+				var f uint64
+				var same []uint64
+				for l := si; len(same) < ways+2; l += uint64(c.nsets) {
+					if len(same) == 0 {
+						f = fingerprint(l)
+					}
+					if fingerprint(l) == f {
+						same = append(same, l)
+					}
+				}
+				lines = append(lines, same...)
+			}
+			src := rng.New(uint64(ways))
+			for step := 0; step < 20_000; step++ {
+				l := lines[src.Uintn(uint64(len(lines)))]
+				var got, want bool
+				op := src.Uintn(4)
+				switch op {
+				case 0:
+					write := src.Bool(0.5)
+					if got, want = c.lookup(l, write), ref.lookup(l, write); !got {
+						c.install(l, write)
+						ref.install(l, write)
+					}
+				case 1:
+					var gotEager, wantEager bool
+					got, gotEager = c.mergeWriteback(l)
+					want, wantEager = ref.mergeWriteback(l)
+					if gotEager != wantEager {
+						t.Fatalf("step %d: mergeWriteback(%d) eager-clean %v, reference %v", step, l, gotEager, wantEager)
+					}
+					if !got {
+						va, vok, vd := c.install(l, true)
+						ra, rok, rd := ref.install(l, true)
+						if va != ra || vok != rok || vd != rd {
+							t.Fatalf("step %d: install(%d) victim (%d %v %v), reference (%d %v %v)", step, l, va, vok, vd, ra, rok, rd)
+						}
+					}
+				case 2:
+					got, want = c.invalidate(l), ref.invalidate(l)
+				default:
+					got, want = c.contains(l), ref.contains(l)
+				}
+				if got != want {
+					t.Fatalf("step %d: op %d on line %d = %v, reference %v", step, op, l, got, want)
+				}
+				if err := sameSet(c, ref, l); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			if c.Hits() == 0 || c.Misses() == 0 || c.Hits() != ref.hits || c.Misses() != ref.misses {
+				t.Errorf("hits %d misses %d, reference %d %d; want both paths taken", c.Hits(), c.Misses(), ref.hits, ref.misses)
+			}
+		})
+	}
 }

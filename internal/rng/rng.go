@@ -96,8 +96,8 @@ func (s *Source) Bool(p float64) bool {
 // ZipfShape is the seed-independent part of a Zipf-like distribution
 // over [0, n) with exponent theta in (0, 1): the normalisation constants
 // of the classic Knuth/Gray approximate inverse CDF used by YCSB-style
-// generators (item 0 is the hottest), plus a bucketed lookup table that
-// answers most draws without evaluating the formula. A shape is
+// generators (item 0 is the hottest), plus the index thresholds that
+// answer almost every draw without evaluating the formula. A shape is
 // immutable once built, so any number of samplers, on any number of
 // goroutines, may share one.
 type ZipfShape struct {
@@ -106,20 +106,24 @@ type ZipfShape struct {
 	zetan float64
 	eta   float64
 	head  float64 // 1 + 0.5^theta: u*zetan below it draws item 1
-	// table maps the top tableBits bits of a draw's 53-bit mantissa to
-	// the index every mantissa in that bucket yields, or tableMiss when
-	// the bucket straddles an index boundary. nil when n >= tableMiss.
+	// edge[k] is the pow base ((k+1)/n)^(1/alpha) at which the
+	// formula's scaled value reaches k+1, so a base below it draws at
+	// most k; edge[n-1] is +Inf. table maps the top tableBits bits of a
+	// draw's 53-bit mantissa to the index the bucket's first mantissa
+	// surely reaches: the count of edges it passes by the margin. Both
+	// are nil when n > maxTableN.
+	edge  []float64
 	table *[1 << tableBits]uint16
 }
 
 const (
 	tableBits  = 16
 	tableShift = 53 - tableBits // mantissa bits below the bucket index
-	tableMiss  = math.MaxUint16
-	// tableMargin is how far inside its integer cell the scaled pow
-	// value must sit, relatively, at both ends of a bucket. math.Pow is
+	maxTableN  = 1 << 16        // the largest n whose indices fit a uint16
+	// tableMargin is how far past a threshold, relatively, a pow base
+	// must sit to decide its index without the formula. math.Pow is
 	// accurate to a few ulps (~1e-15 relative), far below this margin,
-	// so every mantissa between the ends truncates to the same index.
+	// even raised to alpha.
 	tableMargin = 1e-9
 )
 
@@ -136,49 +140,33 @@ func NewZipfShape(n uint64, theta float64) *ZipfShape {
 	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
-	if n < tableMiss {
-		z.table = z.buildTable()
+	if n <= maxTableN {
+		z.buildThresholds()
 	}
 	return z
 }
 
-// buildTable fills the bucket table. Bucket b holds the mantissas
-// [b<<tableShift, (b+1)<<tableShift); it gets an index only when the
-// exact formula, evaluated at the bucket's first mantissa and at the
-// next bucket's first (the last mantissa for the final bucket), takes
-// the same branch to the same index — with the pow branch's scaled
-// value tableMargin inside its cell at both ends. That is exact for
-// every mantissa in between: u*zetan and eta*u-eta+1 are monotone in u
-// (each rounded operation is), x^alpha is monotone, and math.Pow's
-// error is far below the margin.
-func (z *ZipfShape) buildTable() *[1 << tableBits]uint16 {
-	var t [1 << tableBits]uint16
-	const buckets = 1 << tableBits
-	at := func(edge uint64) (branch int, lo, hi uint64) {
-		m := edge << tableShift
-		if edge == buckets {
-			m--
-		}
-		branch, s := z.formula(m)
-		if branch < powBranch {
-			return branch, uint64(branch), uint64(branch)
-		}
-		if s != s { // NaN: leave the bucket to the formula
-			return -1, 0, 0
-		}
-		return branch, z.clamp(s * (1 - tableMargin)), z.clamp(s * (1 + tableMargin))
+// buildThresholds fills edge and the start table. The pow base x is
+// monotone in the mantissa (each rounded operation of eta*u-eta+1 is,
+// and eta > 0 wherever the pow branch is reachable), so every mantissa
+// of a bucket has at least the base of its first and passes at least
+// the edges that first one passed.
+func (z *ZipfShape) buildThresholds() {
+	n := z.n
+	z.edge = make([]float64, n)
+	for k := range n - 1 {
+		z.edge[k] = powF(float64(k+1)/float64(n), 1/z.alpha)
 	}
-	prevBranch, prevLo, _ := at(0)
-	for b := uint64(0); b < buckets; b++ {
-		branch, lo, hi := at(b + 1)
-		if branch >= 0 && branch == prevBranch && prevLo == hi {
-			t[b] = uint16(lo)
-		} else {
-			t[b] = tableMiss
+	z.edge[n-1] = math.Inf(1)
+	z.table = new([1 << tableBits]uint16)
+	k := 0
+	for b := range z.table {
+		x := z.base(float64(uint64(b)<<tableShift) / (1 << 53))
+		for x >= z.edge[k]*(1+tableMargin) {
+			k++
 		}
-		prevBranch, prevLo = branch, lo
+		z.table[b] = uint16(k)
 	}
-	return &t
 }
 
 func zeta(n uint64, theta float64) float64 {
@@ -202,42 +190,8 @@ func zeta(n uint64, theta float64) float64 {
 
 func powF(base, exp float64) float64 { return math.Pow(base, exp) }
 
-// powBranch is formula's branch for draws past the two head items;
-// branches 0 and 1 draw those items.
-const powBranch = 2
-
-// formula evaluates the inverse CDF for the draw whose Float64 mantissa
-// is m: the branch taken and, for powBranch, the scaled value before
-// truncation to an index.
-func (z *ZipfShape) formula(m uint64) (branch int, s float64) {
-	u := float64(m) / (1 << 53)
-	uz := u * z.zetan
-	if uz < 1.0 {
-		return 0, 0
-	}
-	if uz < z.head {
-		return 1, 0
-	}
-	return powBranch, float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha)
-}
-
-// clamp truncates a scaled value to an index in [0, n).
-func (z *ZipfShape) clamp(s float64) uint64 {
-	v := uint64(s)
-	if v >= z.n {
-		v = z.n - 1
-	}
-	return v
-}
-
-// index is the formula's draw for mantissa m.
-func (z *ZipfShape) index(m uint64) uint64 {
-	branch, s := z.formula(m)
-	if branch < powBranch {
-		return uint64(branch)
-	}
-	return z.clamp(s)
-}
+// base is the formula's pow base for the uniform draw u.
+func (z *ZipfShape) base(u float64) float64 { return z.eta*u - z.eta + 1 }
 
 // New returns a sampler of this shape drawing from src.
 func (z *ZipfShape) New(src *Source) *Zipf { return &Zipf{src: src, shape: z} }
@@ -257,16 +211,32 @@ func NewZipf(src *Source, n uint64, theta float64) *Zipf {
 
 // Next returns the next Zipf-distributed value in [0, n). It consumes
 // exactly one Uint64 and returns exactly what the formula gives for
-// Float64's value of it; the table only skips the arithmetic.
+// Float64's value of it; the thresholds only skip the pow.
 func (z *Zipf) Next() uint64 { return z.shape.draw(z.src.Uint64() >> 11) }
 
 // draw maps a 53-bit mantissa, the one Float64 scales into [0, 1), to
-// its index: through the table when the bucket has an entry.
+// its index. Past the two head items it starts at the bucket's table
+// entry and steps k while the base is surely past edge k; a base surely
+// short of edge k draws k. Only a base within the margin of an edge, or
+// a shape without edges, runs the pow.
 func (z *ZipfShape) draw(m uint64) uint64 {
-	if t := z.table; t != nil {
-		if v := t[m>>tableShift]; v != tableMiss {
-			return uint64(v)
+	u := float64(m) / (1 << 53)
+	uz := u * z.zetan
+	if uz < 1.0 {
+		return 0
+	}
+	if uz < z.head {
+		return 1
+	}
+	x := z.base(u)
+	if edge := z.edge; edge != nil {
+		k := int(z.table[m>>tableShift])
+		for x >= edge[k]*(1+tableMargin) {
+			k++
+		}
+		if x < edge[k]*(1-tableMargin) {
+			return uint64(k)
 		}
 	}
-	return z.index(m)
+	return min(uint64(float64(z.n)*powF(x, z.alpha)), z.n-1)
 }
