@@ -83,7 +83,7 @@ type family struct {
 	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
-	cells   *sync.Map // label value → *Counter / *Histogram (Vec families)
+	cells   *sync.Map // label value → *Histogram (HistogramVec families)
 }
 
 // Registry holds metric families and collectors. Registration takes a
@@ -123,12 +123,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return fam.counter
 }
 
-// CounterVec registers a counter family keyed by one label.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	fam := r.register(&family{name: name, help: help, kind: KindCounter, label: label, cells: &sync.Map{}})
-	return &CounterVec{fam: fam}
-}
-
 // Gauge registers an unlabelled gauge family and returns its handle.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	fam := r.register(&family{name: name, help: help, kind: KindGauge, gauge: &Gauge{}})
@@ -163,23 +157,11 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.mu.Unlock()
 }
 
-// CounterVec is a labelled counter family.
-type CounterVec struct{ fam *family }
-
-// With returns the counter cell for one label value, creating it on
-// first use. Lookup is a sync.Map read: lock-free after creation.
-func (v *CounterVec) With(value string) *Counter {
-	if c, ok := v.fam.cells.Load(value); ok {
-		return c.(*Counter)
-	}
-	c, _ := v.fam.cells.LoadOrStore(value, &Counter{})
-	return c.(*Counter)
-}
-
 // HistogramVec is a labelled histogram family.
 type HistogramVec struct{ fam *family }
 
-// With returns the histogram cell for one label value.
+// With returns the histogram cell for one label value, creating it on
+// first use. Lookup is a sync.Map read: lock-free after creation.
 func (v *HistogramVec) With(value string) *Histogram {
 	if h, ok := v.fam.cells.Load(value); ok {
 		return h.(*Histogram)
@@ -250,15 +232,8 @@ func (g *Gatherer) addRegistered(f *family) {
 		out.Cells = append(out.Cells, Cell{Hist: &h})
 	case f.cells != nil:
 		f.cells.Range(func(k, v any) bool {
-			cell := Cell{Label: k.(string)}
-			switch m := v.(type) {
-			case *Counter:
-				cell.Value = float64(m.Value())
-			case *Histogram:
-				h := m.Snapshot()
-				cell.Hist = &h
-			}
-			out.Cells = append(out.Cells, cell)
+			h := v.(*Histogram).Snapshot()
+			out.Cells = append(out.Cells, Cell{Label: k.(string), Hist: &h})
 			return true
 		})
 	}

@@ -58,14 +58,13 @@ func TestHistogramMatchesStats(t *testing.T) {
 
 func TestVecCells(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("by_kind_total", "By kind.", "kind")
-	v.With("sim").Add(2)
-	v.With("compare").Add(1)
-	hv := r.HistogramVec("lat_seconds", "Latency.", "kind", 1e-6)
-	hv.With("sim").Observe(1000)
+	v := r.HistogramVec("by_kind_seconds", "By kind.", "kind", 1e-6)
+	v.With("sim").Observe(1000)
+	v.With("sim").Observe(3000)
+	v.With("compare").Observe(2000)
 
 	s := r.Snapshot()
-	f, ok := s.Get("by_kind_total")
+	f, ok := s.Get("by_kind_seconds")
 	if !ok || len(f.Cells) != 2 {
 		t.Fatalf("family missing or wrong cells: %+v", f)
 	}
@@ -73,8 +72,21 @@ func TestVecCells(t *testing.T) {
 	if f.Cells[0].Label != "compare" || f.Cells[1].Label != "sim" {
 		t.Errorf("cells not sorted: %+v", f.Cells)
 	}
-	if f.Cells[1].Value != 2 {
-		t.Errorf("sim cell = %v, want 2", f.Cells[1].Value)
+	if n := f.Cells[1].Hist.Count(); n != 2 {
+		t.Errorf("sim cell count = %v, want 2", n)
+	}
+	var b strings.Builder
+	if err := s.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE by_kind_seconds histogram\n",
+		`by_kind_seconds_count{kind="compare"} 1`,
+		`by_kind_seconds_sum{kind="sim"} 0.004`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -159,9 +171,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("z_total", "Z.").Add(2)
 		r.Counter("a_total", "A.").Add(1)
-		v := r.CounterVec("k_total", "K.", "kind")
-		v.With("b").Add(1)
-		v.With("a").Add(2)
+		v := r.HistogramVec("k_seconds", "K.", "kind", 1e-6)
+		v.With("b").Observe(1)
+		v.With("a").Observe(2)
 		return r.Snapshot()
 	}
 	a, _ := json.Marshal(build())
@@ -178,7 +190,7 @@ func TestConcurrentHotPath(t *testing.T) {
 	c := r.Counter("hits_total", "Hits.")
 	g := r.Gauge("inflight", "In flight.")
 	h := r.Histogram("lat", "Latency.", 1)
-	v := r.CounterVec("kinds_total", "Kinds.", "kind")
+	v := r.HistogramVec("kinds_seconds", "Kinds.", "kind", 1)
 	labels := []string{"a", "b", "c", "d"}
 
 	const workers, iters = 8, 2000
@@ -192,7 +204,7 @@ func TestConcurrentHotPath(t *testing.T) {
 				c.Add(1)
 				g.Add(1)
 				h.Observe(uint64(i))
-				v.With(labels[(w+i)%len(labels)]).Add(1)
+				v.With(labels[(w+i)%len(labels)]).Observe(uint64(i))
 				if i%256 == 0 {
 					_ = r.Snapshot()
 				}
@@ -205,10 +217,10 @@ func TestConcurrentHotPath(t *testing.T) {
 	if got := s.Value("hits_total"); got != workers*iters {
 		t.Errorf("hits_total = %v, want %d", got, workers*iters)
 	}
-	f, _ := s.Get("kinds_total")
-	var sum float64
+	f, _ := s.Get("kinds_seconds")
+	var sum uint64
 	for _, cell := range f.Cells {
-		sum += cell.Value
+		sum += cell.Hist.Count()
 	}
 	if sum != workers*iters {
 		t.Errorf("vec total = %v, want %d", sum, workers*iters)

@@ -11,11 +11,11 @@ import (
 
 // finishedKeeps runs n jobs of the simulation body asks for, under n
 // distinct keys, and returns the heap the server keeps live per
-// finished job, and the first job's held and rebuilt result. Every job
-// after the first is a memo hit, so each builds its own fresh result
-// and stream log as a real job does, and the memo's own bytes stay out
-// of the difference.
-func finishedKeeps(t *testing.T, body string, n int) (float64, heldResult, *JobResult) {
+// finished job, and the first job's held and rebuilt result and its
+// epoch log. Every job after the first is a memo hit, so each builds
+// its own fresh result and epoch log as a real job does, and the
+// memo's own bytes stay out of the difference.
+func finishedKeeps(t *testing.T, body string, n int) (float64, heldResult, *JobResult, *epochLog) {
 	t.Helper()
 	var req JobRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
@@ -59,7 +59,7 @@ func finishedKeeps(t *testing.T, body string, n int) (float64, heldResult, *JobR
 		t.Fatalf("server holds %d finished jobs, want %d", len(s.finished), n+1)
 	}
 	js := s.jobs[s.finished[0]]
-	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n), js.result, js.result.get(js.key, js.kind)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n), js.result, js.result.get(js.key, js.kind), js.epochs
 }
 
 // TestFinishedJobFootprint bounds what mellowd keeps live per finished
@@ -70,7 +70,8 @@ func finishedKeeps(t *testing.T, body string, n int) (float64, heldResult, *JobR
 // stream log's copy of every sample, they kept 2.9 KB, 6.5 KB and
 // ~640 B a sample, which fails each bound. The test also checks that
 // the held form is the smaller of the two a result could be kept in,
-// its packed bytes or its JSON.
+// its packed bytes or its JSON, and that a done job's sealed epoch log
+// holds no samples of its own, only the cell of each epoch event.
 func TestFinishedJobFootprint(t *testing.T) {
 	experiments.ResetCache()
 	defer experiments.ResetCache()
@@ -84,7 +85,7 @@ func TestFinishedJobFootprint(t *testing.T) {
 		{"observed sim", `{"kind":"sim","workload":"mcf","policy":"Norm","interval_ns":5000,` + run + `}`, 100},
 		{"compare", `{"kind":"compare","workloads":["lbm","gups"],"policies":["Norm","BE-Mellow+SC"],` + run + `}`, 2800},
 	} {
-		keeps, held, res := finishedKeeps(t, c.body, 256)
+		keeps, held, res, log := finishedKeeps(t, c.body, 256)
 		body, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
@@ -95,6 +96,10 @@ func TestFinishedJobFootprint(t *testing.T) {
 		samples := 0
 		for _, r := range res.Series {
 			samples += len(r.Series)
+		}
+		if log.recs != nil || log.cells != nil || log.held == nil || len(log.order) != samples {
+			t.Errorf("%s: sealed log keeps %d cell records and %d cells, %d event cells for %d samples: want only the event cells",
+				c.name, len(log.recs), len(log.cells), len(log.order), samples)
 		}
 		t.Logf("%s: %.0f B a finished job (%d results, %d samples; packed %d B, JSON %d B)",
 			c.name, keeps, len(res.Results), samples, len(held.packed), len(body))

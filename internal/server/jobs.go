@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"math"
-	"sync"
 	"time"
 
 	"mellow/internal/core"
@@ -32,20 +30,14 @@ type jobState struct {
 	finishedAt time.Time
 	done       chan struct{}
 
-	// run is the job's submission and live progress, nil once finished.
+	// run is the job's submission, nil once finished.
 	run *jobRun
-	// progress and epoch are a finished job's final completion fraction
-	// and freshest epoch sample (nil for an unobserved job).
-	progress float64
-	epoch    *engine.EpochSample
 	// result is a done job's result.
 	result heldResult
 
-	// stream is the job's bounded broadcast log behind
-	// GET /v1/jobs/{id}/events. Minted at admission; nil only for
-	// jobStates tests build by hand (every streamLog method is
-	// nil-safe).
-	stream *streamLog
+	// epochs is the job's progress and the log behind
+	// GET /v1/jobs/{id}/events, minted at admission.
+	epochs *epochLog
 
 	// spans is the wall-clock span recorder, minted at admission for
 	// jobs submitted with "trace": true (nil otherwise; every recording
@@ -61,8 +53,7 @@ type jobState struct {
 type jobRun struct {
 	canon canonicalJob
 	// timeout caps execution; zero means the server default.
-	timeout  time.Duration
-	progress jobProgress
+	timeout time.Duration
 }
 
 // heldResult is a done job's JobResult as the server holds it: Results
@@ -121,90 +112,8 @@ func seriesOf(r *JobResult) []experiments.SeriesRecord {
 	return r.Series
 }
 
-// jobProgress is a job's live completion state: one completion fraction
-// per matrix cell plus the freshest epoch sample any cell published. A
-// running observed cell's fraction is the progress of its last sample;
-// a retired cell counts as 1 — failed and cancelled ones too, so a
-// failed job's fraction accounts for all work the job tried rather than
-// freezing at an arbitrary value. Cells write concurrently; status
-// readers see a monotone non-decreasing fraction through the maxSeen
-// clamp.
-type jobProgress struct {
-	mu      sync.Mutex
-	cells   []float64
-	last    engine.EpochSample // valid once hasLast
-	hasLast bool
-	maxSeen float64
-}
-
-// setTotal sizes the job to its n cells, none of them started.
-func (p *jobProgress) setTotal(n int) {
-	p.mu.Lock()
-	p.cells = make([]float64, n)
-	p.mu.Unlock()
-}
-
-// epoch records a sample cell i's running simulation just closed.
-// Parallel cells publish in any order, so the freshest sample is the
-// one with the greatest end tick.
-func (p *jobProgress) epoch(i int, s engine.EpochSample) {
-	p.mu.Lock()
-	p.cells[i] = max(p.cells[i], s.Progress)
-	if !p.hasLast || s.End > p.last.End {
-		p.last, p.hasLast = s, true
-	}
-	p.mu.Unlock()
-}
-
-// retire counts cell i as complete — on success, failure and
-// cancellation alike.
-func (p *jobProgress) retire(i int) {
-	p.mu.Lock()
-	p.cells[i] = 1
-	p.mu.Unlock()
-}
-
-// clamp publishes f through the monotone max filter and returns the
-// published (never-decreasing) value.
-func (p *jobProgress) clamp(f float64) float64 {
-	if f < 0 || math.IsNaN(f) {
-		f = 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.maxSeen = max(p.maxSeen, min(f, 1))
-	return p.maxSeen
-}
-
-// fraction returns the job's completion in [0, 1], monotone across
-// calls: the mean of its cells' fractions.
-func (p *jobProgress) fraction() float64 {
-	p.mu.Lock()
-	var f float64
-	for _, c := range p.cells {
-		f += c
-	}
-	if n := len(p.cells); n > 0 {
-		f /= float64(n)
-	}
-	p.mu.Unlock()
-	return p.clamp(f)
-}
-
-// sample returns a copy of the freshest epoch sample, or nil before any
-// cell closed one.
-func (p *jobProgress) sample() *engine.EpochSample {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.hasLast {
-		return nil
-	}
-	s := p.last
-	return &s
-}
-
 // status renders the job for the API. Callers hold the server mutex;
-// a running job's progress is read under its own lock.
+// the progress is read under the epoch log's own lock.
 func (j *jobState) status(deduped bool) JobStatus {
 	st := JobStatus{
 		ID:       j.id,
@@ -212,12 +121,9 @@ func (j *jobState) status(deduped bool) JobStatus {
 		State:    j.state,
 		Deduped:  deduped,
 		Error:    j.err,
-		Progress: j.progress,
-		Epoch:    j.epoch,
+		Progress: j.epochs.fraction(),
+		Epoch:    j.epochs.sample(),
 		QueuedAt: j.queuedAt,
-	}
-	if j.run != nil {
-		st.Progress, st.Epoch = j.run.progress.fraction(), j.run.progress.sample()
 	}
 	if !j.startedAt.IsZero() {
 		t := j.startedAt
@@ -252,7 +158,7 @@ func (j *jobState) status(deduped bool) JobStatus {
 // cell index keep the exact sequential ordering, so equal keys still
 // yield equal bytes no matter which cells finish first.
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
-	canon, progress := js.run.canon, &js.run.progress
+	canon, log := js.run.canon, js.epochs
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
 	epoch := sim.NS(canon.IntervalNS)
 	cells, render, err := planJob(ctx, canon, out)
@@ -260,13 +166,11 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		return nil, err
 	}
 	n := len(cells)
-	// streamed counts each cell's live epoch events. OnEpoch only fires
-	// when the cell executes the simulation itself; a memo hit or a
-	// joined in-flight run streams nothing live and flushes the whole
-	// memoised series on completion — either way the cell's epoch-event
-	// subsequence is exactly the series the result embeds.
-	streamed, starts := make([]int, n), make([]time.Time, n)
-	progress.setTotal(n)
+	recs, starts := make([]experiments.SeriesRecord, n), make([]time.Time, n)
+	for i, c := range cells {
+		recs[i] = c.Record()
+	}
+	log.plan(recs)
 	if canon.Trace {
 		js.traces = make([]*xtrace.SimTrace, n)
 	}
@@ -274,37 +178,27 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		Start: func(i int) experiments.Observation {
 			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
 			if epoch > 0 {
-				lb := cells[i].Record()
-				ob.OnEpoch = func(s engine.EpochSample) {
-					streamed[i]++
-					progress.epoch(i, s)
-					js.stream.epoch(i, lb, s)
-				}
+				ob.OnEpoch = func(s engine.EpochSample) { log.epoch(i, s) }
 			}
 			starts[i] = time.Now()
 			return ob
 		},
 		// Every cell retires, failed and cancelled ones too, so a failed
 		// job's progress accounts for all attempted work instead of
-		// freezing mid-matrix.
+		// freezing mid-matrix. OnEpoch only fires when the cell executes
+		// the simulation itself; a memo hit or a joined in-flight run
+		// delivers its whole series here instead.
 		Done: func(i int, in experiments.Instrumented, err error) {
 			rec := cells[i].Record()
 			if !starts[i].IsZero() {
 				js.spans.Span("sim "+rec.Workload+"/"+rec.Policy, "cell", starts[i], time.Now(),
 					"workload", rec.Workload, "policy", rec.Policy)
 			}
-			// A memo hit or a joined run streamed no epoch live, so its
-			// series' last sample is offered here; for a live cell it
-			// is the sample OnEpoch already published.
-			if err == nil && len(in.Series) > 0 {
-				progress.epoch(i, in.Series[len(in.Series)-1])
-			}
-			progress.retire(i)
 			if err != nil {
+				log.done(i, nil)
 				return
 			}
-			rec.Series = in.Series // nil for an unobserved run
-			js.stream.flushSeries(i, rec, streamed[i])
+			log.done(i, in.Series) // nil for an unobserved run
 			if canon.Trace {
 				js.traces[i] = in.Trace
 			}

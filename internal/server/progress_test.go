@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"mellow/internal/engine"
+	"mellow/internal/experiments"
 	"mellow/internal/sim"
 )
 
 // TestJobProgressClamp checks the monotone [0,1] clamp behind the
 // status fraction.
 func TestJobProgressClamp(t *testing.T) {
-	var p jobProgress
+	p := newEpochLog(0, nil)
 	p.clamp(0.5)
 	if got := p.clamp(0.25); got != 0.5 { // backwards: ignored
 		t.Errorf("clamp = %v after backwards set, want 0.5", got)
@@ -20,7 +21,7 @@ func TestJobProgressClamp(t *testing.T) {
 	if got := p.clamp(7); got != 1 {
 		t.Errorf("clamp = %v after overshoot, want 1", got)
 	}
-	var q jobProgress
+	q := newEpochLog(0, nil)
 	q.clamp(math.NaN())
 	if got := q.clamp(-3); got != 0 {
 		t.Errorf("clamp = %v after NaN/negative sets, want 0", got)
@@ -32,11 +33,11 @@ func TestJobProgressClamp(t *testing.T) {
 // 1 whether or not it published an epoch, a late epoch never pulls a
 // retired cell back, and the sample is the greatest end tick seen.
 func TestJobProgressAggregation(t *testing.T) {
-	var p jobProgress
+	p := newEpochLog(0, nil)
 	if p.fraction() != 0 || p.sample() != nil {
-		t.Fatal("zero-value jobProgress not empty")
+		t.Fatal("new epoch log not empty")
 	}
-	p.setTotal(4)
+	p.plan(make([]experiments.SeriesRecord, 4))
 	p.epoch(0, engine.EpochSample{End: 100, Progress: 0.5})
 	p.epoch(1, engine.EpochSample{End: 250, Progress: 0.5})
 	if got := p.fraction(); got != 0.25 {
@@ -46,13 +47,13 @@ func TestJobProgressAggregation(t *testing.T) {
 	if s := p.sample(); s == nil || s.End != 250 {
 		t.Fatalf("sample = %+v, want end tick 250", s)
 	}
-	p.retire(2) // a memo hit or a failure: no epochs, still complete
+	p.done(2, nil) // a memo hit or a failure: no epochs, still complete
 	if got := p.fraction(); got != 0.625 {
 		t.Fatalf("fraction = %v, want 0.625 after an epochless retire", got)
 	}
-	p.retire(1)
+	p.done(1, nil)
 	p.epoch(1, engine.EpochSample{End: 300, Progress: 0.75})
-	p.retire(3)
+	p.done(3, nil)
 	if got := p.fraction(); got != 1 {
 		t.Fatalf("fraction = %v, want 1 with every cell retired", got)
 	}
@@ -73,8 +74,8 @@ func TestJobProgressAggregation(t *testing.T) {
 // tick never moves backwards either.
 func TestJobProgressConcurrentChurn(t *testing.T) {
 	const cells, epochs = 16, 200
-	var p jobProgress
-	p.setTotal(cells)
+	p := newEpochLog(0, nil)
+	p.plan(make([]experiments.SeriesRecord, cells))
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
@@ -117,7 +118,7 @@ func TestJobProgressConcurrentChurn(t *testing.T) {
 					p.epoch(c, engine.EpochSample{Epoch: i - 1, End: sim.Tick(i * 500), Progress: float64(i) / epochs})
 				}
 			}
-			p.retire(c)
+			p.done(c, nil)
 		}(c)
 	}
 	wg.Wait()
@@ -131,15 +132,15 @@ func TestJobProgressConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestJobProgressMonotoneConcurrent hammers one jobProgress from many
+// TestJobProgressMonotoneConcurrent hammers one epoch log from many
 // writers publishing out-of-order progress values, plus out-of-range
 // junk that must clamp rather than regress, while readers verify the
 // published fraction never moves backwards — the contract a job's live
 // "progress" field depends on when matrix cells race.
 func TestJobProgressMonotoneConcurrent(t *testing.T) {
 	const writers, steps = 8, 2000
-	var p jobProgress
-	p.setTotal(1)
+	p := newEpochLog(0, nil)
+	p.plan(make([]experiments.SeriesRecord, 1))
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {

@@ -202,16 +202,17 @@ func TestFailedJobProgressCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := &jobState{id: "t-fail", key: key, run: &jobRun{canon: canon}, done: make(chan struct{})}
+	js := &jobState{id: "t-fail", key: key, run: &jobRun{canon: canon}, done: make(chan struct{}),
+		epochs: newEpochLog(0, nil)}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every simulation fails at admission to the scheduler
 	if _, err := runJob(ctx, js); err == nil {
 		t.Fatal("cancelled job succeeded")
 	}
-	if got := js.run.progress.fraction(); got != 1 {
+	if got := js.epochs.fraction(); got != 1 {
 		t.Fatalf("failed job fraction = %v, want 1 (all %d attempts retired)",
-			got, len(js.run.progress.cells))
+			got, len(js.epochs.cells))
 	}
 }
 

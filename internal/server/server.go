@@ -57,11 +57,6 @@ type Config struct {
 	// transitions are appended as they happen, and Restore re-enqueues
 	// the log's unfinished jobs after a crash. Nil disables durability.
 	JobLog *joblog.Log
-	// StreamBuffer bounds each job's live event log for
-	// GET /v1/jobs/{id}/events (default DefaultStreamBuffer). Past the
-	// bound epoch events are dropped and counted; results always keep
-	// the full series.
-	StreamBuffer int
 }
 
 func (c Config) withDefaults() Config {
@@ -83,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.BaseConfig == nil {
 		d := config.Default()
 		c.BaseConfig = &d
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = DefaultStreamBuffer
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -116,6 +108,9 @@ type Server struct {
 
 	// exec runs one job; tests replace it to control timing.
 	exec func(ctx context.Context, js *jobState) (*JobResult, error)
+	// streamBound bounds each job's epoch log (0: DefaultStreamBuffer);
+	// tests lower it to truncate a stream.
+	streamBound int
 }
 
 // New builds a Server and starts its worker pool. The process-wide
@@ -183,25 +178,22 @@ func (s *Server) execute(js *jobState) {
 	if err != nil {
 		js.state = StateFailed
 		js.err = err.Error()
-		js.progress = js.run.progress.fraction()
 		s.met.failed.Add(1)
 	} else {
 		js.state = StateDone
 		js.result = held
-		js.progress = 1
 		s.met.completed.Add(1)
 	}
-	js.epoch = js.run.progress.sample()
+	// Sealed under the mutex with the final state, so no status read
+	// sees a finished job's open log; a done job's log reads its
+	// samples from the held result from now on.
+	js.epochs.seal(js.err, &js.result)
 	js.run = nil
 	s.finished = append(s.finished, js.id)
 	s.evictLocked()
 	elapsed := js.finishedAt.Sub(js.startedAt)
 	s.mu.Unlock()
 	close(js.done)
-	// Seal the event stream after the status is final, so a subscriber
-	// woken by the terminal event reads a finished job. A done job's log
-	// drops the epoch events its result's series rebuild.
-	js.stream.finish(js.err, res, &js.result)
 	if err != nil {
 		s.logAppend(false, joblog.Record{Type: joblog.TypeFail, ID: js.id, Key: js.key, Error: js.err})
 	} else {
@@ -394,7 +386,7 @@ func (s *Server) newJob(id string, canon canonicalJob, key string, timeoutSecond
 		queuedAt: time.Now(),
 		done:     make(chan struct{}),
 		run:      &jobRun{canon: canon},
-		stream:   newStreamLog(s.cfg.StreamBuffer, s.met.streamDropped),
+		epochs:   newEpochLog(s.streamBound, s.met.streamDropped),
 	}
 	if timeoutSeconds > 0 {
 		js.run.timeout = time.Duration(timeoutSeconds * float64(time.Second))

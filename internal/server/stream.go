@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -20,9 +21,10 @@ const (
 	// series the finished result embeds for that cell — the streaming
 	// face of the determinism contract.
 	EventEpoch = "epoch"
-	// EventTruncated marks the point where the bounded per-job buffer
-	// started dropping epoch events; Dropped counts the loss so far. The
-	// final result still carries every sample.
+	// EventTruncated marks, once, the point where the job's bounded
+	// epoch log started dropping epoch events; its Dropped is 1, the
+	// first loss (mellowd_stream_events_dropped_total counts them all).
+	// The final result still carries every sample.
 	EventTruncated = "truncated"
 	// EventDone and EventFailed terminate every stream exactly once.
 	EventDone   = "done"
@@ -31,8 +33,8 @@ const (
 
 // StreamEvent is one event on the GET /v1/jobs/{id}/events feed.
 type StreamEvent struct {
-	// Seq is the event's zero-based index in the job's event log (also
-	// the SSE id), identical for every subscriber of the job.
+	// Seq is the event's zero-based index in the job's event sequence
+	// (also the SSE id), identical for every subscriber of the job.
 	Seq int `json:"seq"`
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
@@ -47,212 +49,282 @@ type StreamEvent struct {
 	Policy   string `json:"policy,omitempty"`
 	// Sample is the epoch payload (epoch events only).
 	Sample *engine.EpochSample `json:"sample,omitempty"`
-	// Dropped counts epoch events lost to the buffer bound (truncated
-	// events only).
+	// Dropped is 1 on the truncated event, the first epoch event lost
+	// to the bound, and absent on every other.
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Error carries the failure message (failed events only).
 	Error string `json:"error,omitempty"`
 }
 
-// DefaultStreamBuffer bounds each job's event log. 1<<16 events is
-// ~40 MB of a pathological job's samples but a normal observed matrix
-// stays far below it; past the bound epoch events are dropped (counted
-// and marked) while the result keeps the full series.
+// DefaultStreamBuffer bounds each job's epoch log. 1<<16 epoch events
+// is ~13 MB of a pathological job's samples but a normal observed
+// matrix stays far below it; past the bound epoch events are dropped
+// (counted and marked) while the result keeps the full series.
 const DefaultStreamBuffer = 1 << 16
 
-// streamLog is one job's bounded, append-only broadcast log of stream
-// events. Every subscriber replays from the start — events are
-// immutable once appended, so late subscribers observe exactly the
-// sequence early ones did — and waits on a broadcast channel for more.
-// A terminal event seals the log; appends after it are ignored.
+// epochLog is one job's per-epoch view of its run: the job's progress
+// for the status API and the bounded event log behind
+// GET /v1/jobs/{id}/events. Per cell it keeps the labels, the samples
+// logged so far and the completion fraction; per job, the cell of each
+// epoch event in arrival order, the drop count past the bound and,
+// once sealed, the terminal event. Events are not stored: read
+// rebuilds them from the cells' samples, so a subscriber attached
+// before, during or after the run observes the same sequence.
 //
-// A done job's log is sealed compact. Its epoch events are the
-// result's series, sample for sample (TestStreamMatchesResultSeries),
-// so the sealed log drops them and keeps only the cell of each epoch
-// event in arrival order. A replay rebuilds every event from the one
-// series the job keeps for its cell, with the same Seq, labels and
-// truncation marker. A failed job has no series, and its log keeps
-// every event.
-type streamLog struct {
+// A done job's samples are its result's series, sample for sample
+// (TestStreamMatchesResultSeries), so sealing a done log drops the
+// cells and reads every sample from the held result instead. A failed
+// job has no result, and its log keeps its samples.
+type epochLog struct {
 	mu sync.Mutex
-	// wake is closed and replaced on every append, and nil once sealed.
-	wake     chan struct{}
-	events   []StreamEvent
-	bound    int
-	dropped  uint64
-	terminal bool
-
-	// A compact log's epoch cells, in arrival order, and the result
-	// their events are rebuilt from; held is nil while the log keeps
-	// its events.
-	cells []uint32
-	held  *heldResult
+	// wake is closed and replaced on every event, and nil once the log
+	// is sealed.
+	wake chan struct{}
+	// recs holds each cell's labels and, in Series, its logged samples;
+	// cells its received-sample count and completion.
+	recs  []experiments.SeriesRecord
+	cells []logCell
+	// order is the cell of each logged epoch event.
+	order   []uint32
+	bound   int
+	dropped uint64
+	// errMsg is a failed job's error, carried by its terminal event.
+	errMsg string
+	// held is a sealed done job's result, which its samples are read
+	// from.
+	held *heldResult
+	// fresh is the freshest sample any cell closed: the greatest end
+	// tick, since parallel cells publish in any order.
+	fresh *engine.EpochSample
+	// maxSeen is the published completion, never decreasing.
+	maxSeen float64
 
 	// droppedTotal is the process-wide drop counter
 	// (mellowd_stream_events_dropped_total); nil in unit tests.
 	droppedTotal *metrics.Counter
 }
 
-func newStreamLog(bound int, droppedTotal *metrics.Counter) *streamLog {
+// logCell is one cell's progress: the samples it delivered, logged or
+// dropped, and its completion fraction — its last sample's progress
+// while it runs, 1 once it retired (failed and cancelled cells too, so
+// a failed job's fraction accounts for all the work it tried).
+type logCell struct {
+	got  int
+	frac float64
+}
+
+func newEpochLog(bound int, droppedTotal *metrics.Counter) *epochLog {
 	if bound <= 0 {
 		bound = DefaultStreamBuffer
 	}
-	return &streamLog{wake: make(chan struct{}), bound: bound, droppedTotal: droppedTotal}
+	return &epochLog{wake: make(chan struct{}), bound: bound, droppedTotal: droppedTotal}
 }
 
-// append adds ev to the log and wakes subscribers. Epoch events beyond
-// the bound are dropped (counted; the first drop appends a truncated
-// marker so subscribers know the stream is incomplete). Terminal events
-// always land and seal the log. Nil-safe: jobs without a stream ignore
-// every call.
-func (l *streamLog) append(ev StreamEvent) {
-	if l == nil {
-		return
-	}
+// plan sizes the log to the job's cells, labelled as recs, none of
+// them started.
+func (l *epochLog) plan(recs []experiments.SeriesRecord) {
+	l.mu.Lock()
+	l.recs, l.cells = recs, make([]logCell, len(recs))
+	l.mu.Unlock()
+}
+
+// epoch logs sample s, which cell i's running simulation just closed.
+func (l *epochLog) epoch(i int, s engine.EpochSample) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.appendLocked(ev)
-}
-
-func (l *streamLog) appendLocked(ev StreamEvent) {
-	if l.terminal {
+	if l.wake == nil {
 		return
 	}
-	terminal := ev.Type == EventDone || ev.Type == EventFailed
-	if !terminal && len(l.events) >= l.bound {
-		l.dropped++
-		if l.droppedTotal != nil {
-			l.droppedTotal.Add(1)
-		}
-		if l.dropped > 1 {
-			// Published events are immutable (subscribers read them
-			// lock-free), so the marker is appended once; further drops
-			// are only counted.
-			return
-		}
-		ev = StreamEvent{Type: EventTruncated, Cell: -1, Dropped: 1}
+	l.cells[i].frac = max(l.cells[i].frac, s.Progress)
+	l.offerLocked(s)
+	if l.logLocked(i, s) {
+		l.wakeLocked()
 	}
-	ev.Seq = len(l.events)
-	l.events = append(l.events, ev)
-	l.terminal = terminal
+}
+
+// done retires cell i and logs the samples of its series it did not
+// deliver live: all of them for a memo hit or a joined run, which
+// stream nothing live, none for the cell that ran the simulation
+// itself. Either way the cell's samples end up the series the result
+// embeds. A failed or cancelled cell passes no series.
+func (l *epochLog) done(i int, series []engine.EpochSample) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil {
+		return
+	}
+	if len(series) > 0 {
+		l.offerLocked(series[len(series)-1])
+	}
+	c := &l.cells[i]
+	c.frac = 1
+	woke := false
+	for _, s := range series[min(c.got, len(series)):] {
+		woke = l.logLocked(i, s) || woke
+	}
+	if woke {
+		l.wakeLocked()
+	}
+}
+
+// logLocked appends cell i's next sample s and reports whether it
+// added an event. Past the bound the sample is dropped and counted;
+// the first drop adds the truncated marker.
+func (l *epochLog) logLocked(i int, s engine.EpochSample) bool {
+	l.cells[i].got++
+	if len(l.order) < l.bound {
+		l.recs[i].Series = append(l.recs[i].Series, s)
+		l.order = append(l.order, uint32(i))
+		return true
+	}
+	l.dropped++
+	if l.droppedTotal != nil {
+		l.droppedTotal.Add(1)
+	}
+	return l.dropped == 1
+}
+
+// offerLocked keeps s if it is the freshest sample so far. The one
+// copy is overwritten in place; sample hands out copies of it.
+func (l *epochLog) offerLocked(s engine.EpochSample) {
+	if l.fresh == nil {
+		l.fresh = new(engine.EpochSample)
+	} else if s.End <= l.fresh.End {
+		return
+	}
+	*l.fresh = s
+}
+
+func (l *epochLog) wakeLocked() {
+	close(l.wake)
+	l.wake = make(chan struct{})
+}
+
+// seal ends the log with the job's terminal event: failed carrying
+// errMsg, or done. A done log reads its samples from held, the result
+// the job holds, in place of its own; a failed one ignores held.
+// Epochs and retirements after the seal are ignored.
+func (l *epochLog) seal(errMsg string, held *heldResult) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil {
+		return
+	}
+	l.errMsg = errMsg
+	if errMsg == "" {
+		l.maxSeen = 1
+		if held != nil {
+			l.held, l.recs, l.cells = held, nil, nil
+		}
+	}
 	close(l.wake)
 	l.wake = nil
-	if !terminal {
-		l.wake = make(chan struct{})
-	}
 }
 
-// epoch appends one live sample for a cell labelled as rec.
-func (l *streamLog) epoch(cell int, rec experiments.SeriesRecord, s engine.EpochSample) {
-	if l == nil {
-		return
-	}
-	l.append(StreamEvent{Type: EventEpoch, Cell: cell, Variant: rec.Variant,
-		Workload: rec.Workload, Policy: rec.Policy, Sample: &s})
-}
-
-// flushSeries appends the samples of a completed cell's series record
-// that were not already streamed live: everything from index streamed
-// on. A memo hit or joined flight streamed nothing live (streamed 0)
-// and flushes the whole memoised series; the executing caller streamed
-// everything (streamed == len(series)) and flushes nothing. Either way
-// the cell's epoch-event subsequence ends up byte-identical to the
-// result series.
-func (l *streamLog) flushSeries(cell int, rec experiments.SeriesRecord, streamed int) {
-	if l == nil || streamed >= len(rec.Series) {
-		return
-	}
-	for _, s := range rec.Series[streamed:] {
-		l.epoch(cell, rec, s)
-	}
-}
-
-// finish seals the log with the job's terminal event: failed carrying
-// errMsg, or done. A done job passes its result and the form the job
-// holds it in; when the log's epoch events are exactly the result's
-// series, the log seals compact.
-func (l *streamLog) finish(errMsg string, res *JobResult, held *heldResult) {
-	if l == nil {
-		return
+// clamp publishes f through the monotone max filter and returns the
+// published (never-decreasing) value in [0, 1].
+func (l *epochLog) clamp(f float64) float64 {
+	if f < 0 || math.IsNaN(f) {
+		f = 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if errMsg != "" {
-		l.appendLocked(StreamEvent{Type: EventFailed, Cell: -1, Error: errMsg})
-		return
-	}
-	l.appendLocked(StreamEvent{Type: EventDone, Cell: -1})
-	if res == nil {
-		return
-	}
-	recs := seriesOf(res)
-	next := make([]int, len(recs)) // each cell's next sample
-	var cells []uint32
-	for _, ev := range l.events {
-		if ev.Type != EventEpoch {
-			continue
-		}
-		c := ev.Cell
-		if c < 0 || c >= len(recs) || next[c] >= len(recs[c].Series) || ev.Sample == nil || *ev.Sample != recs[c].Series[next[c]] ||
-			ev.Variant != recs[c].Variant || ev.Workload != recs[c].Workload || ev.Policy != recs[c].Policy {
-			return // not the result's series: keep the events
-		}
-		next[c]++
-		cells = append(cells, uint32(c))
-	}
-	l.events, l.cells, l.held = nil, cells, held
+	l.maxSeen = max(l.maxSeen, min(f, 1))
+	return l.maxSeen
 }
 
-// next returns the events from seq on, whether the log is sealed, and
-// the channel to wait on when caught up (nil once sealed).
-func (l *streamLog) next(seq int) ([]StreamEvent, bool, <-chan struct{}) {
+// fraction returns the job's completion in [0, 1], monotone across
+// calls: the mean of its cells' fractions, and 1 once done.
+func (l *epochLog) fraction() float64 {
 	l.mu.Lock()
-	if l.held != nil {
-		l.mu.Unlock()
-		// A compact log never changes again, so it is replayed unlocked.
-		return l.replay(seq), true, nil
+	var f float64
+	for _, c := range l.cells {
+		f += c.frac
 	}
-	defer l.mu.Unlock()
-	if seq >= len(l.events) {
-		return nil, l.terminal, l.wake
+	if n := len(l.cells); n > 0 {
+		f /= float64(n)
 	}
-	return l.events[seq:len(l.events):len(l.events)], l.terminal, l.wake
+	l.mu.Unlock()
+	return l.clamp(f)
 }
 
-// replay rebuilds a compact log's events from seq on: each epoch event
-// from its cell's series record, then the truncated marker if the
-// bound dropped events, then the done event.
-func (l *streamLog) replay(seq int) []StreamEvent {
-	n := len(l.cells) + 1 // the epochs and the done event
+// sample returns a copy of the freshest epoch sample, or nil before any
+// cell closed one.
+func (l *epochLog) sample() *engine.EpochSample {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.fresh == nil {
+		return nil
+	}
+	s := *l.fresh
+	return &s
+}
+
+// cursor is a subscriber's place in a log: the Seq of the next event
+// it reads and, per cell, the index of that cell's next sample.
+type cursor struct {
+	seq  int
+	next []int
+}
+
+// read returns the events from c on and moves c past them, whether the
+// log is sealed, and the channel to wait on when caught up (nil once
+// sealed).
+func (l *epochLog) read(c *cursor) ([]StreamEvent, bool, <-chan struct{}) {
+	l.mu.Lock()
+	held := l.held
+	if held == nil {
+		defer l.mu.Unlock()
+		return l.events(c, l.recs), l.wake == nil, l.wake
+	}
+	l.mu.Unlock()
+	// A sealed done log never changes again, so it is read unlocked,
+	// and the result unpacked only while an epoch event is owed.
+	var recs []experiments.SeriesRecord
+	if c.seq < len(l.order) {
+		recs = seriesOf(held.get("", ""))
+	}
+	return l.events(c, recs), true, nil
+}
+
+// events rebuilds the log's events from c on, each epoch event from
+// its cell's next sample in recs, then the truncated marker if the
+// bound dropped events, then the terminal event once sealed.
+func (l *epochLog) events(c *cursor, recs []experiments.SeriesRecord) []StreamEvent {
+	n := len(l.order)
 	if l.dropped > 0 {
 		n++ // the truncated marker
 	}
-	if seq >= n {
+	if l.wake == nil {
+		n++ // the terminal event
+	}
+	if c.seq >= n {
 		return nil
 	}
-	evs := make([]StreamEvent, 0, n-seq)
-	if seq < len(l.cells) {
-		recs := seriesOf(l.held.get("", ""))
-		next := make([]int, len(recs)) // each cell's next sample
-		for i, c := range l.cells {
-			k := next[c]
-			next[c]++
-			if i < seq {
-				continue
-			}
-			r := &recs[c]
-			evs = append(evs, StreamEvent{Seq: i, Type: EventEpoch, Cell: int(c),
-				Variant: r.Variant, Workload: r.Workload, Policy: r.Policy, Sample: &r.Series[k]})
-		}
+	if k := len(recs) - len(c.next); k > 0 {
+		c.next = append(c.next, make([]int, k)...)
 	}
-	i := len(l.cells)
-	if l.dropped > 0 {
-		if i >= seq {
-			evs = append(evs, StreamEvent{Seq: i, Type: EventTruncated, Cell: -1, Dropped: 1})
-		}
-		i++
+	evs := make([]StreamEvent, 0, n-c.seq)
+	for ; c.seq < len(l.order); c.seq++ {
+		i := l.order[c.seq]
+		r := &recs[i]
+		evs = append(evs, StreamEvent{Seq: c.seq, Type: EventEpoch, Cell: int(i),
+			Variant: r.Variant, Workload: r.Workload, Policy: r.Policy, Sample: &r.Series[c.next[i]]})
+		c.next[i]++
 	}
-	return append(evs, StreamEvent{Seq: i, Type: EventDone, Cell: -1})
+	if l.dropped > 0 && c.seq == len(l.order) {
+		evs = append(evs, StreamEvent{Seq: c.seq, Type: EventTruncated, Cell: -1, Dropped: 1})
+		c.seq++
+	}
+	if c.seq < n {
+		ev := StreamEvent{Seq: c.seq, Type: EventDone, Cell: -1}
+		if l.errMsg != "" {
+			ev.Type, ev.Error = EventFailed, l.errMsg
+		}
+		evs = append(evs, ev)
+		c.seq++
+	}
+	return evs
 }
 
 // streamKeepAlive is the idle period after which the handler emits an
@@ -260,9 +332,9 @@ func (l *streamLog) replay(seq int) []StreamEvent {
 // epochs.
 const streamKeepAlive = 15 * time.Second
 
-// handleJobEvents serves GET /v1/jobs/{id}/events: the job's event log
+// handleJobEvents serves GET /v1/jobs/{id}/events: the job's epoch log
 // as Server-Sent Events. Every subscriber — attached before, during or
-// after the run — replays the log from the start and receives events
+// after the run — reads the log from the start and receives events
 // until the terminal done/failed event, so a dashboard can render the
 // simulation in flight and a late client still sees the full sequence.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
@@ -290,9 +362,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	keep := time.NewTimer(streamKeepAlive)
 	defer keep.Stop()
-	seq := 0
+	var cur cursor
 	for {
-		evs, sealed, wake := js.stream.next(seq)
+		evs, sealed, wake := js.epochs.read(&cur)
 		for _, ev := range evs {
 			if err := writeSSE(w, ev); err != nil {
 				return // client gone
@@ -300,7 +372,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(evs) > 0 {
 			fl.Flush()
-			seq += len(evs)
 		}
 		if sealed && len(evs) == 0 {
 			return

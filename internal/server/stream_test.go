@@ -331,12 +331,13 @@ func TestStreamUnknownJob(t *testing.T) {
 // lands and seals the log.
 func TestStreamLogBound(t *testing.T) {
 	t.Parallel()
-	l := newStreamLog(2, nil)
+	l := newEpochLog(2, nil)
+	l.plan(make([]experiments.SeriesRecord, 5))
 	for i := 0; i < 5; i++ {
-		l.append(StreamEvent{Type: EventEpoch, Cell: i})
+		l.epoch(i, engine.EpochSample{})
 	}
-	l.finish("", nil, nil)
-	evs, sealed, _ := l.next(0)
+	l.seal("", nil)
+	evs, sealed, _ := l.read(&cursor{})
 	if !sealed {
 		t.Fatal("log not sealed after finish")
 	}
@@ -358,21 +359,10 @@ func TestStreamLogBound(t *testing.T) {
 		t.Errorf("truncated marker carries Dropped=%d; published events are immutable", evs[2].Dropped)
 	}
 	// Appends after the terminal are ignored.
-	l.append(StreamEvent{Type: EventEpoch})
-	if evs2, _, _ := l.next(0); len(evs2) != len(evs) {
+	l.epoch(0, engine.EpochSample{})
+	if evs2, _, _ := l.read(&cursor{}); len(evs2) != len(evs) {
 		t.Error("append after terminal extended the log")
 	}
-}
-
-// TestStreamLogNilSafe: jobStates built by hand in tests carry no
-// stream; every method must tolerate the nil receiver.
-func TestStreamLogNilSafe(t *testing.T) {
-	t.Parallel()
-	var l *streamLog
-	l.append(StreamEvent{Type: EventEpoch})
-	l.epoch(0, experiments.SeriesRecord{}, engine.EpochSample{})
-	l.flushSeries(0, experiments.SeriesRecord{}, 0)
-	l.finish("", nil, nil)
 }
 
 // TestObservedMixJob: an observed, traced ext6 job streams epoch events
@@ -536,12 +526,11 @@ func TestStreamReplayGolden(t *testing.T) {
 	var got strings.Builder
 	for _, j := range jobs {
 		// SimBudget 1 runs one cell at a time, so each cell's epochs
-		// arrive as one block; a buffer of 5 truncates the sim job.
-		buf := 0
+		// arrive as one block; a bound of 5 truncates the sim job.
+		s, ts := newTestServer(t, Config{Workers: 1, SimBudget: 1, BaseConfig: tinyBase(433)})
 		if j.name == "truncated" {
-			buf = 5
+			s.streamBound = 5
 		}
-		_, ts := newTestServer(t, Config{Workers: 1, SimBudget: 1, StreamBuffer: buf, BaseConfig: tinyBase(433)})
 		st, code := postJob(t, ts, j.body)
 		if code != http.StatusAccepted {
 			t.Fatalf("%s: submit = %d, want 202", j.name, code)
@@ -577,11 +566,52 @@ func TestStreamReplayGolden(t *testing.T) {
 	}
 }
 
-// sseBytes renders a log's events from seq on as a subscriber receives
-// them.
-func sseBytes(t *testing.T, l *streamLog, seq int) string {
+// refLog is the reference model of a job's event log: it keeps every
+// event it publishes, so replay is reading its slice. A memo hit or a
+// joined run's cell flushes its whole series on completion; a cell
+// that ran live flushes the samples it did not stream.
+type refLog struct {
+	events  []StreamEvent
+	bound   int
+	dropped uint64
+}
+
+func (l *refLog) append(ev StreamEvent) {
+	if n := len(l.events); n > 0 && (l.events[n-1].Type == EventDone || l.events[n-1].Type == EventFailed) {
+		return
+	}
+	if ev.Type == EventEpoch && len(l.events) >= l.bound {
+		if l.dropped++; l.dropped > 1 {
+			return
+		}
+		ev = StreamEvent{Type: EventTruncated, Cell: -1, Dropped: 1}
+	}
+	ev.Seq = len(l.events)
+	l.events = append(l.events, ev)
+}
+
+func (l *refLog) epoch(cell int, rec experiments.SeriesRecord, s engine.EpochSample) {
+	l.append(StreamEvent{Type: EventEpoch, Cell: cell, Variant: rec.Variant,
+		Workload: rec.Workload, Policy: rec.Policy, Sample: &s})
+}
+
+func (l *refLog) flushSeries(cell int, rec experiments.SeriesRecord, streamed int) {
+	for _, s := range rec.Series[min(streamed, len(rec.Series)):] {
+		l.epoch(cell, rec, s)
+	}
+}
+
+func (l *refLog) finish(errMsg string) {
+	if errMsg != "" {
+		l.append(StreamEvent{Type: EventFailed, Cell: -1, Error: errMsg})
+		return
+	}
+	l.append(StreamEvent{Type: EventDone, Cell: -1})
+}
+
+// sseBytes renders events as a subscriber receives them.
+func sseBytes(t *testing.T, evs []StreamEvent) string {
 	t.Helper()
-	evs, _, _ := l.next(seq)
 	rec := httptest.NewRecorder()
 	for _, ev := range evs {
 		if err := writeSSE(rec, ev); err != nil {
@@ -591,32 +621,54 @@ func sseBytes(t *testing.T, l *streamLog, seq int) string {
 	return rec.Body.String()
 }
 
-// FuzzSealedStream drives two logs through one random run — cells'
-// epoch events interleaved in any order, any bound, a done or failed
-// end — and checks that the log sealed compact against the result's
-// series replays, from any point, the bytes of the log that keeps its
-// events. A subscriber that read part of the log live and the rest
-// after the seal sees them too.
+// refCursor places a cursor at seq of the reference log: past seq
+// events, each cell's next sample is the count of its epoch events
+// among them.
+func refCursor(ref *refLog, seq, cells int) *cursor {
+	c := &cursor{seq: seq, next: make([]int, cells)}
+	for _, ev := range ref.events[:min(seq, len(ref.events))] {
+		if ev.Type == EventEpoch {
+			c.next[ev.Cell]++
+		}
+	}
+	return c
+}
+
+// FuzzSealedStream drives an epoch log and the reference model through
+// one random run: cells that stream their samples live and deliver
+// their series on completion, interleaved in any order, memo-hit cells
+// that stream nothing live and deliver their whole series on
+// completion, any bound, and a done or failed end. The log's SSE bytes
+// must equal the reference's for a subscriber that follows the run
+// live, for one placed at every seq before the seal that reads on
+// across it, and for one placed at every seq after it.
 func FuzzSealedStream(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 5, 0, 1, 2, 0, 1, 2, 1, 0}, uint8(0), uint8(7))
 	f.Add([]byte{1, 9}, uint8(3), uint8(2))
 	f.Add([]byte{2, 1, 1, 0, 1, 1, 1}, uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, bound, mid uint8) {
+	f.Add([]byte{1, 3, 2, 0, 1, 0, 1, 0}, uint8(0), uint8(0))
+	f.Add([]byte{3, 5, 3, 4, 2, 0, 1, 2, 2, 1, 0, 0, 1}, uint8(4), uint8(0x05))
+	f.Add([]byte{4, 6, 2, 7, 3, 1, 1, 0, 3, 2, 0, 1, 3, 2}, uint8(0x83), uint8(0x12))
+	f.Fuzz(func(t *testing.T, data []byte, bound, modes uint8) {
 		if len(data) == 0 {
 			return
 		}
 		// data: the cell count, each cell's sample count, then the
-		// order in which cells emit their samples.
+		// order in which the run's steps happen. modes: which cells
+		// are memo hits (bits 0-3), and from bit 4 on the step at
+		// which a failing run stops.
 		n := int(data[0])%4 + 1
 		data = data[1:]
 		recs := make([]experiments.SeriesRecord, n)
+		labels := make([]experiments.SeriesRecord, n)
 		for c := range recs {
 			k := 0
 			if c < len(data) {
 				k = int(data[c]) % 12
 			}
-			recs[c] = experiments.SeriesRecord{Variant: []string{"", "8"}[c%2],
+			labels[c] = experiments.SeriesRecord{Variant: []string{"", "8"}[c%2],
 				Workload: []string{"mcf", "lbm", "gups"}[c%3], Policy: []string{"Norm", "BE-Mellow+SC"}[c%2]}
+			recs[c] = labels[c]
 			for e := 0; e < k; e++ {
 				recs[c].Series = append(recs[c].Series, engine.EpochSample{Epoch: e, Phase: "detailed",
 					End: sim.Tick(100 * (e + 1)), Instructions: uint64(c*1000 + e), IPC: float64(e) / 3, Progress: float64(e+1) / float64(k)})
@@ -625,13 +677,25 @@ func FuzzSealedStream(f *testing.F) {
 		data = data[min(n, len(data)):]
 		failed := bound&0x80 != 0
 		bound &= 0x7f
-		live := newStreamLog(int(bound), nil)
-		sealed := newStreamLog(int(bound), nil)
-		next := make([]int, n)
-		for i := 0; ; i++ {
+		stop := -1 // a failing run's last step
+		if failed {
+			stop = int(modes >> 4)
+		}
+
+		ref := &refLog{bound: int(bound)}
+		if ref.bound <= 0 {
+			ref.bound = DefaultStreamBuffer
+		}
+		l := newEpochLog(int(bound), nil)
+		l.plan(slices.Clone(labels))
+		follow := &cursor{}
+		var followed []StreamEvent
+		streamed := make([]int, n)
+		retired := make([]bool, n)
+		for step := 0; step != stop; step++ {
 			var open []int
 			for c := range recs {
-				if next[c] < len(recs[c].Series) {
+				if !retired[c] {
 					open = append(open, c)
 				}
 			}
@@ -639,41 +703,67 @@ func FuzzSealedStream(f *testing.F) {
 				break
 			}
 			c := open[0]
-			if i < len(data) {
-				c = open[int(data[i])%len(open)]
+			if step < len(data) {
+				c = open[int(data[step])%len(open)]
 			}
-			for _, l := range []*streamLog{live, sealed} {
-				l.epoch(c, recs[c], recs[c].Series[next[c]])
+			memo := modes&(1<<c) != 0
+			if !memo && streamed[c] < len(recs[c].Series) {
+				s := recs[c].Series[streamed[c]]
+				streamed[c]++
+				ref.epoch(c, recs[c], s)
+				l.epoch(c, s)
+			} else {
+				retired[c] = true
+				ref.flushSeries(c, recs[c], streamed[c])
+				l.done(c, recs[c].Series)
 			}
-			next[c]++
+			evs, _, _ := l.read(follow)
+			followed = append(followed, evs...)
 		}
-		// A subscriber reads the first m events before the seal.
-		total, _, _ := sealed.next(0)
-		m := int(mid) % (len(total) + 1)
-		before := sseBytes(t, sealed, 0)
-		before = before[:len(before)-len(sseBytes(t, sealed, m))]
-		res := &JobResult{Series: recs}
-		held := holdResult(res)
+
+		// Subscribers placed at every seq read up to the seal...
+		cut := len(ref.events) + 2
+		across := make([]*cursor, cut)
+		before := make([]string, cut)
+		for seq := range across {
+			across[seq] = refCursor(ref, seq, n)
+			evs, sealed, _ := l.read(across[seq])
+			if sealed {
+				t.Fatal("log sealed before the terminal event")
+			}
+			before[seq] = sseBytes(t, evs)
+		}
 		if failed {
-			live.finish("boom", nil, nil)
-			sealed.finish("boom", res, &held)
+			ref.finish("boom")
+			l.seal("boom", nil)
 		} else {
-			live.finish("", nil, nil)
-			sealed.finish("", res, &held)
-			if sealed.held == nil {
-				t.Fatal("a done log of the result's series did not seal compact")
+			ref.finish("")
+			held := holdResult(&JobResult{Series: recs})
+			l.seal("", &held)
+			if l.recs != nil || l.cells != nil {
+				t.Fatal("a sealed done log kept its own samples")
 			}
 		}
-		want := sseBytes(t, live, 0)
-		if got := sseBytes(t, sealed, 0); got != want {
-			t.Fatalf("sealed replay:\n%s\nlive log:\n%s", got, want)
+		evs, sealed, _ := l.read(follow)
+		if !sealed {
+			t.Fatal("log not sealed after its terminal event")
 		}
-		if got := before + sseBytes(t, sealed, m); got != want {
-			t.Fatalf("a subscriber at %d across the seal read:\n%s\nlive log:\n%s", m, got, want)
+		want := sseBytes(t, ref.events)
+		if got := sseBytes(t, append(followed, evs...)); got != want {
+			t.Fatalf("a live subscriber read:\n%s\nreference:\n%s", got, want)
 		}
-		for seq := range len(total) + 2 {
-			if got, w := sseBytes(t, sealed, seq), sseBytes(t, live, seq); got != w {
-				t.Fatalf("replay from %d:\n%s\nlive log:\n%s", seq, got, w)
+		// ...and on across it.
+		for seq, c := range across {
+			evs, _, _ := l.read(c)
+			w := sseBytes(t, ref.events[min(seq, len(ref.events)):])
+			if got := before[seq] + sseBytes(t, evs); got != w {
+				t.Fatalf("a subscriber at %d across the seal read:\n%s\nreference:\n%s", seq, got, w)
+			}
+		}
+		for seq := range len(ref.events) + 2 {
+			evs, _, _ := l.read(refCursor(ref, seq, n))
+			if got, w := sseBytes(t, evs), sseBytes(t, ref.events[min(seq, len(ref.events)):]); got != w {
+				t.Fatalf("sealed replay from %d:\n%s\nreference:\n%s", seq, got, w)
 			}
 		}
 	})
